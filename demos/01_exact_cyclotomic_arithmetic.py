@@ -10,26 +10,24 @@ from fractions import Fraction
 from heckeperiods import (
     ExactNumber,
     ExactPolynomial,
-    numeric_eval,
     recognize_surd,
-    root_of_unity,
     sqrt_integer,
 )
 
 # A fourth root of unity really is i: squaring gives -1, exactly.
-i = root_of_unity(4, 1)
+i = ExactNumber.zeta(4, 1)
 print("i * i =", (i * i).rational_value())
 
 # Roots of unity of different levels mix freely; operands are lifted to the
 # least common cyclotomic level behind the scenes.
-z3 = root_of_unity(3, 1)
+z3 = ExactNumber.zeta(3, 1)
 mixed = i * z3 + Fraction(1, 2)
 print("i*zeta_3 + 1/2 lives at level", mixed.level)
-print("   numerically:", numeric_eval(mixed))
+print("   numerically:", mixed.numeric())
 
 # Square roots of squarefree integers come from quadratic Gauss sums.
 s3 = sqrt_integer(3)
-print("sqrt(3)^2 =", (s3 * s3).rational_value(), " float:", numeric_eval(s3).real)
+print("sqrt(3)^2 =", (s3 * s3).rational_value(), " float:", s3.numeric().real)
 
 # Inversion is exact: (1/x) * x == 1 even for messy elements.
 x = z3 * Fraction(3, 7) + s3.lift_to(12) * Fraction(-2, 5)
@@ -38,7 +36,7 @@ print("x * x^-1 == 1:", x * x.inverse() == ExactNumber.one())
 # recognize_surd writes a cyclotomic number as a + b*sqrt(d) when possible.
 value = s3 * Fraction(-2359296, 5)
 print("recognized:", recognize_surd(value))          # -2359296/5 * sqrt(3)
-print("zeta_5 recognized:", recognize_surd(root_of_unity(5, 1)))  # None
+print("zeta_5 recognized:", recognize_surd(ExactNumber.zeta(5, 1)))  # None
 
 # Polynomials carry exact coefficients and support the substitutions the
 # period formulas need: x -> alpha x + beta, and x -> c/x against x^w.

@@ -8,7 +8,6 @@ from heckeperiods import (
     enumerate_primitive_characters,
     gauss_sum,
     kronecker_character,
-    numeric_eval,
 )
 
 # The quadratic character attached to the fundamental discriminant -3.
@@ -30,7 +29,7 @@ for modulus in (5, 7, 8, 12):
 # Gauss sums are exact cyclotomic numbers; the classical norm identity
 # tau(chi) tau(conj chi) = chi(-1) * D holds on the nose.
 tau = gauss_sum(chi)
-print("tau(chi)^2 =", (tau * tau).rational_value(), " numerically", numeric_eval(tau))
+print("tau(chi)^2 =", (tau * tau).rational_value(), " numerically", tau.numeric())
 for modulus in (5, 7, 12):
     for c in enumerate_primitive_characters(modulus):
         norm = gauss_sum(c) * gauss_sum(c.conjugate())

@@ -10,7 +10,6 @@ from heckeperiods import (
     PeriodContext,
     TraceQuery,
     kronecker_character,
-    numeric_eval,
     recognize_surd,
     trace_closed_form,
     trace_from_periods,
@@ -23,7 +22,7 @@ for m in (1, 3, 5, 7, 9):
     query = TraceQuery(ctx, m)
     value = trace_closed_form(query)
     assert value == trace_from_periods(query)  # cross-path identity
-    print(f"m={m}: {recognize_surd(value)}   ~ {numeric_eval(value).real:.3f}")
+    print(f"m={m}: {recognize_surd(value)}   ~ {value.numeric().real:.3f}")
 
 # The parity hypothesis is enforced: an even m with this odd character has
 # no extractable trace.
@@ -45,4 +44,4 @@ from heckeperiods import enumerate_primitive_characters
 quartic = next(c for c in enumerate_primitive_characters(5) if c.order == 4)
 ctx4 = PeriodContext(1, 10, 2, quartic)
 value = trace_closed_form(TraceQuery(ctx4, 2))
-print("quartic twist trace at (m,n)=(2,2): level", value.level, "number; float", numeric_eval(value))
+print("quartic twist trace at (m,n)=(2,2): level", value.level, "number; float", value.numeric())

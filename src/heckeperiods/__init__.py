@@ -23,15 +23,11 @@ from .characters import (
     kronecker_character,
 )
 from .cyclotomic import (
-    BigRational,
     ExactNumber,
     ExactPolynomial,
     QuadSurd,
-    cyclotomic_embed,
-    numeric_eval,
     parse_quad_surd,
     recognize_surd,
-    root_of_unity,
     sqrt_integer,
 )
 from .eigenforms import (
@@ -72,7 +68,6 @@ from .traces import TraceQuery, trace_closed_form, trace_from_periods
 __version__ = "0.1.0"
 
 __all__ = [
-    "BigRational",
     "CharacterError",
     "ContextError",
     "DirichletCharacter",
@@ -97,7 +92,6 @@ __all__ = [
     "char_poly",
     "chi_four_tuple",
     "closed_form_polynomial",
-    "cyclotomic_embed",
     "eigen_decompose",
     "enumerate_primitive_characters",
     "enumerate_quadruples",
@@ -107,14 +101,12 @@ __all__ = [
     "kronecker_character",
     "lambda_delta",
     "load_fixtures",
-    "numeric_eval",
     "numeric_twisted_period",
     "parse_quad_surd",
     "petersson_delta_inverse",
     "quadruple_sum_polynomial",
     "recognize_surd",
     "residue_period",
-    "root_of_unity",
     "sqrt_integer",
     "tau_coefficients",
     "trace_closed_form",

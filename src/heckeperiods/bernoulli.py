@@ -13,8 +13,10 @@ from __future__ import annotations
 import math
 import threading
 from fractions import Fraction
+from functools import lru_cache
+
 from .characters import DirichletCharacter
-from .cyclotomic import ExactNumber, ExactPolynomial
+from .cyclotomic import _MEMO_SIZE, ExactNumber, ExactPolynomial, _add_into, _bucket_poly, _bucket_sum
 
 _ZERO = Fraction(0)
 
@@ -85,10 +87,7 @@ class BernoulliSelfCheckError(ArithmeticError):
     """The two defining expressions of B_{k,chi}(x) disagreed (should never happen)."""
 
 
-_gen_cache: dict[tuple, ExactPolynomial] = {}
-_gen_lock = threading.Lock()
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def generalized_bernoulli_poly(k: int, chi: DirichletCharacter) -> ExactPolynomial:
     """The chi-weighted Bernoulli polynomial of degree index k.
 
@@ -101,16 +100,10 @@ def generalized_bernoulli_poly(k: int, chi: DirichletCharacter) -> ExactPolynomi
     """
     if k < 0:
         return ExactPolynomial.zero()
-    key = (chi.modulus, chi.order, chi.exponents, k)
-    cached = _gen_cache.get(key)
-    if cached is not None:
-        return cached
     via_sum = _via_residue_sum(k, chi)
     via_binomial = _via_binomial(k, chi)
     if via_sum != via_binomial:
         raise BernoulliSelfCheckError(f"defining expressions disagree at k={k}, chi mod {chi.modulus}")
-    with _gen_lock:
-        _gen_cache[key] = via_sum
     return via_sum
 
 
@@ -134,30 +127,12 @@ def _weighted_rational_polys(k: int, chi: DirichletCharacter) -> list[list[Fract
         # B_k((h+x)/D) = sum_j C(k,j) B_j(h/D) (x/D)^(k-j)
         shifted = bernoulli_shifted_coeffs(k, Fraction(h, d))
         inv = Fraction(1, d)
-        contrib = [c * inv**i * scale for i, c in enumerate(shifted)]
-        bucket = buckets[e]
-        if len(bucket) < len(contrib):
-            bucket.extend([_ZERO] * (len(contrib) - len(bucket)))
-        for i, c in enumerate(contrib):
-            bucket[i] += c
+        _add_into(buckets[e], [c * inv**i * scale for i, c in enumerate(shifted)])
     return buckets
 
 
-def _assemble(buckets: list[list[Fraction]], order: int) -> ExactPolynomial:
-    top = max((len(b) for b in buckets), default=0)
-    coeffs = [ExactNumber.zero(order) for _ in range(top)]
-    for e, bucket in enumerate(buckets):
-        if not any(bucket):
-            continue
-        root = ExactNumber.zeta(order, e)
-        for i, c in enumerate(bucket):
-            if c:
-                coeffs[i] = coeffs[i] + root * c
-    return ExactPolynomial(coeffs)
-
-
 def _via_residue_sum(k: int, chi: DirichletCharacter) -> ExactPolynomial:
-    return _assemble(_weighted_rational_polys(k, chi), chi.order)
+    return _bucket_poly(_weighted_rational_polys(k, chi), chi.order)
 
 
 def _via_binomial(k: int, chi: DirichletCharacter) -> ExactPolynomial:
@@ -168,22 +143,13 @@ def _via_binomial(k: int, chi: DirichletCharacter) -> ExactPolynomial:
     return ExactPolynomial(coeffs)
 
 
-_number_cache: dict[tuple, ExactNumber] = {}
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def _weighted_number_direct(j: int, chi: DirichletCharacter) -> ExactNumber:
-    key = (chi.modulus, chi.order, chi.exponents, j)
-    cached = _number_cache.get(key)
-    if cached is None:
-        d = chi.modulus
-        scale = Fraction(d) ** (j - 1)
-        total = ExactNumber.zero(chi.order)
-        for h in range(d):
-            e = chi.exponents[h]
-            if e is None:
-                continue
-            total = total + ExactNumber.zeta(chi.order, e) * (_bernoulli_at(j, Fraction(h, d)) * scale)
-        cached = total
-        with _gen_lock:
-            _number_cache[key] = cached
-    return cached
+    d = chi.modulus
+    scale = Fraction(d) ** (j - 1)
+    buckets = [_ZERO] * chi.order
+    for h in range(d):
+        e = chi.exponents[h]
+        if e is not None:
+            buckets[e] += _bernoulli_at(j, Fraction(h, d)) * scale
+    return _bucket_sum(buckets, chi.order)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Iterator, Optional, Sequence
 
-from .cyclotomic import ExactNumber, euler_phi, factorize
+from .cyclotomic import ExactNumber, divisors, euler_phi, factorize
 
 
 class CharacterError(ValueError):
@@ -155,13 +155,6 @@ class DirichletCharacter:
     def __repr__(self):
         kind = "primitive" if self.is_primitive else f"conductor {self.conductor}"
         return f"DirichletCharacter(mod {self.modulus}, order {self.order}, {kind})"
-
-
-def divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 # ---------------------------------------------------------------------------

@@ -108,8 +108,8 @@ def character_spec_string(chi: DirichletCharacter) -> str:
 
 
 def _factored_int(n: int) -> str:
-    if n == 1:
-        return "1"
+    if n <= 1:
+        return str(n)
     parts = []
     for p, e in sorted(factorize(n).items()):
         parts.append(str(p) if e == 1 else f"{p}^{e}")

@@ -7,7 +7,7 @@ cyclotomic level, so values born at different levels (rationals, character
 values, Gauss sums, i) mix freely.
 
 Everything here is immutable and pure; the per-level reduction tables are
-filled once and only read afterwards.
+built whole on first use and only read afterwards.
 """
 
 from __future__ import annotations
@@ -16,9 +16,11 @@ import cmath
 import math
 import re
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-BigRational = Fraction
+# the bound of every memo in the package
+_MEMO_SIZE = 1024
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -62,6 +64,13 @@ def factorize(n: int) -> dict[int, int]:
     return factors
 
 
+def divisors(n: int) -> list[int]:
+    out = [1]
+    for p, e in factorize(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
 def square_and_squarefree_part(n: int) -> tuple[int, int]:
     """Write n = s**2 * f with f squarefree; returns (s, f)."""
     s, f = 1, 1
@@ -86,10 +95,6 @@ def squarefree_divisors(n: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and reduction tables
 
-_cyclo_cache: dict[int, tuple[int, ...]] = {1: (-1, 1)}
-_power_cache: dict[int, list[tuple[int, ...]]] = {}
-_root_cache: dict[int, list[complex]] = {}
-
 
 def _int_poly_divide(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
     """Exact division of integer polynomials (ascending coefficients)."""
@@ -110,53 +115,53 @@ def _int_poly_divide(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, ascending, computed by dividing x^m - 1
     by all lower-order cyclotomic polynomials."""
     if m < 1:
         raise ValueError("level must be positive")
-    cached = _cyclo_cache.get(m)
-    if cached is not None:
-        return cached
     poly: Sequence[int] = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
             poly = _int_poly_divide(poly, cyclotomic_polynomial(d))
-    result = tuple(poly)
-    _cyclo_cache[m] = result
-    return result
+    return tuple(poly)
 
 
-def _reduced_power(level: int, e: int) -> tuple[int, ...]:
-    """Coordinates of zeta_level**e on the power basis (integer vector)."""
+@lru_cache(maxsize=_MEMO_SIZE)
+def _power_table(level: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of zeta_level**e on the power basis (integer vectors) for
+    every exponent a product, lift or conjugation asks for:
+    0 <= e < max(level, 2*phi - 1).  Built whole, never extended."""
     phi = euler_phi(level)
-    table = _power_cache.get(level)
-    if table is None:
-        table = []
-        for j in range(phi):
-            row = [0] * phi
-            row[j] = 1
-            table.append(tuple(row))
-        _power_cache[level] = table
-    while len(table) <= e:
-        prev = table[-1]
-        shifted = [0] + list(prev[: phi - 1])
-        top = prev[phi - 1]
-        if top:
-            cyclo = cyclotomic_polynomial(level)
-            # x^phi = -(lower part of Phi) since Phi is monic
-            for j in range(phi):
-                shifted[j] -= top * cyclo[j]
-        table.append(tuple(shifted))
-    return table[e]
+    cyclo = cyclotomic_polynomial(level)
+    rows = [tuple(int(t == j) for t in range(phi)) for j in range(phi)]
+    while len(rows) < max(level, 2 * phi - 1):
+        prev = rows[-1]
+        top = prev[-1]
+        # x^phi = -(lower part of Phi) since Phi is monic
+        rows.append(tuple(low - top * c for low, c in zip((0,) + prev[:-1], cyclo)))
+    return tuple(rows)
 
 
-def _roots(level: int) -> list[complex]:
-    roots = _root_cache.get(level)
-    if roots is None:
-        roots = [cmath.exp(2j * cmath.pi * j / level) for j in range(euler_phi(level))]
-        _root_cache[level] = roots
-    return roots
+def _fold(values: Sequence[Fraction], level: int) -> list[Fraction]:
+    """Coordinates of sum_e values[e] * zeta_level**e, for len(values) within
+    the power table of the level."""
+    table = _power_table(level)
+    phi = len(table[0])
+    out = list(values[:phi]) + [_ZERO] * (phi - len(values))
+    for e in range(phi, len(values)):
+        q = values[e]
+        if q:
+            for t, r in enumerate(table[e]):
+                if r:
+                    out[t] += q * r
+    return out
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _roots(level: int) -> tuple[complex, ...]:
+    return tuple(cmath.exp(2j * cmath.pi * j / level) for j in range(euler_phi(level)))
 
 
 # ---------------------------------------------------------------------------
@@ -194,8 +199,7 @@ class ExactNumber:
 
     @classmethod
     def zeta(cls, level: int, k: int = 1) -> "ExactNumber":
-        row = _reduced_power(level, k % level)
-        return cls(level, [Fraction(c) for c in row])
+        return cls(level, _power_table(level)[k % level])
 
     @classmethod
     def zero(cls, level: int = 1) -> "ExactNumber":
@@ -224,15 +228,10 @@ class ExactNumber:
         if level % self.level != 0:
             raise ValueError(f"cannot lift level {self.level} into level {level}")
         step = level // self.level
-        phi = euler_phi(level)
-        out = [_ZERO] * phi
+        values = [_ZERO] * level
         for j, c in enumerate(self.coords):
-            if c:
-                row = _reduced_power(level, j * step)
-                for t, r in enumerate(row):
-                    if r:
-                        out[t] += c * r
-        return ExactNumber(level, out)
+            values[j * step] = c
+        return ExactNumber(level, _fold(values, level))
 
     def _common(self, other: "ExactNumber") -> tuple["ExactNumber", "ExactNumber"]:
         if self.level == other.level:
@@ -286,22 +285,7 @@ class ExactNumber:
             return b * a.coords[0]
         if b.is_rational():
             return a * b.coords[0]
-        phi = len(a.coords)
-        conv = [_ZERO] * (2 * phi - 1)
-        for i, ai in enumerate(a.coords):
-            if ai:
-                for j, bj in enumerate(b.coords):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:phi]
-        for e in range(phi, 2 * phi - 1):
-            ce = conv[e]
-            if ce:
-                row = _reduced_power(a.level, e)
-                for t, r in enumerate(row):
-                    if r:
-                        out[t] += ce * r
-        return ExactNumber(a.level, out)
+        return ExactNumber(a.level, _fold(_poly_mul(a.coords, b.coords), a.level))
 
     __rmul__ = __mul__
 
@@ -374,14 +358,10 @@ class ExactNumber:
 
     def conjugate(self) -> "ExactNumber":
         """Complex conjugation zeta -> zeta^(-1)."""
-        out = [_ZERO] * len(self.coords)
+        values = [_ZERO] * self.level
         for j, c in enumerate(self.coords):
-            if c:
-                row = _reduced_power(self.level, (self.level - j) % self.level)
-                for t, r in enumerate(row):
-                    if r:
-                        out[t] += c * r
-        return ExactNumber(self.level, out)
+            values[-j] = c
+        return ExactNumber(self.level, _fold(values, self.level))
 
     def to_json(self) -> dict:
         return {"level": self.level, "coords": [_fmt_rational(c) for c in self.coords]}
@@ -394,20 +374,6 @@ class ExactNumber:
         if self.is_rational():
             return f"ExactNumber({self.coords[0]})"
         return f"ExactNumber(level={self.level}, coords={[str(c) for c in self.coords]})"
-
-
-def numeric_eval(x: ExactNumber) -> complex:
-    return x.numeric()
-
-
-def cyclotomic_embed(q, level: int) -> ExactNumber:
-    """The rational q as an element of Q(zeta_level)."""
-    return ExactNumber.from_rational(Fraction(q), level)
-
-
-def root_of_unity(level: int, k: int) -> ExactNumber:
-    """zeta_level**k, reduced mod the cyclotomic polynomial."""
-    return ExactNumber.zeta(level, k)
 
 
 def sqrt_integer(n: int) -> ExactNumber:
@@ -818,7 +784,29 @@ class ExactPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# rational polynomial helpers (shared by the Bernoulli and period modules)
+# rational polynomial helpers (shared by the Bernoulli, period and trace modules)
+
+
+def _bucket_sum(values: Sequence[Fraction], order: int) -> ExactNumber:
+    """sum_e values[e] * zeta_order**e, for one rational per exponent class."""
+    return ExactNumber(order, _fold(values, order))
+
+
+def _bucket_poly(buckets: Sequence[Sequence[Fraction]], order: int) -> ExactPolynomial:
+    """sum_e buckets[e](x) * zeta_order**e, assembled one coefficient at a time
+    from the ascending rational polynomial of each exponent class."""
+    top = max((len(b) for b in buckets), default=0)
+    return ExactPolynomial(
+        _bucket_sum([b[i] if i < len(b) else _ZERO for b in buckets], order) for i in range(top)
+    )
+
+
+def _add_into(bucket: list[Fraction], coeffs: Sequence[Fraction]) -> None:
+    """bucket += coeffs in place, extending the bucket with zeros as needed."""
+    if len(bucket) < len(coeffs):
+        bucket.extend([_ZERO] * (len(coeffs) - len(bucket)))
+    for i, c in enumerate(coeffs):
+        bucket[i] += c
 
 
 def _strip(poly: list[Fraction]) -> list[Fraction]:

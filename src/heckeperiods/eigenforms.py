@@ -25,6 +25,7 @@ from .cyclotomic import (
     ExactNumber,
     ExactPolynomial,
     QuadSurd,
+    divisors,
     parse_quad_surd,
     square_and_squarefree_part,
 )
@@ -121,13 +122,14 @@ def _eval_fraction_poly(coeffs: list[Fraction], x: Fraction) -> Fraction:
 
 
 def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
-    # synthetic division by (x - root); remainder must be zero
+    """Synthetic division by (x - root); root must be an exact root."""
+    if _eval_fraction_poly(coeffs, root) != 0:
+        raise ArithmeticError(f"{root} is not a root, deflation would be inexact")
     out = [_ZERO] * (len(coeffs) - 1)
     carry = _ZERO
     for i in range(len(coeffs) - 1, 0, -1):
         carry = coeffs[i] + carry * root
         out[i - 1] = carry
-    assert _eval_fraction_poly(coeffs, root) == 0
     return out
 
 
@@ -138,23 +140,14 @@ def _rational_roots_cubic(coeffs: list[Fraction]) -> Optional[Fraction]:
     lead, const = ints[-1], ints[0]
     if const == 0:
         return _ZERO
-    p_divs = _divisors_of(abs(const))
-    q_divs = _divisors_of(abs(lead))
+    p_divs = divisors(abs(const))
+    q_divs = divisors(abs(lead))
     for q in q_divs:
         for p in p_divs:
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if _eval_fraction_poly(coeffs, cand) == 0:
                     return cand
     return None
-
-
-def _divisors_of(n: int) -> list[int]:
-    from .cyclotomic import factorize
-
-    out = [1]
-    for p, e in factorize(n).items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 def _quadratic_roots(c0: Fraction, c1: Fraction, c2: Fraction) -> list[QuadSurd]:

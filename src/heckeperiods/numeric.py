@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .characters import DirichletCharacter, gauss_sum
-from .cyclotomic import numeric_eval
+from .cyclotomic import _MEMO_SIZE
 from .traces import TraceQuery, trace_closed_form
 
 
@@ -127,7 +127,7 @@ def incomplete_gamma_integer(k: int, x: float) -> float:
     return math.factorial(k - 1) * math.exp(-x) * acc
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def lambda_delta(s: int, truncation: int = 120) -> float:
     """Completed L-value of the discriminant form at integer s in 1..11."""
     if not 1 <= s <= 11:
@@ -146,7 +146,7 @@ def lambda_delta(s: int, truncation: int = 120) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def zeta_value(s: int, terms: int = 100000) -> float:
     """Zeta by direct summation plus the integral-plus-half tail correction."""
     if s < 2:
@@ -163,7 +163,7 @@ def zeta_value(s: int, terms: int = 100000) -> float:
     return total
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def petersson_delta_inverse(truncation: int = 10**4) -> float:
     """1 / ||Delta||^2 by inverting the zeta-ratio identity for the
     weighted sum of squared tau values."""
@@ -184,7 +184,7 @@ def petersson_delta_inverse(truncation: int = 10**4) -> float:
 # twisted periods as path integrals
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def numeric_twisted_period(m: int, h: int, d: int, truncation: int = 300) -> complex:
     """r_{m, h/d} of the discriminant form: the path integral split at
     height 1/d, the lower piece mapped back up through the cusp matrix."""
@@ -218,7 +218,7 @@ def numeric_twisted_period(m: int, h: int, d: int, truncation: int = 300) -> com
     return 1j ** (m + 1) * upper + (-1) ** (m + 1) * 1j ** (11 - m) * float(d) ** (10 - 2 * m) * lower
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_MEMO_SIZE)
 def assembled_twisted_lambda(m: int, chi: DirichletCharacter, truncation: int = 300) -> complex:
     """Lambda(Delta, chi, m+1) numerically: (-D i)^(m+1) / tau(conj chi)
     times the conj(chi)-weighted sum of residue periods."""
@@ -228,8 +228,8 @@ def assembled_twisted_lambda(m: int, chi: DirichletCharacter, truncation: int = 
     for h in range(1, d):
         if math.gcd(h, d) != 1:
             continue
-        total += numeric_eval(chibar.value(h)) * numeric_twisted_period(m, h, d, truncation)
-    total /= numeric_eval(gauss_sum(chibar))
+        total += chibar.value(h).numeric() * numeric_twisted_period(m, h, d, truncation)
+    total /= gauss_sum(chibar).numeric()
     return (-d * 1j) ** (m + 1) * total
 
 
@@ -269,7 +269,7 @@ def verify_trace_numeric(
     ctx = query.ctx
     if ctx.level != 1 or ctx.w != 10:
         raise ValueError("numeric verification covers level 1, weight 12 only")
-    exact = numeric_eval(trace_closed_form(query))
+    exact = trace_closed_form(query).numeric()
     numeric = (
         assembled_twisted_lambda(query.m, ctx.chi, truncation)
         * lambda_delta(ctx.n + 1)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import NamedTuple
 
 from .bernoulli import (
@@ -35,7 +36,15 @@ from .characters import (
     chi_four_tuple_exponent,
     gauss_sum,
 )
-from .cyclotomic import ExactNumber, ExactPolynomial, factorize
+from .cyclotomic import (
+    _MEMO_SIZE,
+    ExactNumber,
+    ExactPolynomial,
+    _add_into,
+    _bucket_poly,
+    _poly_mul,
+    factorize,
+)
 
 _ZERO = Fraction(0)
 
@@ -144,16 +153,6 @@ def _binomial_power(p: Fraction, q: Fraction, n: int) -> list[Fraction]:
     return [math.comb(n, i) * p**i * q ** (n - i) for i in range(n + 1)]
 
 
-def _conv(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
-
-
 def _quadruple_buckets(ctx: PeriodContext) -> list[list[Fraction]]:
     """Rational polynomial attached to each conj(chi) value exponent in G_n."""
     chibar = ctx.chi.conjugate()
@@ -163,35 +162,18 @@ def _quadruple_buckets(ctx: PeriodContext) -> list[list[Fraction]]:
         e = chi_four_tuple_exponent(chibar, a, c, k, ell)
         if e is None:
             continue
-        term = _conv(
+        term = _poly_mul(
             _binomial_power(Fraction(a), Fraction(ell, d), ctx.n),
             _binomial_power(Fraction(-c), Fraction(k, d), ctx.n_tilde),
         )
-        bucket = buckets[e]
-        if len(bucket) < len(term):
-            bucket.extend([_ZERO] * (len(term) - len(bucket)))
-        for i, t in enumerate(term):
-            bucket[i] += t
+        _add_into(buckets[e], term)
     return buckets
-
-
-def _assemble_buckets(buckets: list[list[Fraction]], order: int) -> ExactPolynomial:
-    top = max((len(b) for b in buckets), default=0)
-    coeffs = [ExactNumber.zero(order) for _ in range(top)]
-    for e, bucket in enumerate(buckets):
-        if not any(bucket):
-            continue
-        root = ExactNumber.zeta(order, e)
-        for i, c in enumerate(bucket):
-            if c:
-                coeffs[i] = coeffs[i] + root * c
-    return ExactPolynomial(coeffs)
 
 
 def quadruple_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     """G_n(X): the finite sum over quadruples of
     conj(chi)(a,c,k,ell) * (a*X + ell/D)^n * (-c*X + k/D)^(w-n)."""
-    return _assemble_buckets(_quadruple_buckets(ctx), ctx.chi.order)
+    return _bucket_poly(_quadruple_buckets(ctx), ctx.chi.order)
 
 
 # ---------------------------------------------------------------------------
@@ -202,26 +184,9 @@ def _two_i_power(exponent: int) -> ExactNumber:
     return ExactNumber.zeta(4, exponent % 4) * (2**exponent)
 
 
-_closed_form_cache: dict[tuple, ExactPolynomial] = {}
-
-
-def _ctx_key(ctx: PeriodContext) -> tuple:
-    chi = ctx.chi
-    return (ctx.level, ctx.w, ctx.n, chi.modulus, chi.order, chi.exponents)
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     """P_n(X) by the closed form (production path)."""
-    key = _ctx_key(ctx)
-    cached = _closed_form_cache.get(key)
-    if cached is not None:
-        return cached
-    result = _closed_form_polynomial(ctx)
-    _closed_form_cache[key] = result
-    return result
-
-
-def _closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d, level = ctx.modulus, ctx.level
     chi = ctx.chi
@@ -340,7 +305,7 @@ def _case_five(h: int, level: int, w: int, n: int, d: int) -> list[Fraction]:
         # sign class a,c > 0 pairs the residue -e; class c < 0 pairs +e,
         # and in each class exactly one matrix realizes the residue
         if (-e) % d == h % d:
-            term = _conv(
+            term = _poly_mul(
                 _binomial_power(Fraction(a), Fraction(-ell, d), n),
                 _binomial_power(Fraction(c), Fraction(k, d), nt),
             )
@@ -348,7 +313,7 @@ def _case_five(h: int, level: int, w: int, n: int, d: int) -> list[Fraction]:
                 out[i] -= t
             any_term = True
         if e % d == h % d:
-            term = _conv(
+            term = _poly_mul(
                 _binomial_power(Fraction(a), Fraction(ell, d), n),
                 _binomial_power(Fraction(-c), Fraction(k, d), nt),
             )
@@ -388,15 +353,8 @@ def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
         if e is None:
             continue
         for j in range(1, 7):
-            part = _case_rational(j, h, ctx.level, ctx.w, ctx.n, d)
-            if not part:
-                continue
-            bucket = buckets[e]
-            if len(bucket) < len(part):
-                bucket.extend([_ZERO] * (len(part) - len(bucket)))
-            for i, c in enumerate(part):
-                bucket[i] += c
-    assembled = _assemble_buckets(buckets, chibar.order)
+            _add_into(buckets[e], _case_rational(j, h, ctx.level, ctx.w, ctx.n, d))
+    assembled = _bucket_poly(buckets, chibar.order)
     prefactor = _two_i_power(ctx.w + 1) * gauss_sum(chibar).inverse()
     return assembled.scale(prefactor)
 

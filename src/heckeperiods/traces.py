@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .bernoulli import generalized_bernoulli_number
 from .characters import chi_four_tuple_exponent, gauss_sum
-from .cyclotomic import ExactNumber, sqrt_positive_integer
+from .cyclotomic import ExactNumber, _bucket_sum, sqrt_positive_integer
 from .periods import (
     ContextError,
     ParityError,
@@ -153,11 +153,7 @@ def _double_sum(ctx: PeriodContext, m: int) -> ExactNumber:
                 * k ** (nt - mt + r)
             )
         buckets[e] += acc
-    total = ExactNumber.zero(chibar.order)
-    for e, value in enumerate(buckets):
-        if value:
-            total = total + ExactNumber.zeta(chibar.order, e) * value
-    return total * Fraction(2 * (-1) ** (m + 1))
+    return _bucket_sum(buckets, chibar.order) * Fraction(2 * (-1) ** (m + 1))
 
 
 def trace_from_periods(query: TraceQuery) -> ExactNumber:

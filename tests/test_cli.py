@@ -164,3 +164,14 @@ def test_factored_surd_rendering():
     assert factored_surd_str(QuadSurd(Fraction(7, 2), 0, 1)) == "7/2"
     assert factored_surd_str(QuadSurd(0, 1, 2)) == "sqrt(2)"
     assert factored_surd_str(QuadSurd(-3, 0, 1)) == "-(3)"
+    assert factored_surd_str(QuadSurd(0, 0, 1)) == "0"
+
+
+def test_zero_trace_exits_zero(capsys):
+    args = ("trace", "--level", "1", "--weight", "14", "--character", "kronecker:-3",
+            "--m", "1", "--n", "1")
+    code, text_out, _ = run(capsys, *args)
+    assert code == 0 and text_out.strip() == "0"
+    code, json_out, _ = run(capsys, *args, "--format", "json")
+    assert code == 0
+    assert ExactNumber.from_json(json.loads(json_out)["exact"]).is_zero()

@@ -10,13 +10,10 @@ from heckeperiods.cyclotomic import (
     ExactNumber,
     ExactPolynomial,
     QuadSurd,
-    cyclotomic_embed,
     cyclotomic_polynomial,
     euler_phi,
-    numeric_eval,
     parse_quad_surd,
     recognize_surd,
-    root_of_unity,
     sqrt_integer,
     sqrt_positive_integer,
     square_and_squarefree_part,
@@ -37,19 +34,19 @@ def rand_element(rng, level, size=6):
 
 
 def test_embed_rational():
-    x = cyclotomic_embed(Fraction(1, 6), 12)
+    x = ExactNumber.from_rational(Fraction(1, 6), 12)
     assert x.level == 12 and x.rational_value() == Fraction(1, 6)
-    assert cyclotomic_embed(0, 8).is_zero()
-    assert cyclotomic_embed(-3, 4) == ExactNumber.from_rational(-3)
+    assert ExactNumber.from_rational(0, 8).is_zero()
+    assert ExactNumber.from_rational(-3, 4) == ExactNumber.from_rational(-3)
 
 
 def test_roots_of_unity():
-    i = root_of_unity(4, 1)
+    i = ExactNumber.zeta(4, 1)
     assert i * i == ExactNumber.from_rational(-1)
-    assert root_of_unity(3, 1) + root_of_unity(3, 2) == ExactNumber.from_rational(-1)
-    assert root_of_unity(12, 12) == ExactNumber.one()
+    assert ExactNumber.zeta(3, 1) + ExactNumber.zeta(3, 2) == ExactNumber.from_rational(-1)
+    assert ExactNumber.zeta(12, 12) == ExactNumber.one()
     for m, k in [(5, 2), (8, 3), (12, 7)]:
-        assert root_of_unity(m, k) * root_of_unity(m, m - k) == ExactNumber.one()
+        assert ExactNumber.zeta(m, k) * ExactNumber.zeta(m, m - k) == ExactNumber.one()
 
 
 def test_cyclotomic_polynomials():
@@ -90,16 +87,16 @@ def test_inverse_randomized():
         ExactNumber.zero(12).inverse()
 
 
-def test_numeric_eval_homomorphism():
+def test_numeric_homomorphism():
     rng = random.Random(5)
     for _ in range(20):
         a = rand_element(rng, 12, size=4)
         b = rand_element(rng, 12, size=4)
-        prod = numeric_eval(a * b)
-        direct = numeric_eval(a) * numeric_eval(b)
+        prod = (a * b).numeric()
+        direct = a.numeric() * b.numeric()
         scale = max(abs(prod), abs(direct), 1.0)
         assert abs(prod - direct) / scale < 1e-12
-        assert abs(numeric_eval(a + b) - (numeric_eval(a) + numeric_eval(b))) < 1e-12 * scale
+        assert abs((a + b).numeric() - (a.numeric() + b.numeric())) < 1e-12 * scale
 
 
 def test_lift_preserves_equality():
@@ -113,9 +110,9 @@ def test_lift_preserves_equality():
 
 
 def test_power():
-    z = root_of_unity(5, 1)
+    z = ExactNumber.zeta(5, 1)
     assert z**5 == ExactNumber.one()
-    assert z**-1 == root_of_unity(5, 4)
+    assert z**-1 == ExactNumber.zeta(5, 4)
     x = ExactNumber.from_rational(Fraction(2, 3))
     assert x**0 == ExactNumber.one()
     assert x**3 == ExactNumber.from_rational(Fraction(8, 27))
@@ -129,10 +126,10 @@ def test_sqrt_small_values():
     assert sqrt_integer(1) == ExactNumber.one()
     s3 = sqrt_integer(3)
     assert s3 * s3 == ExactNumber.from_rational(3)
-    assert abs(numeric_eval(s3) - 1.7320508) < 1e-6
+    assert abs(s3.numeric() - 1.7320508) < 1e-6
     s6 = sqrt_integer(6)
     assert s6 * s6 == ExactNumber.from_rational(6)
-    assert numeric_eval(s6).real > 0
+    assert s6.numeric().real > 0
 
 
 def test_sqrt_all_squarefree_up_to_30():
@@ -141,7 +138,7 @@ def test_sqrt_all_squarefree_up_to_30():
             continue
         root = sqrt_integer(n)
         assert root * root == ExactNumber.from_rational(n)
-        value = numeric_eval(root)
+        value = root.numeric()
         assert abs(value - math.sqrt(n)) < 1e-9
 
 
@@ -167,7 +164,7 @@ def test_recognize_surd_rational_and_absent():
     assert recognize_surd(ExactNumber.from_rational(Fraction(7, 2), 12)) == QuadSurd(
         Fraction(7, 2), 0, 1
     )
-    assert recognize_surd(root_of_unity(5, 1)) is None
+    assert recognize_surd(ExactNumber.zeta(5, 1)) is None
 
 
 def test_recognize_surd_with_rational_part():

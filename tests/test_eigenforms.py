@@ -11,6 +11,7 @@ from heckeperiods.eigenforms import (
     RationalMatrix,
     RnCombination,
     SurdPair,
+    _deflate,
     _parse_factored,
     char_poly,
     eigen_decompose,
@@ -232,3 +233,10 @@ def test_fixture_coeff_strings_roundtrip(registry):
     for name, form in registry.eigenforms.items():
         for _n, coeff in form.terms:
             assert parse_quad_surd(str(coeff)) == coeff, name
+
+
+def test_deflate_rejects_a_non_root():
+    coeffs = [Fraction(2), Fraction(-3), Fraction(1)]  # (x - 1)(x - 2)
+    assert _deflate(coeffs, Fraction(1)) == [Fraction(-2), Fraction(1)]
+    with pytest.raises(ArithmeticError):
+        _deflate(coeffs, Fraction(3))
