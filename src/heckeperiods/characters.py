@@ -116,9 +116,6 @@ class DirichletCharacter:
     def is_even(self) -> bool:
         return not self.is_odd()
 
-    def is_real(self) -> bool:
-        return self.order <= 2
-
     def conjugate(self) -> "DirichletCharacter":
         return DirichletCharacter(
             self.modulus,

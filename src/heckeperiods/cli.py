@@ -10,7 +10,8 @@ Subcommands map one-to-one onto library operations:
   verify-numeric  floating checks against the reference constants
   fixtures        list or dump the bundled fixture files
 
-Exit codes: 0 success, 1 computation error (e.g. parity), 2 validation error.
+Exit codes: 0 success, 1 computation error (e.g. parity) or internal fault,
+2 invalid request.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .periods import (
 )
 from .traces import TraceQuery, trace_closed_form, trace_from_periods
 
-_ZETA_VALUE = re.compile(r"^zeta\[(\d+)\]\^(-?\d+)$")
+_ZETA_VALUE = re.compile(r"^zeta\[([1-9]\d*)\]\^(-?\d+)$")
 
 # reference constants for the verify-numeric twisted check (modulus 3 twist)
 _TWISTED_REFERENCE = {1: -228.22304046813742, 3: -14.263940029258589, 5: 0.0}
@@ -65,9 +66,9 @@ def parse_character(spec: str) -> DirichletCharacter:
     each "zeta[M]^k" or "0")."""
     parts = spec.split(":")
     if parts[0] == "kronecker" and len(parts) == 2:
-        return kronecker_character(int(parts[1]))
+        return kronecker_character(_spec_int(parts[1]))
     if parts[0] == "table" and len(parts) == 3:
-        modulus = int(parts[1])
+        modulus = _spec_int(parts[1])
         entries = parts[2].split(",")
         if len(entries) != modulus:
             raise CharacterError(
@@ -94,6 +95,13 @@ def parse_character(spec: str) -> DirichletCharacter:
         ]
         return DirichletCharacter(modulus, order, exps)
     raise CharacterError(f"unknown character spec {spec!r} (use kronecker:D or table:D:...)")
+
+
+def _spec_int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise CharacterError(f"not an integer in character spec: {text!r}") from None
 
 
 def character_spec_string(chi: DirichletCharacter) -> str:
@@ -511,9 +519,12 @@ def main(argv=None) -> int:
     except ZeroDivisionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CharacterError, ContextError, FixtureError, ValueError) as exc:
+    except (CharacterError, ContextError, FixtureError) as exc:
         print(f"invalid request: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

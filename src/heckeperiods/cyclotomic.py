@@ -535,12 +535,6 @@ class QuadSurd:
             return NotImplemented
         return other * self.inverse()
 
-    def to_exact(self) -> ExactNumber:
-        value = ExactNumber.from_rational(self.a)
-        if self.b:
-            value = value + sqrt_integer(self.d) * self.b
-        return value
-
     def numeric(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
@@ -652,11 +646,6 @@ class ExactPolynomial:
     @classmethod
     def from_rational_coeffs(cls, ascending: Iterable, level: int = 1) -> "ExactPolynomial":
         return cls([ExactNumber.from_rational(c, level) for c in ascending])
-
-    @classmethod
-    def x_power(cls, k: int, coefficient=1) -> "ExactPolynomial":
-        coeff = coefficient if isinstance(coefficient, ExactNumber) else ExactNumber.from_rational(coefficient)
-        return cls([ExactNumber.zero()] * k + [coeff])
 
     # -- views
 

@@ -16,7 +16,13 @@ from functools import lru_cache
 
 from .characters import DirichletCharacter, gauss_sum
 from .cyclotomic import _MEMO_SIZE
+from .periods import ContextError
 from .traces import TraceQuery, trace_closed_form
+
+# terms summed by zeta_value before its Euler-Maclaurin tail correction
+_ZETA_TERMS = 100000
+# relative error below which verify_trace_numeric passes
+_TRACE_TOLERANCE = 1e-5
 
 
 @dataclass(frozen=True)
@@ -42,71 +48,44 @@ class QExpansion:
 # tau coefficients via the eta product
 
 
-def _pentagonal_series(m: int) -> list[int]:
-    """Coefficients of prod (1 - q^n) up to q^(m-1)."""
-    out = [0] * m
-    out[0] = 1
+def _pentagonal_terms(m: int) -> list[tuple[int, int]]:
+    """(exponent, sign) of the nonzero terms of prod (1 - q^n) below q^m,
+    ascending, without the constant 1: Euler's pentagonal number theorem
+    puts (-1)^k at the exponents k(3k - 1)/2 and k(3k + 1)/2."""
+    terms = []
     k = 1
-    while True:
-        g1 = k * (3 * k - 1) // 2
-        g2 = k * (3 * k + 1) // 2
-        if g1 >= m and g2 >= m:
-            break
+    while k * (3 * k - 1) // 2 < m:
         sign = -1 if k % 2 else 1
-        if g1 < m:
-            out[g1] = sign
-        if g2 < m:
-            out[g2] = sign
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if e < m:
+                terms.append((e, sign))
         k += 1
-    return out
-
-
-def _poly_mul_trunc(a: list[int], b: list[int], m: int) -> list[int]:
-    """Truncated integer-series product by Kronecker substitution: pack into
-    one big integer per operand, multiply once, unpack balanced digits."""
-    ca = max(1, max(abs(x) for x in a))
-    cb = max(1, max(abs(x) for x in b))
-    bound = min(len(a), len(b)) * ca * cb
-    bits = bound.bit_length() + 2
-    packed = _pack(a, bits) * _pack(b, bits)
-    return _unpack(packed, bits, m)
-
-
-def _pack(coeffs: list[int], bits: int) -> int:
-    total = 0
-    for c in reversed(coeffs):
-        total = (total << bits) + c
-    return total
-
-
-def _unpack(value: int, bits: int, m: int) -> list[int]:
-    mask = (1 << bits) - 1
-    half = 1 << (bits - 1)
-    out = []
-    for _ in range(m):
-        d = value & mask
-        if d >= half:
-            d -= 1 << bits
-        out.append(d)
-        value = (value - d) >> bits
-    return out
+    return terms
 
 
 _tau_cache: list[int] = []
 
 
 def tau_coefficients(m: int) -> QExpansion:
-    """tau(1..m), exact, from the 24th power of the pentagonal series."""
+    """tau(1..m), exact, as the coefficients of g = f^24 for the pentagonal
+    series f, by the power recurrence n g_n = sum_j (25j - n) f_j g_(n-j)."""
     if m > 10**6:
-        raise ValueError("truncation capped at 10^6")
+        raise ContextError("truncation capped at 10^6")
     global _tau_cache
     if len(_tau_cache) < m:
-        e1 = _pentagonal_series(m)
-        e2 = _poly_mul_trunc(e1, e1, m)
-        e4 = _poly_mul_trunc(e2, e2, m)
-        e8 = _poly_mul_trunc(e4, e4, m)
-        e16 = _poly_mul_trunc(e8, e8, m)
-        _tau_cache = _poly_mul_trunc(e16, e8, m)
+        terms = _pentagonal_terms(m)
+        g = list(_tau_cache) or [1]
+        for n in range(len(g), m):
+            acc = 0
+            for j, sign in terms:
+                if j > n:
+                    break
+                acc += sign * (25 * j - n) * g[n - j]
+            value, remainder = divmod(acc, n)
+            if remainder:
+                raise ArithmeticError(f"power recurrence not exact at q^{n}")
+            g.append(value)
+        _tau_cache = g
     return QExpansion(tuple(_tau_cache[:m]), weight=12, level=1)
 
 
@@ -131,7 +110,7 @@ def incomplete_gamma_integer(k: int, x: float) -> float:
 def lambda_delta(s: int, truncation: int = 120) -> float:
     """Completed L-value of the discriminant form at integer s in 1..11."""
     if not 1 <= s <= 11:
-        raise ValueError("s must lie in 1..11")
+        raise ContextError("s must lie in 1..11")
     tau = tau_coefficients(truncation)
     total = 0.0
     for n in range(1, truncation + 1):
@@ -147,13 +126,13 @@ def lambda_delta(s: int, truncation: int = 120) -> float:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def zeta_value(s: int, terms: int = 100000) -> float:
+def zeta_value(s: int) -> float:
     """Zeta by direct summation plus the integral-plus-half tail correction."""
     if s < 2:
         raise ValueError("need s >= 2")
     total = 0.0
     n = 0
-    for n in range(1, terms + 1):
+    for n in range(1, _ZETA_TERMS + 1):
         term = 1.0 / float(n) ** s
         total += term
         if term < 1e-18:
@@ -168,7 +147,7 @@ def petersson_delta_inverse(truncation: int = 10**4) -> float:
     """1 / ||Delta||^2 by inverting the zeta-ratio identity for the
     weighted sum of squared tau values."""
     if truncation < 100:
-        raise ValueError("need at least 100 terms")
+        raise ContextError("need at least 100 terms")
     tau = tau_coefficients(truncation)
     weighted = 0.0
     for n in range(1, truncation + 1):
@@ -258,9 +237,7 @@ class NumericCheck:
         }
 
 
-def verify_trace_numeric(
-    query: TraceQuery, truncation: int = 300, tolerance: float = 1e-5
-) -> NumericCheck:
+def verify_trace_numeric(query: TraceQuery, truncation: int = 300) -> NumericCheck:
     """Compare the exact trace (evaluated as a float) against the numeric
     product Lambda(Delta, chi, m+1) * Lambda(Delta, n+1) / ||Delta||^2.
 
@@ -268,7 +245,7 @@ def verify_trace_numeric(
     """
     ctx = query.ctx
     if ctx.level != 1 or ctx.w != 10:
-        raise ValueError("numeric verification covers level 1, weight 12 only")
+        raise ContextError("numeric verification covers level 1, weight 12 only")
     exact = trace_closed_form(query).numeric()
     numeric = (
         assembled_twisted_lambda(query.m, ctx.chi, truncation)
@@ -278,4 +255,4 @@ def verify_trace_numeric(
     abs_err = abs(exact - numeric)
     scale = max(abs(exact), abs(numeric), 1.0)
     rel_err = abs_err / scale
-    return NumericCheck(exact, numeric, abs_err, rel_err, rel_err < tolerance)
+    return NumericCheck(exact, numeric, abs_err, rel_err, rel_err < _TRACE_TOLERANCE)

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from heckeperiods import cli
 from heckeperiods.cli import factored_surd_str, main, parse_character
 from heckeperiods.characters import CharacterError
 from heckeperiods.cyclotomic import ExactNumber, QuadSurd
@@ -137,6 +138,38 @@ def test_validation_error_exit_code(capsys):
     )
     assert code == 2
     assert "induced" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("trace", "--level", "1", "--weight", "12", "--character", "kronecker:x",
+         "--m", "1", "--n", "1"),
+        ("theorem1", "--level", "1", "--weight", "12", "--n", "1",
+         "--character", "table:x:0,zeta[2]^0,zeta[2]^1"),
+        ("theorem1", "--level", "1", "--weight", "12", "--n", "1",
+         "--character", "table:3:0,zeta[0]^0,zeta[2]^1"),
+        ("verify-numeric", "--check", "trace", "--weight", "14"),
+        ("verify-numeric", "--check", "lambda", "--m", "11"),
+        ("verify-numeric", "--check", "petersson", "--truncation", "50"),
+    ],
+)
+def test_bad_requests_exit_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("invalid request:")
+
+
+@pytest.mark.parametrize("fault", [ValueError("not a rational number"), ArithmeticError("inexact")])
+def test_internal_faults_exit_one(capsys, monkeypatch, fault):
+    def handler(args):
+        raise fault
+
+    monkeypatch.setitem(cli._HANDLERS, "fixtures", handler)
+    code, _, err = run(capsys, "fixtures")
+    assert code == 1
+    assert err.startswith("internal error:")
+    assert str(fault) in err
 
 
 def test_deterministic_output(capsys):

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from heckeperiods import numeric
 from heckeperiods.numeric import (
     NumericCheck,
     QExpansion,
@@ -60,6 +61,29 @@ def test_tau_multiplicativity_spot_checks():
     assert tau.a(35) == tau.a(5) * tau.a(7)
     # Hecke recursion at p = 2: tau(4) = tau(2)^2 - 2^11
     assert tau.a(4) == tau.a(2) ** 2 - 2**11
+
+
+def test_tau_at_petersson_size(monkeypatch):
+    # tau(1..10^4) is what petersson_delta_inverse() sums over
+    monkeypatch.setattr(numeric, "_tau_cache", [])
+    m = 10**4
+    tau = tau_coefficients(m)
+    assert tau.truncation() == m
+    # Ramanujan: tau(n) = sigma_11(n) mod 691
+    sigma = [0] * (m + 1)
+    for d in range(1, m + 1):
+        power = pow(d, 11, 691)
+        for k in range(d, m + 1, d):
+            sigma[k] += power
+    for n in range(1, m + 1):
+        assert (tau.a(n) - sigma[n]) % 691 == 0, n
+    # Hecke relation at p^2 and multiplicativity at the largest coprime pair
+    for p in range(2, 98):
+        if all(p % q for q in range(2, p)):
+            assert tau.a(p * p) == tau.a(p) ** 2 - p**11, p
+    assert tau.a(97 * 103) == tau.a(97) * tau.a(103)
+    # a shorter request is served from the prefix
+    assert tau_coefficients(40).coefficients == brute_force_tau(40)
 
 
 def test_qexpansion_validation():
