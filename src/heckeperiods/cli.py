@@ -275,15 +275,29 @@ def cmd_crosscheck(args) -> int:
                     for n in range(1, w):
                         ctx = PeriodContext(level, w, n, chi)
                         closed = closed_form_polynomial(ctx)
-                        if closed != case_sum_polynomial(ctx):
-                            failures.append(f"polynomial N={level} D={d} w={w} n={n}")
+                        oracle = case_sum_polynomial(ctx)
+                        if closed != oracle:
+                            k = next(
+                                k
+                                for k in range(max(closed.degree(), oracle.degree()) + 1)
+                                if closed.coefficient(k) != oracle.coefficient(k)
+                            )
+                            failures.append(
+                                f"polynomial N={level} D={d} w={w} n={n}: first difference at X^{k}"
+                            )
                         contexts += 1
                         for m in range(0, w + 1):
                             if not ctx.parity_holds(m):
                                 continue
                             query = TraceQuery(ctx, m)
-                            if trace_closed_form(query) != trace_from_periods(query):
-                                failures.append(f"trace N={level} D={d} w={w} n={n} m={m}")
+                            exact = trace_closed_form(query)
+                            via_periods = trace_from_periods(query)
+                            if exact != via_periods:
+                                failures.append(
+                                    f"trace N={level} D={d} w={w} n={n} m={m}: closed form "
+                                    f"{json.dumps(exact.to_json())} != from periods "
+                                    f"{json.dumps(via_periods.to_json())}"
+                                )
                             traces += 1
     payload = {
         "grid": args.grid,

@@ -294,6 +294,13 @@ class ExactNumber:
             raise ZeroDivisionError("inverse of zero")
         if self.is_rational():
             return ExactNumber.from_rational(1 / self.coords[0], self.level)
+        # alpha^-1 = conj(alpha) / (alpha * conj(alpha)); the norm to the real
+        # subfield is rational for every Gauss sum of a primitive character
+        # (it is the conductor), so those inverses cost one product
+        conj = self.conjugate()
+        norm = self * conj
+        if norm.is_rational():
+            return conj * (1 / norm.coords[0])
         # extended Euclid against Phi_level in Q[x]
         cyclo = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
         r0, r1 = cyclo, list(self.coords)

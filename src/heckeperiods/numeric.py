@@ -23,6 +23,8 @@ from .traces import TraceQuery, trace_closed_form
 _ZETA_TERMS = 100000
 # relative error below which verify_trace_numeric passes
 _TRACE_TOLERANCE = 1e-5
+# fewest q-expansion terms a numeric sum accepts: a shorter sum is no check
+_MIN_TERMS = 100
 
 
 @dataclass(frozen=True)
@@ -69,6 +71,8 @@ _tau_cache: list[int] = []
 def tau_coefficients(m: int) -> QExpansion:
     """tau(1..m), exact, as the coefficients of g = f^24 for the pentagonal
     series f, by the power recurrence n g_n = sum_j (25j - n) f_j g_(n-j)."""
+    if m < 1:
+        raise ContextError("need at least one tau coefficient")
     if m > 10**6:
         raise ContextError("truncation capped at 10^6")
     global _tau_cache
@@ -87,6 +91,11 @@ def tau_coefficients(m: int) -> QExpansion:
             g.append(value)
         _tau_cache = g
     return QExpansion(tuple(_tau_cache[:m]), weight=12, level=1)
+
+
+def _check_terms(truncation: int) -> None:
+    if truncation < _MIN_TERMS:
+        raise ContextError(f"need at least {_MIN_TERMS} terms, got {truncation}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +120,7 @@ def lambda_delta(s: int, truncation: int = 120) -> float:
     """Completed L-value of the discriminant form at integer s in 1..11."""
     if not 1 <= s <= 11:
         raise ContextError("s must lie in 1..11")
+    _check_terms(truncation)
     tau = tau_coefficients(truncation)
     total = 0.0
     for n in range(1, truncation + 1):
@@ -146,8 +156,7 @@ def zeta_value(s: int) -> float:
 def petersson_delta_inverse(truncation: int = 10**4) -> float:
     """1 / ||Delta||^2 by inverting the zeta-ratio identity for the
     weighted sum of squared tau values."""
-    if truncation < 100:
-        raise ContextError("need at least 100 terms")
+    _check_terms(truncation)
     tau = tau_coefficients(truncation)
     weighted = 0.0
     for n in range(1, truncation + 1):
@@ -171,6 +180,7 @@ def numeric_twisted_period(m: int, h: int, d: int, truncation: int = 300) -> com
         raise ValueError(f"residue {h} not coprime to {d}")
     if not 0 <= m <= 10:
         raise ValueError("m must lie in 0..10")
+    _check_terms(truncation)
     tau = tau_coefficients(truncation)
     y0 = 1.0 / d
     upper = 0j

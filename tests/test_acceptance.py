@@ -331,3 +331,29 @@ def test_criterion_8_property_suites():
                             for m in range(0, w + 1):
                                 if not ctx.parity_holds(m):
                                     assert poly.coefficient(w - m).is_zero(), (level, modulus, w, n, m)
+
+
+def test_criterion_9_wide_moduli():
+    with criterion(9, "case-sum oracle and trace cross-path at moduli 23 and 29", 60.0):
+        contexts = 0
+        trace_checks = 0
+        for modulus in (23, 29):
+            # the first character of each (order, parity) class of order >= 3
+            classes = {}
+            for chi in enumerate_primitive_characters(modulus):
+                if chi.order >= 3:
+                    classes.setdefault((chi.order, chi.sign_at_minus_one()), chi)
+            for chi in classes.values():
+                for level in (1, 2):
+                    ctx = PeriodContext(level, 10, 1, chi)
+                    label = (level, modulus, chi.order)
+                    assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx), label
+                    contexts += 1
+                    for m in range(0, 11):
+                        if not ctx.parity_holds(m):
+                            continue
+                        query = TraceQuery(ctx, m)
+                        assert trace_closed_form(query) == trace_from_periods(query), (label, m)
+                        trace_checks += 1
+        assert contexts == 12
+        print(f"  wide moduli: {contexts} contexts, {trace_checks} trace queries", flush=True)

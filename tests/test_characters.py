@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -120,6 +121,14 @@ def test_gauss_sum_classical_identity_all_d_up_to_40():
         for chi in enumerate_primitive_characters(d):
             lhs = gauss_sum(chi) * gauss_sum(chi.conjugate())
             assert lhs == ExactNumber.from_rational(chi.sign_at_minus_one() * d), d
+
+
+def test_gauss_sum_inverse_all_d_up_to_31():
+    # tau(chi)^-1 = chi(-1) tau(conj chi) / d; the right side never inverts
+    for d in range(2, 32):
+        for chi in enumerate_primitive_characters(d):
+            expected = gauss_sum(chi.conjugate()) * Fraction(chi.sign_at_minus_one(), d)
+            assert gauss_sum(chi).inverse() == expected, (d, chi.exponents)
 
 
 def test_four_tuple_paper_values(chi3):

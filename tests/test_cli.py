@@ -7,7 +7,7 @@ import pytest
 from heckeperiods import cli
 from heckeperiods.cli import factored_surd_str, main, parse_character
 from heckeperiods.characters import CharacterError
-from heckeperiods.cyclotomic import ExactNumber, QuadSurd
+from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, QuadSurd
 from fractions import Fraction
 
 
@@ -62,6 +62,21 @@ def test_crosscheck_small(capsys):
     code, out, _ = run(capsys, "crosscheck", "--grid", "small")
     assert code == 0
     assert out.startswith("ALL EQUAL")
+
+
+def test_crosscheck_names_the_first_difference(capsys, monkeypatch):
+    oracle = cli.case_sum_polynomial
+    trace = cli.trace_from_periods
+    bump = ExactPolynomial.from_rational_coeffs([0, 0, 0, 1])
+    monkeypatch.setattr(cli, "case_sum_polynomial", lambda ctx: oracle(ctx) + bump)
+    monkeypatch.setattr(cli, "trace_from_periods", lambda query: trace(query) + 1)
+    code, out, _ = run(capsys, "crosscheck", "--grid", "small", "--format", "json")
+    assert code == 1
+    failures = json.loads(out)["failures"]
+    assert failures[0].startswith("polynomial N=1 D=3 w=10 n=1")
+    assert "X^3" in failures[0]
+    mismatch = next(f for f in failures if f.startswith("trace"))
+    assert '"coords"' in mismatch.split("!=")[0] and '"coords"' in mismatch.split("!=")[1]
 
 
 def test_eigen_fixture(capsys):
@@ -152,6 +167,9 @@ def test_validation_error_exit_code(capsys):
         ("verify-numeric", "--check", "trace", "--weight", "14"),
         ("verify-numeric", "--check", "lambda", "--m", "11"),
         ("verify-numeric", "--check", "petersson", "--truncation", "50"),
+        ("verify-numeric", "--check", "lambda", "--m", "3", "--truncation", "0"),
+        ("verify-numeric", "--check", "trace", "--m", "5", "--truncation", "0"),
+        ("verify-numeric", "--check", "twisted", "--m", "3", "--truncation", "50"),
     ],
 )
 def test_bad_requests_exit_two(capsys, argv):

@@ -87,6 +87,12 @@ def test_inverse_randomized():
         ExactNumber.zero(12).inverse()
 
 
+def test_inverse_without_a_rational_norm():
+    x = 2 + ExactNumber.zeta(7)
+    assert not (x * x.conjugate()).is_rational()
+    assert x * x.inverse() == ExactNumber.one()
+
+
 def test_numeric_homomorphism():
     rng = random.Random(5)
     for _ in range(20):

@@ -17,7 +17,7 @@ from heckeperiods.numeric import (
     verify_trace_numeric,
     zeta_value,
 )
-from heckeperiods.periods import PeriodContext
+from heckeperiods.periods import ContextError, PeriodContext
 from heckeperiods.traces import TraceQuery
 
 TAU_FIRST_TEN = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920)
@@ -91,6 +91,12 @@ def test_qexpansion_validation():
         QExpansion((2, 3), 12, 1)
     q = tau_coefficients(5)
     assert q.weight == 12 and q.level == 1 and q.truncation() == 5
+
+
+@pytest.mark.parametrize("m", [0, -3])
+def test_tau_rejects_empty_prefix(m):
+    with pytest.raises(ContextError):
+        tau_coefficients(m)
 
 
 def test_incomplete_gamma():
