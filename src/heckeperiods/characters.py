@@ -15,6 +15,10 @@ from typing import Iterator, Optional, Sequence
 from .cyclotomic import ExactNumber, divisors, euler_phi, factorize
 
 
+# largest modulus enumerate_primitive_characters walks
+_ENUMERATION_BOUND = 100
+
+
 class CharacterError(ValueError):
     pass
 
@@ -241,10 +245,12 @@ def enumerate_characters(modulus: int) -> Iterator[DirichletCharacter]:
         yield character_from_generator_images(modulus, images)
 
 
-def enumerate_primitive_characters(modulus: int, bound: int = 100) -> list[DirichletCharacter]:
+def enumerate_primitive_characters(modulus: int) -> list[DirichletCharacter]:
     """Every primitive character mod modulus exactly once (empty when none exist)."""
-    if modulus > bound:
-        raise CharacterError(f"modulus {modulus} exceeds the enumeration bound {bound}")
+    if modulus > _ENUMERATION_BOUND:
+        raise CharacterError(
+            f"modulus {modulus} exceeds the enumeration bound {_ENUMERATION_BOUND}"
+        )
     if modulus < 2:
         return []
     found = [chi for chi in enumerate_characters(modulus) if chi.is_primitive]

@@ -39,6 +39,7 @@ from .eigenforms import (
     twisted_lambda_ratio,
 )
 from .numeric import (
+    _split_lambda,
     assembled_twisted_lambda,
     lambda_delta,
     petersson_delta_inverse,
@@ -355,7 +356,7 @@ def cmd_ratio(args) -> int:
     base_s = recognize_surd(value.base)
     rad_s = recognize_surd(value.radical)
     if value.radical.is_zero():
-        text = str(base_s) if base_s else json.dumps(value.base.to_json())
+        text = str(base_s) if base_s is not None else json.dumps(value.base.to_json())
     elif base_s is not None and rad_s is not None:
         text = f"({base_s}) + ({rad_s})*sqrt({value.d})"
     else:
@@ -380,7 +381,8 @@ def cmd_verify_numeric(args) -> int:
         computed = lambda_delta(s, args.truncation)
         expected = _LAMBDA_REFERENCE.get(s, None)
         if expected is None:
-            expected = lambda_delta(12 - s, args.truncation)  # functional-equation mirror
+            # the same value from a second split of the Mellin integral
+            expected = _split_lambda(s, args.truncation, 0.5)
         tol = 1e-12
     elif args.check == "petersson":
         computed = petersson_delta_inverse(args.truncation)

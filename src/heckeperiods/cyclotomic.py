@@ -131,7 +131,7 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 @lru_cache(maxsize=_MEMO_SIZE)
 def _power_table(level: int) -> tuple[tuple[int, ...], ...]:
     """Coordinates of zeta_level**e on the power basis (integer vectors) for
-    every exponent a product, lift or conjugation asks for:
+    every exponent a product, lift or Galois image asks for:
     0 <= e < max(level, 2*phi - 1).  Built whole, never extended."""
     phi = euler_phi(level)
     cyclo = cyclotomic_polynomial(level)
@@ -222,16 +222,29 @@ class ExactNumber:
             raise ValueError("not a rational number")
         return self.coords[0]
 
+    def _map_exponents(self, level: int, k: int) -> "ExactNumber":
+        """sum_j coords[j] * zeta_level**(j*k mod level), at the given level."""
+        values = [_ZERO] * level
+        for j, c in enumerate(self.coords):
+            values[j * k % level] = c
+        return ExactNumber(level, _fold(values, level))
+
     def lift_to(self, level: int) -> "ExactNumber":
         if level == self.level:
             return self
         if level % self.level != 0:
             raise ValueError(f"cannot lift level {self.level} into level {level}")
-        step = level // self.level
-        values = [_ZERO] * level
-        for j, c in enumerate(self.coords):
-            values[j * step] = c
-        return ExactNumber(level, _fold(values, level))
+        return self._map_exponents(level, level // self.level)
+
+    def galois(self, a: int) -> "ExactNumber":
+        """The automorphism sigma_a: zeta -> zeta**a of Q(zeta_level)."""
+        if math.gcd(a, self.level) != 1:
+            raise ValueError(f"{a} is not a unit mod {self.level}")
+        return self._map_exponents(self.level, a)
+
+    def conjugate(self) -> "ExactNumber":
+        """Complex conjugation zeta -> zeta^(-1)."""
+        return self.galois(-1)
 
     def _common(self, other: "ExactNumber") -> tuple["ExactNumber", "ExactNumber"]:
         if self.level == other.level:
@@ -290,32 +303,33 @@ class ExactNumber:
     __rmul__ = __mul__
 
     def inverse(self) -> "ExactNumber":
+        """alpha^-1 = cofactor / (alpha * cofactor), taking the norm one cyclic
+        Galois orbit at a time: for each unit a that moves P = alpha *
+        cofactor, the images sigma_a**i(P), i < ord(a), join the cofactor,
+        and P is then fixed by sigma_a as well.  The loop stops as soon as P
+        is rational.  A Gauss sum of a primitive character takes one image:
+        its conjugate (P = +-D), or for a real one, sqrt(D), -sqrt(D)."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        if self.is_rational():
-            return ExactNumber.from_rational(1 / self.coords[0], self.level)
-        # alpha^-1 = conj(alpha) / (alpha * conj(alpha)); the norm to the real
-        # subfield is rational for every Gauss sum of a primitive character
-        # (it is the conductor), so those inverses cost one product
-        conj = self.conjugate()
-        norm = self * conj
-        if norm.is_rational():
-            return conj * (1 / norm.coords[0])
-        # extended Euclid against Phi_level in Q[x]
-        cyclo = [Fraction(c) for c in cyclotomic_polynomial(self.level)]
-        r0, r1 = cyclo, list(self.coords)
-        s0, s1 = [_ZERO], [_ONE]
-        while True:
-            r1 = _strip(r1)
-            if len(r1) == 1:
+        product, cofactor = self, []
+        for a in (-1, *range(2, self.level)):
+            if product.is_rational():
                 break
-            q, r = _poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-        c = r1[0]
-        phi = euler_phi(self.level)
-        inv = [si / c for si in s1] + [_ZERO] * phi
-        return ExactNumber(self.level, inv[:phi])
+            if math.gcd(a, self.level) != 1:
+                continue
+            image = product.galois(a)
+            if image == product:
+                continue
+            order = next(k for k in range(2, self.level) if pow(a, k, self.level) == 1)
+            for i in range(1, order):
+                if i > 1:
+                    image = image.galois(a)
+                cofactor.append(image)
+                product = product * image
+                if product.is_rational():
+                    break
+        scale = ExactNumber.from_rational(1 / product.coords[0], self.level)
+        return math.prod(cofactor, start=scale)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -362,13 +376,6 @@ class ExactNumber:
     def numeric(self) -> complex:
         roots = _roots(self.level)
         return sum((float(c) * r for c, r in zip(self.coords, roots) if c), 0j)
-
-    def conjugate(self) -> "ExactNumber":
-        """Complex conjugation zeta -> zeta^(-1)."""
-        values = [_ZERO] * self.level
-        for j, c in enumerate(self.coords):
-            values[-j] = c
-        return ExactNumber(self.level, _fold(values, self.level))
 
     def to_json(self) -> dict:
         return {"level": self.level, "coords": [_fmt_rational(c) for c in self.coords]}
@@ -805,21 +812,6 @@ def _add_into(bucket: list[Fraction], coeffs: Sequence[Fraction]) -> None:
         bucket[i] += c
 
 
-def _strip(poly: list[Fraction]) -> list[Fraction]:
-    while len(poly) > 1 and not poly[-1]:
-        poly.pop()
-    return poly
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
-
-
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
     out = [_ZERO] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
@@ -828,21 +820,6 @@ def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
                 if y:
                     out[i + j] += x * y
     return out
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    num = list(num)
-    dn = len(den) - 1
-    if len(num) - 1 < dn:
-        return [_ZERO], num
-    out = [_ZERO] * (len(num) - dn)
-    for i in range(len(out) - 1, -1, -1):
-        q = num[i + dn] / den[dn]
-        out[i] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i + j] -= q * dj
-    return out, _strip(num[:dn] if dn else [_ZERO])
 
 
 def _fmt_rational(q: Fraction) -> str:

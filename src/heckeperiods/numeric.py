@@ -115,24 +115,31 @@ def incomplete_gamma_integer(k: int, x: float) -> float:
     return math.factorial(k - 1) * math.exp(-x) * acc
 
 
+def _split_lambda(s: int, truncation: int, t0: float) -> float:
+    """Completed L-value of the discriminant form with its Mellin integral
+    split at height t0; the piece below t0 is mapped above 1/t0 by the
+    functional equation.  The value does not depend on t0, the terms do."""
+    tau = tau_coefficients(truncation)
+    total = 0.0
+    for n in range(1, truncation + 1):
+        x = 2 * math.pi * n
+        term = tau.a(n) * (
+            incomplete_gamma_integer(s, x * t0) / x**s
+            + incomplete_gamma_integer(12 - s, x / t0) / x ** (12 - s)
+        )
+        total += term
+        if abs(term) < 1e-18 and n > 8:
+            break
+    return total
+
+
 @lru_cache(maxsize=_MEMO_SIZE)
 def lambda_delta(s: int, truncation: int = 120) -> float:
     """Completed L-value of the discriminant form at integer s in 1..11."""
     if not 1 <= s <= 11:
         raise ContextError("s must lie in 1..11")
     _check_terms(truncation)
-    tau = tau_coefficients(truncation)
-    total = 0.0
-    for n in range(1, truncation + 1):
-        x = 2 * math.pi * n
-        term = tau.a(n) * (
-            incomplete_gamma_integer(s, x) / x**s
-            + incomplete_gamma_integer(12 - s, x) / x ** (12 - s)
-        )
-        total += term
-        if abs(term) < 1e-18 and n > 8:
-            break
-    return total
+    return _split_lambda(s, truncation, 1.0)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)

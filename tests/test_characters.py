@@ -68,6 +68,12 @@ def test_enumerate_counts():
     assert sorted(c.order for c in enumerate_primitive_characters(12)) == [2]
 
 
+def test_enumerate_rejects_a_modulus_past_the_bound():
+    assert enumerate_primitive_characters(100)
+    with pytest.raises(CharacterError):
+        enumerate_primitive_characters(101)
+
+
 def test_enumerate_each_exactly_once():
     for d in (5, 7, 8, 9, 12, 15, 16, 24):
         chars = list(enumerate_characters(d))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from heckeperiods import cli
+from heckeperiods import cli, numeric
 from heckeperiods.cli import factored_surd_str, main, parse_character
 from heckeperiods.characters import CharacterError
 from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, QuadSurd
@@ -109,12 +109,35 @@ def test_ratio_matches_library(capsys, registry, chi5):
     assert data["radicand"] == 144169
 
 
+def test_ratio_zero_prints_zero(capsys):
+    code, out, _ = run(
+        capsys, "ratio", "--fixture", "sl2z-w24-odd-plus", "--character",
+        "kronecker:-3", "--m1", "11", "--m2", "1",
+    )
+    assert code == 0
+    assert out.strip() == "0"
+
+
 def test_verify_numeric_lambda(capsys):
     code, out, _ = run(capsys, "verify-numeric", "--check", "lambda", "--m", "1",
                        "--format", "json")
     assert code == 0
     data = json.loads(out)
     assert data["pass"] is True and data["abs_err"] < 1e-12
+
+
+def test_verify_numeric_lambda_catches_a_wrong_tau(capsys, monkeypatch):
+    tau = list(numeric.tau_coefficients(120).coefficients)
+    tau[1] += 1
+    monkeypatch.setattr(numeric, "_tau_cache", tau)
+    numeric.lambda_delta.cache_clear()
+    try:
+        code, out, _ = run(capsys, "verify-numeric", "--check", "lambda", "--m", "4",
+                           "--format", "json")
+    finally:
+        numeric.lambda_delta.cache_clear()
+    assert code == 1
+    assert json.loads(out)["pass"] is False
 
 
 def test_verify_numeric_twisted(capsys):

@@ -93,6 +93,38 @@ def test_inverse_without_a_rational_norm():
     assert x * x.inverse() == ExactNumber.one()
 
 
+@pytest.mark.parametrize("level", [8, 15, 20, 24, 60])
+def test_inverse_over_non_cyclic_unit_groups(level):
+    rng = random.Random(level)
+    for x in [2 + ExactNumber.zeta(level)] + [rand_element(rng, level) for _ in range(3)]:
+        assert x * x.inverse() == ExactNumber.one()
+
+
+def test_galois_is_a_field_automorphism():
+    rng = random.Random(11)
+    for level in (12, 15, 20):
+        units = [a for a in range(1, level) if math.gcd(a, level) == 1]
+        for _ in range(5):
+            x, y = rand_element(rng, level), rand_element(rng, level)
+            for a in units:
+                sx = x.galois(a)
+                assert (x + y).galois(a) == sx + y.galois(a)
+                assert (x * y).galois(a) == sx * y.galois(a)
+                for b in units:
+                    assert sx.galois(b) == x.galois(a * b % level)
+            assert x.galois(-1) == x.conjugate()
+            assert abs(x.conjugate().numeric() - x.numeric().conjugate()) < 1e-9
+            assert x.galois(1) == x
+        assert ExactNumber.zeta(level).galois(units[1]) == ExactNumber.zeta(level, units[1])
+
+
+def test_galois_rejects_a_non_unit():
+    x = 2 + ExactNumber.zeta(12)
+    for a in (0, 2, 3, -4):
+        with pytest.raises(ValueError):
+            x.galois(a)
+
+
 def test_numeric_homomorphism():
     rng = random.Random(5)
     for _ in range(20):

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from heckeperiods.characters import enumerate_primitive_characters, gauss_sum
+from heckeperiods.characters import DirichletCharacter, enumerate_primitive_characters, gauss_sum
 from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, sqrt_integer
 from heckeperiods.periods import (
     ContextError,
@@ -35,6 +35,28 @@ def brute_force_quadruples(level, modulus):
                     if k * a + ell * c == modulus:
                         out.add((a, c, k, ell))
     return out
+
+
+@pytest.mark.parametrize("modulus", [5, 7])
+def test_closed_form_is_galois_equivariant(modulus):
+    # P_{chi^a} = i^((a-1)(w+1)) chi(a)^a sigma_a(P_chi) at level lcm(4, ord chi, D)
+    for chi in enumerate_primitive_characters(modulus):
+        if chi.order < 3:
+            continue
+        level = math.lcm(4, chi.order, modulus)
+        for n_level, w, n in ((1, 10, 1), (2, 12, 5)):
+            poly = closed_form_polynomial(PeriodContext(n_level, w, n, chi))
+            for a in range(1, level):
+                if math.gcd(a, level) != 1:
+                    continue
+                chi_a = DirichletCharacter(
+                    modulus, chi.order, [None if e is None else e * a for e in chi.exponents]
+                )
+                image = closed_form_polynomial(PeriodContext(n_level, w, n, chi_a))
+                factor = ExactNumber.zeta(4, (a - 1) * (w + 1)) * chi.value(a) ** a
+                for k in range(w + 1):
+                    expected = factor * poly.coefficient(k).lift_to(level).galois(a)
+                    assert image.coefficient(k) == expected, (modulus, chi.exponents, a, k)
 
 
 def test_quadruples_paper_example():
