@@ -58,6 +58,8 @@ def bernoulli_shifted_coeffs(k: int, a: Fraction) -> list[Fraction]:
     return [math.comb(k, j) * _bernoulli_at(j, a) for j in range(k, -1, -1)]
 
 
+# typed: a float argument equal to a Fraction key must not share its entry
+@lru_cache(maxsize=_MEMO_SIZE, typed=True)
 def _bernoulli_at(k: int, a: Fraction) -> Fraction:
     acc = _ZERO
     power = Fraction(1)

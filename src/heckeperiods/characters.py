@@ -10,9 +10,10 @@ constructor path.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .cyclotomic import ExactNumber, divisors, euler_phi, factorize
+from .cyclotomic import _MEMO_SIZE, ExactNumber, divisors, euler_phi, factorize
 
 
 # largest modulus enumerate_primitive_characters walks
@@ -322,6 +323,7 @@ def kronecker_character(d: int) -> DirichletCharacter:
 # Gauss sums and the four-argument character
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def gauss_sum(chi: DirichletCharacter) -> ExactNumber:
     """tau(chi) = sum_h chi(h) zeta_D**h, exactly."""
     d = chi.modulus

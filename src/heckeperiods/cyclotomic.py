@@ -804,16 +804,18 @@ def _bucket_poly(buckets: Sequence[Sequence[Fraction]], order: int) -> ExactPoly
     )
 
 
-def _add_into(bucket: list[Fraction], coeffs: Sequence[Fraction]) -> None:
-    """bucket += coeffs in place, extending the bucket with zeros as needed."""
+def _add_into(bucket: list, coeffs: Sequence) -> None:
+    """bucket += coeffs in place, extending the bucket with zeros as needed.
+    Integer buckets stay integers: the padding is int 0."""
     if len(bucket) < len(coeffs):
-        bucket.extend([_ZERO] * (len(coeffs) - len(bucket)))
+        bucket.extend([0] * (len(coeffs) - len(bucket)))
     for i, c in enumerate(coeffs):
         bucket[i] += c
 
 
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [_ZERO] * (len(a) + len(b) - 1)
+def _poly_mul(a: Sequence, b: Sequence) -> list:
+    """Product of two ascending coefficient lists of ints or Fractions."""
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):

@@ -148,26 +148,31 @@ def enumerate_quadruples(level: int, modulus: int) -> list[FareyQuadruple]:
     return out
 
 
-def _binomial_power(p: Fraction, q: Fraction, n: int) -> list[Fraction]:
+def _binomial_power(p: int, q: int, n: int) -> list[int]:
     """Ascending coefficients of (p*x + q)**n."""
     return [math.comb(n, i) * p**i * q ** (n - i) for i in range(n + 1)]
 
 
 def _quadruple_buckets(ctx: PeriodContext) -> list[list[Fraction]]:
-    """Rational polynomial attached to each conj(chi) value exponent in G_n."""
+    """Rational polynomial attached to each conj(chi) value exponent in G_n.
+
+    Each term is summed as D^w * term = (aD*X + ell)^n (-cD*X + k)^(w-n),
+    in integers; every bucket coefficient is divided by D^w once at the end.
+    """
     chibar = ctx.chi.conjugate()
     d = ctx.modulus
-    buckets: list[list[Fraction]] = [[] for _ in range(chibar.order)]
+    buckets: list[list[int]] = [[] for _ in range(chibar.order)]
     for a, c, k, ell in enumerate_quadruples(ctx.level, d):
         e = chi_four_tuple_exponent(chibar, a, c, k, ell)
         if e is None:
             continue
         term = _poly_mul(
-            _binomial_power(Fraction(a), Fraction(ell, d), ctx.n),
-            _binomial_power(Fraction(-c), Fraction(k, d), ctx.n_tilde),
+            _binomial_power(a * d, ell, ctx.n),
+            _binomial_power(-c * d, k, ctx.n_tilde),
         )
         _add_into(buckets[e], term)
-    return buckets
+    scale = d**ctx.w
+    return [[Fraction(x, scale) for x in bucket] for bucket in buckets]
 
 
 def quadruple_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
@@ -182,6 +187,13 @@ def quadruple_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
 
 def _two_i_power(exponent: int) -> ExactNumber:
     return ExactNumber.zeta(4, exponent % 4) * (2**exponent)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _prefactor(chibar: DirichletCharacter, w: int) -> ExactNumber:
+    """(2i)^(w+1) / tau(conj chi): the common factor of both routes and the
+    trace, computed once per character and weight."""
+    return _two_i_power(w + 1) * gauss_sum(chibar).inverse()
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -216,8 +228,7 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     gsign = (-1) ** (n - 1) * chi.sign_at_minus_one()
     total = total + g + g.negate_argument().scale(gsign)
 
-    prefactor = _two_i_power(w + 1) * gauss_sum(chibar).inverse()
-    return total.scale(prefactor)
+    return total.scale(_prefactor(chibar, w))
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +307,9 @@ def _reversed_bernoulli(k: int, shift: Fraction, c: Fraction, w: int, scalar: Fr
 
 
 def _case_five(h: int, level: int, w: int, n: int, d: int) -> list[Fraction]:
+    """Case 5 at residue h, summed in integers scaled by D^w."""
     nt = w - n
-    out = [_ZERO] * (w + 1)
+    out = [0] * (w + 1)
     any_term = False
     for a, c, k, ell in enumerate_quadruples(level, d):
         b0, d0 = bezout_pair(a, c)
@@ -306,21 +318,24 @@ def _case_five(h: int, level: int, w: int, n: int, d: int) -> list[Fraction]:
         # and in each class exactly one matrix realizes the residue
         if (-e) % d == h % d:
             term = _poly_mul(
-                _binomial_power(Fraction(a), Fraction(-ell, d), n),
-                _binomial_power(Fraction(c), Fraction(k, d), nt),
+                _binomial_power(a * d, -ell, n),
+                _binomial_power(c * d, k, nt),
             )
             for i, t in enumerate(term):
                 out[i] -= t
             any_term = True
         if e % d == h % d:
             term = _poly_mul(
-                _binomial_power(Fraction(a), Fraction(ell, d), n),
-                _binomial_power(Fraction(-c), Fraction(k, d), nt),
+                _binomial_power(a * d, ell, n),
+                _binomial_power(-c * d, k, nt),
             )
             for i, t in enumerate(term):
                 out[i] += t
             any_term = True
-    return out if any_term else []
+    if not any_term:
+        return []
+    scale = d**w
+    return [Fraction(x, scale) for x in out]
 
 
 def case_contribution(j: int, h: int, ctx: PeriodContext) -> ExactPolynomial:
@@ -355,8 +370,7 @@ def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
         for j in range(1, 7):
             _add_into(buckets[e], _case_rational(j, h, ctx.level, ctx.w, ctx.n, d))
     assembled = _bucket_poly(buckets, chibar.order)
-    prefactor = _two_i_power(ctx.w + 1) * gauss_sum(chibar).inverse()
-    return assembled.scale(prefactor)
+    return assembled.scale(_prefactor(chibar, ctx.w))
 
 
 # ---------------------------------------------------------------------------

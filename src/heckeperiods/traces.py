@@ -23,15 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .bernoulli import generalized_bernoulli_number
-from .characters import chi_four_tuple_exponent, gauss_sum
-from .cyclotomic import ExactNumber, _bucket_sum, sqrt_positive_integer
+from .characters import DirichletCharacter, chi_four_tuple_exponent
+from .cyclotomic import _MEMO_SIZE, ExactNumber, _bucket_sum, sqrt_positive_integer
 from .periods import (
     ContextError,
     ParityError,
     PeriodContext,
-    _two_i_power,
+    _prefactor,
     enumerate_quadruples,
     twisted_period,
 )
@@ -115,16 +116,16 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
 
     total = total + _double_sum(ctx, m)
 
+    prefactor = _trace_prefactor(chibar, w, level, m + n + 2) * Fraction(d, 2 * math.comb(w, m))
+    return prefactor * total
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _trace_prefactor(chibar: DirichletCharacter, w: int, level: int, e: int) -> ExactNumber:
+    """(2i)^(w+1) i^e sqrt(N^e) / tau(conj chi) with e = m + n + 2."""
     # the level enters through (i sqrt N)^(m+n+2), i.e. as N^((m+n+2)/2);
     # for odd m+n (even characters) this brings in sqrt(N)
-    prefactor = (
-        _two_i_power(w + 1)
-        * ExactNumber.zeta(4, (m + n + 2) % 4)
-        * sqrt_positive_integer(level ** (m + n + 2))
-        * Fraction(d, 2 * math.comb(w, m))
-        * gauss_sum(chibar).inverse()
-    )
-    return prefactor * total
+    return _prefactor(chibar, w) * ExactNumber.zeta(4, e % 4) * sqrt_positive_integer(level**e)
 
 
 def _double_sum(ctx: PeriodContext, m: int) -> ExactNumber:
@@ -134,17 +135,17 @@ def _double_sum(ctx: PeriodContext, m: int) -> ExactNumber:
     d = ctx.modulus
     mt = w - m
     chibar = ctx.chi.conjugate()
-    buckets = [Fraction(0)] * chibar.order
+    buckets = [0] * chibar.order
     for a, c, k, ell in enumerate_quadruples(ctx.level, d):
         e = chi_four_tuple_exponent(chibar, a, c, k, ell)
         if e is None:
             continue
-        acc = Fraction(0)
+        acc = 0
         for r in range(0, mt + 1):
             if r > n or mt - r > nt:
                 continue
             acc += (
-                Fraction((-1) ** r)
+                (-1) ** r
                 * math.comb(n, r)
                 * math.comb(nt, mt - r)
                 * a**r
@@ -153,7 +154,7 @@ def _double_sum(ctx: PeriodContext, m: int) -> ExactNumber:
                 * k ** (nt - mt + r)
             )
         buckets[e] += acc
-    return _bucket_sum(buckets, chibar.order) * Fraction(2 * (-1) ** (m + 1))
+    return _bucket_sum(buckets, chibar.order) * (2 * (-1) ** (m + 1))
 
 
 def trace_from_periods(query: TraceQuery) -> ExactNumber:

@@ -118,7 +118,7 @@ def test_criterion_2_example_traces():
 
 
 def test_criterion_3_oracle_grid():
-    with criterion(3, "case-sum oracle and trace cross-path on the full grid", 600.0):
+    with criterion(3, "case-sum oracle and trace cross-path on the full grid", 180.0):
         contexts = 0
         trace_checks = 0
         for modulus in GRID_MODULI:
@@ -333,27 +333,41 @@ def test_criterion_8_property_suites():
                                     assert poly.coefficient(w - m).is_zero(), (level, modulus, w, n, m)
 
 
+def wide_moduli_oracle(moduli):
+    """Closed form == case sum and both trace routes, N in {1, 2}, w = 10,
+    n = 1, for the first character of each (order, parity) class of order
+    >= 3 mod each modulus; returns (contexts, trace queries)."""
+    contexts = 0
+    trace_checks = 0
+    for modulus in moduli:
+        classes = {}
+        for chi in enumerate_primitive_characters(modulus):
+            if chi.order >= 3:
+                classes.setdefault((chi.order, chi.sign_at_minus_one()), chi)
+        for chi in classes.values():
+            for level in (1, 2):
+                ctx = PeriodContext(level, 10, 1, chi)
+                label = (level, modulus, chi.order)
+                assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx), label
+                contexts += 1
+                for m in range(0, 11):
+                    if not ctx.parity_holds(m):
+                        continue
+                    query = TraceQuery(ctx, m)
+                    assert trace_closed_form(query) == trace_from_periods(query), (label, m)
+                    trace_checks += 1
+    return contexts, trace_checks
+
+
 def test_criterion_9_wide_moduli():
     with criterion(9, "case-sum oracle and trace cross-path at moduli 23 and 29", 60.0):
-        contexts = 0
-        trace_checks = 0
-        for modulus in (23, 29):
-            # the first character of each (order, parity) class of order >= 3
-            classes = {}
-            for chi in enumerate_primitive_characters(modulus):
-                if chi.order >= 3:
-                    classes.setdefault((chi.order, chi.sign_at_minus_one()), chi)
-            for chi in classes.values():
-                for level in (1, 2):
-                    ctx = PeriodContext(level, 10, 1, chi)
-                    label = (level, modulus, chi.order)
-                    assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx), label
-                    contexts += 1
-                    for m in range(0, 11):
-                        if not ctx.parity_holds(m):
-                            continue
-                        query = TraceQuery(ctx, m)
-                        assert trace_closed_form(query) == trace_from_periods(query), (label, m)
-                        trace_checks += 1
+        contexts, trace_checks = wide_moduli_oracle((23, 29))
         assert contexts == 12
         print(f"  wide moduli: {contexts} contexts, {trace_checks} trace queries", flush=True)
+
+
+def test_criterion_10_wider_moduli():
+    with criterion(10, "case-sum oracle and trace cross-path at moduli 31 and 37", 60.0):
+        contexts, trace_checks = wide_moduli_oracle((31, 37))
+        assert contexts == 26
+        print(f"  wider moduli: {contexts} contexts, {trace_checks} trace queries", flush=True)

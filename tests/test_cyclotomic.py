@@ -10,6 +10,8 @@ from heckeperiods.cyclotomic import (
     ExactNumber,
     ExactPolynomial,
     QuadSurd,
+    _add_into,
+    _poly_mul,
     cyclotomic_polynomial,
     euler_phi,
     parse_quad_surd,
@@ -253,6 +255,17 @@ def test_squarefree_divisors():
 
 # ---------------------------------------------------------------------------
 # polynomials
+
+
+def test_list_helpers_keep_integer_coefficients():
+    # the quadruple sums rely on this: a Fraction zero in the padding would
+    # turn every integer bucket back into Fraction arithmetic
+    bucket = []
+    _add_into(bucket, _poly_mul([1, 2], [3, 0, 4]))
+    _add_into(bucket, [1])
+    assert bucket == [4, 6, 4, 8]
+    assert all(type(x) is int for x in bucket)
+    assert _poly_mul([Fraction(1, 2)], [2, 4]) == [1, 2]
 
 
 def test_polynomial_basics():

@@ -3,10 +3,11 @@
 import sys
 import threading
 
-from heckeperiods import bernoulli, cyclotomic, numeric, periods
+from heckeperiods import bernoulli, characters, cyclotomic, numeric, periods, traces
 from heckeperiods.bernoulli import generalized_bernoulli_poly
-from heckeperiods.characters import enumerate_primitive_characters, kronecker_character
+from heckeperiods.characters import enumerate_primitive_characters, gauss_sum, kronecker_character
 from heckeperiods.periods import PeriodContext, closed_form_polynomial
+from heckeperiods.traces import TraceQuery, trace_closed_form
 
 THREADS = 8
 
@@ -14,7 +15,7 @@ THREADS = 8
 def package_memos():
     return [
         value
-        for module in (bernoulli, cyclotomic, numeric, periods)
+        for module in (bernoulli, characters, cyclotomic, numeric, periods, traces)
         for value in vars(module).values()
         if hasattr(value, "cache_info") and value.__module__ == module.__name__
     ]
@@ -23,10 +24,14 @@ def package_memos():
 def workload():
     quartic = next(c for c in enumerate_primitive_characters(5) if c.order == 4)
     chars = (kronecker_character(-3), kronecker_character(-4), quartic)
-    polys = [closed_form_polynomial(PeriodContext(1, 10, n, chi)) for chi in chars for n in (1, 2)]
-    polys += [closed_form_polynomial(PeriodContext(2, 10, 3, chi)) for chi in chars]
-    polys += [generalized_bernoulli_poly(k, chi) for chi in chars for k in range(12)]
-    return polys
+    out = [closed_form_polynomial(PeriodContext(1, 10, n, chi)) for chi in chars for n in (1, 2)]
+    out += [closed_form_polynomial(PeriodContext(2, 10, 3, chi)) for chi in chars]
+    out += [generalized_bernoulli_poly(k, chi) for chi in chars for k in range(12)]
+    out += [gauss_sum(chi) for chi in chars]
+    for chi in chars:
+        ctx = PeriodContext(2, 10, 3, chi)
+        out += [trace_closed_form(TraceQuery(ctx, m)) for m in range(11) if ctx.parity_holds(m)]
+    return out
 
 
 def clear_memos():
@@ -37,6 +42,7 @@ def clear_memos():
 def test_memos_are_bounded():
     memos = package_memos()
     assert closed_form_polynomial in memos and generalized_bernoulli_poly in memos
+    assert gauss_sum in memos and traces._trace_prefactor in memos
     for memo in memos:
         assert memo.cache_info().maxsize is not None, memo.__qualname__
 

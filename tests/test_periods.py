@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from heckeperiods.characters import DirichletCharacter, enumerate_primitive_characters, gauss_sum
+from heckeperiods.characters import (
+    DirichletCharacter,
+    chi_four_tuple_exponent,
+    enumerate_primitive_characters,
+    gauss_sum,
+    kronecker_character,
+)
 from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, sqrt_integer
 from heckeperiods.periods import (
     ContextError,
@@ -104,6 +110,39 @@ def test_quadruple_sum_degree_and_empty(chi3):
         assert quadruple_sum_polynomial(ctx).degree() <= 10
     ctx = PeriodContext(7, 10, 1, chi3)
     assert quadruple_sum_polynomial(ctx).is_zero()
+
+
+def fraction_quadruple_sum(ctx):
+    """G_n term by term in Fractions: the sum over quadruples of
+    conj(chi)(a,c,k,ell) * (a*X + ell/D)^n * (-c*X + k/D)^(w-n)."""
+    chibar = ctx.chi.conjugate()
+    d, n, nt = ctx.modulus, ctx.n, ctx.n_tilde
+    buckets = [[Fraction(0)] * (ctx.w + 1) for _ in range(chibar.order)]
+    for a, c, k, ell in enumerate_quadruples(ctx.level, d):
+        e = chi_four_tuple_exponent(chibar, a, c, k, ell)
+        if e is None:
+            continue
+        for i in range(n + 1):
+            left = math.comb(n, i) * Fraction(a) ** i * Fraction(ell, d) ** (n - i)
+            for j in range(nt + 1):
+                right = math.comb(nt, j) * Fraction(-c) ** j * Fraction(k, d) ** (nt - j)
+                buckets[e][i + j] += left * right
+    zetas = [ExactNumber.zeta(chibar.order, e) for e in range(chibar.order)]
+    return ExactPolynomial(
+        sum((zetas[e] * bucket[i] for e, bucket in enumerate(buckets)), ExactNumber.zero())
+        for i in range(ctx.w + 1)
+    )
+
+
+def test_quadruple_sum_matches_the_fraction_expansion():
+    # G_n is summed in integers scaled by D^w; at D = 37, w = 14 that scale is 37^14
+    chi37 = next(chi for chi in enumerate_primitive_characters(37) if chi.order == 36)
+    contexts = [PeriodContext(level, 14, n, chi37) for level in (1, 2) for n in (1, 7, 13)]
+    contexts.append(PeriodContext(1, 10, 3, kronecker_character(-4)))
+    for ctx in contexts:
+        g = quadruple_sum_polynomial(ctx)
+        assert not g.is_zero()
+        assert g == fraction_quadruple_sum(ctx), (ctx.level, ctx.modulus, ctx.n)
 
 
 def expected_g1(chi3):
