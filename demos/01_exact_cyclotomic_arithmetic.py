@@ -38,12 +38,10 @@ value = s3 * Fraction(-2359296, 5)
 print("recognized:", recognize_surd(value))          # -2359296/5 * sqrt(3)
 print("zeta_5 recognized:", recognize_surd(ExactNumber.zeta(5, 1)))  # None
 
-# Polynomials carry exact coefficients and support the substitutions the
-# period formulas need: x -> alpha x + beta, and x -> c/x against x^w.
+# Polynomials carry exact coefficients; they are the output type of the
+# period formulas, which do their substitutions on rational coefficient lists.
 p = ExactPolynomial.from_rational_coeffs([Fraction(1, 6), -1, 1])  # x^2 - x + 1/6
 print("p(2/3) =", p.evaluate(Fraction(2, 3)).rational_value())
-q = p.reversed_scaled(4, Fraction(-1, 3))  # X^4 * p(-1/(3X))
-print("X^4 p(-1/(3X)) at X=2:", q.evaluate(2).rational_value())
 
 # Serialization round-trips bit-exactly.
 print("JSON form of 1/3 at level 4:", ExactNumber.from_rational(Fraction(1, 3), 4).to_json())

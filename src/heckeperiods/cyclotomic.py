@@ -390,6 +390,7 @@ class ExactNumber:
         return f"ExactNumber(level={self.level}, coords={[str(c) for c in self.coords]})"
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
 def sqrt_integer(n: int) -> ExactNumber:
     """Exact square root of a squarefree positive integer, living at level 4n.
 
@@ -738,45 +739,6 @@ class ExactPolynomial:
             result = result * x + c
         return result
 
-    def compose_linear(self, alpha, beta) -> "ExactPolynomial":
-        """p(alpha*x + beta), exactly (Horner over the polynomial ring)."""
-        arg = ExactPolynomial([beta, alpha])
-        result = ExactPolynomial.zero()
-        for c in reversed(self._asc):
-            result = result * arg + ExactPolynomial([c])
-        return result
-
-    def scale_argument(self, alpha) -> "ExactPolynomial":
-        """p(alpha * x): coefficient of x**k picks up alpha**k."""
-        out = []
-        power = ExactNumber.one() if isinstance(alpha, ExactNumber) else Fraction(1)
-        for c in self._asc:
-            out.append(c * power)
-            power = power * alpha
-        return ExactPolynomial(out)
-
-    def negate_argument(self) -> "ExactPolynomial":
-        return ExactPolynomial([c if i % 2 == 0 else -c for i, c in enumerate(self._asc)])
-
-    def reversed_scaled(self, w: int, c) -> "ExactPolynomial":
-        """X**w * p(c/X) as a polynomial; needs deg(p) <= w."""
-        if self.degree() > w:
-            raise ValueError("degree exceeds the reversal weight")
-        cn = c if isinstance(c, ExactNumber) else ExactNumber.from_rational(c)
-        out = [ExactNumber.zero() for _ in range(w + 1)]
-        power = ExactNumber.one()
-        for j, pj in enumerate(self._asc):
-            if not pj.is_zero():
-                out[w - j] = pj * power
-            power = power * cn
-        return ExactPolynomial(out)
-
-    def numeric(self, x: complex) -> complex:
-        result = 0j
-        for c in reversed(self._asc):
-            result = result * x + c.numeric()
-        return result
-
     def to_json(self) -> dict:
         return {"degree": self.degree(), "coefficients": [c.to_json() for c in self.coefficients]}
 
@@ -802,6 +764,14 @@ def _bucket_poly(buckets: Sequence[Sequence[Fraction]], order: int) -> ExactPoly
     return ExactPolynomial(
         _bucket_sum([b[i] if i < len(b) else _ZERO for b in buckets], order) for i in range(top)
     )
+
+
+def _coefficient_buckets(poly: ExactPolynomial, order: int) -> list[list[Fraction]]:
+    """The inverse of _bucket_poly: bucket j holds the zeta_order**j coordinate
+    of every coefficient, ascending.  Each coefficient is lifted to level
+    `order`, so its level must divide it (ValueError otherwise)."""
+    coords = [c.lift_to(order).coords for c in poly._asc]
+    return [[c[j] for c in coords] for j in range(euler_phi(order))]
 
 
 def _add_into(bucket: list, coeffs: Sequence) -> None:

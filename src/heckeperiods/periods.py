@@ -42,6 +42,7 @@ from .cyclotomic import (
     ExactPolynomial,
     _add_into,
     _bucket_poly,
+    _coefficient_buckets,
     _poly_mul,
     factorize,
 )
@@ -198,37 +199,46 @@ def _prefactor(chibar: DirichletCharacter, w: int) -> ExactNumber:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
-    """P_n(X) by the closed form (production path)."""
+    """P_n(X) by the closed form (production path).
+
+    Everything is added as rationals per power of zeta_R (R = ord chi) and
+    enters the field once, at the prefactor: chi(-N) and chi(-1) rotate the
+    exponent of a Bernoulli term's coordinates.
+    """
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d, level = ctx.modulus, ctx.level
     chi = ctx.chi
     chibar = chi.conjugate()
+    order = chi.order
     eps = ctx.epsilons()
 
-    total = ExactPolynomial.zero()
-
-    if eps.eps1:
-        poly = generalized_bernoulli_poly(nt + 1, chibar).scale_argument(d)
-        total = total + poly.scale(Fraction(1, (-d) ** nt) * Fraction(1, nt + 1))
-
-    poly = generalized_bernoulli_poly(n + 1, chibar).scale_argument(d)
-    total = total - poly.scale(Fraction(1, d**n) * Fraction(1, n + 1))
-
-    if eps.eps2:
-        sign = chi.value(-level) * ((-1) ** (n - 1))
-        poly = generalized_bernoulli_poly(nt + 1, chi).reversed_scaled(w, Fraction(-1, d * level))
-        total = total + poly.scale(sign * (Fraction(level**nt * d**n) / (nt + 1)))
-
-    if eps.eps3:
-        sign = chi.value(-1)
-        poly = generalized_bernoulli_poly(n + 1, chi).reversed_scaled(w, Fraction(-1, d))
-        total = total + poly.scale(sign * (Fraction(d**nt) / (n + 1)))
-
-    g = quadruple_sum_polynomial(ctx)
+    # G_n(X) + gsign*G_n(-X): coefficient i picks up 1 + gsign*(-1)^i
     gsign = (-1) ** (n - 1) * chi.sign_at_minus_one()
-    total = total + g + g.negate_argument().scale(gsign)
+    buckets = _quadruple_buckets(ctx)
+    for bucket in buckets:
+        for i, c in enumerate(bucket):
+            bucket[i] = c * (1 + gsign * (-1) ** i)
 
-    return total.scale(_prefactor(chibar, w))
+    # (character, index k, scalar, exponent of the chi value in front, alpha,
+    # reversed): scalar * B_{k,psi}(alpha*X), or scalar * X^w * B_{k,psi}(alpha/X)
+    terms = []
+    if eps.eps1:
+        terms.append((chibar, nt + 1, Fraction(1, (-d) ** nt * (nt + 1)), 0, d, False))
+    terms.append((chibar, n + 1, Fraction(-1, d**n * (n + 1)), 0, d, False))
+    if eps.eps2:
+        scalar = Fraction((-1) ** (n - 1) * level**nt * d**n, nt + 1)
+        terms.append((chi, nt + 1, scalar, chi.value_exponent(-level), Fraction(-1, d * level), True))
+    if eps.eps3:
+        terms.append((chi, n + 1, Fraction(d**nt, n + 1), chi.value_exponent(-1), Fraction(-1, d), True))
+
+    for psi, k, scalar, shift, alpha, reverse in terms:
+        for j, coeffs in enumerate(_coefficient_buckets(generalized_bernoulli_poly(k, psi), order)):
+            scaled = [c * scalar * alpha**i for i, c in enumerate(coeffs)]
+            if reverse:
+                scaled = [0] * (w + 1 - len(scaled)) + scaled[::-1]
+            _add_into(buckets[(j + shift) % order], scaled)
+
+    return _bucket_poly(buckets, order).scale(_prefactor(chibar, w))
 
 
 # ---------------------------------------------------------------------------

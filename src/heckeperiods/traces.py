@@ -59,65 +59,45 @@ class TraceQuery:
         return self.ctx.w - self.m
 
 
-def _bernoulli_term(binomial: int, k: int, chi, scale: Fraction) -> ExactNumber:
-    """binomial * scale * B_{k,chi} / k, with the vanishing-binomial convention."""
-    if binomial == 0:
-        return ExactNumber.zero()
-    return generalized_bernoulli_number(k, chi) * (Fraction(binomial) * scale / k)
-
-
 def trace_closed_form(query: TraceQuery) -> ExactNumber:
-    """The trace by direct evaluation of the closed form."""
+    """The trace by direct evaluation of the closed form.
+
+    The double sum and the four Bernoulli numbers are added as rationals per
+    power of zeta_R (R = ord chi); chi(-N) and chi(-1) rotate the exponent.
+    The field is entered once, at the prefactor.
+    """
     ctx, m = query.ctx, query.m
     w, n, nt, mt = ctx.w, ctx.n, ctx.n_tilde, query.m_tilde
     d, level = ctx.modulus, ctx.level
     chi = ctx.chi
     chibar = chi.conjugate()
+    order = chi.order
     eps = ctx.epsilons()
 
-    total = ExactNumber.zero()
-
+    # (binomial, index k, character, scale, exponent of the chi value in front)
+    # for binomial * scale * B_{k,psi} / k
+    terms = []
     if eps.eps1:
-        total = total + _bernoulli_term(
-            math.comb(nt, mt) if mt <= nt else 0,
-            nt - mt + 1,
-            chibar,
-            Fraction((-1) ** (n + 1) * d**n),
-        )
-
-    total = total + _bernoulli_term(
-        math.comb(n, mt) if mt <= n else 0,
-        n - mt + 1,
-        chibar,
-        Fraction(d**nt),
-    )
-
+        terms.append((math.comb(nt, mt), nt - mt + 1, chibar, (-1) ** (n + 1) * d**n, 0))
+    terms.append((math.comb(n, mt), n - mt + 1, chibar, d**nt, 0))
     if eps.eps2:
-        binom = math.comb(nt, m) if m <= nt else 0
-        if binom:
-            term = _bernoulli_term(
-                binom,
-                nt - m + 1,
-                chi,
-                Fraction((-1) ** (n + m) * level ** (nt - m) * d**n),
-            )
-            total = total + term * chi.value(-level)
-
+        scale = (-1) ** (n + m) * Fraction(level) ** (nt - m) * d**n
+        terms.append((math.comb(nt, m), nt - m + 1, chi, scale, chi.value_exponent(-level)))
     if eps.eps3:
-        binom = math.comb(n, m) if m <= n else 0
-        if binom:
-            term = _bernoulli_term(
-                binom,
-                n - m + 1,
-                chi,
-                Fraction((-1) ** (m + 1) * d**nt),
-            )
-            total = total + term * chi.value(-1)
+        terms.append((math.comb(n, m), n - m + 1, chi, (-1) ** (m + 1) * d**nt, chi.value_exponent(-1)))
 
-    total = total + _double_sum(ctx, m)
+    buckets = _double_sum(ctx, m)
+    for binomial, k, psi, scale, shift in terms:
+        if binomial == 0:
+            # the vanishing-binomial convention: the term is 0, B_{k,psi} unread
+            continue
+        factor = Fraction(binomial * scale, k)
+        for j, c in enumerate(generalized_bernoulli_number(k, psi).lift_to(order).coords):
+            buckets[(j + shift) % order] += c * factor
 
-    prefactor = _trace_prefactor(chibar, w, level, m + n + 2) * Fraction(d, 2 * math.comb(w, m))
-    return prefactor * total
+    outer = Fraction(d, 2 * math.comb(w, m))
+    total = _bucket_sum([b * outer for b in buckets], order)
+    return _trace_prefactor(chibar, w, level, m + n + 2) * total
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -128,9 +108,10 @@ def _trace_prefactor(chibar: DirichletCharacter, w: int, level: int, e: int) -> 
     return _prefactor(chibar, w) * ExactNumber.zeta(4, e % 4) * sqrt_positive_integer(level**e)
 
 
-def _double_sum(ctx: PeriodContext, m: int) -> ExactNumber:
-    """2(-1)^(m+1) sum over quadruples of conj(chi)(a,c,k,ell) times the
-    finite binomial-weighted power sum."""
+def _double_sum(ctx: PeriodContext, m: int) -> list[int]:
+    """2(-1)^(m+1) times the sum over quadruples of the finite
+    binomial-weighted power sum, as one integer per conj(chi)(a,c,k,ell)
+    value exponent."""
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d = ctx.modulus
     mt = w - m
@@ -154,7 +135,7 @@ def _double_sum(ctx: PeriodContext, m: int) -> ExactNumber:
                 * k ** (nt - mt + r)
             )
         buckets[e] += acc
-    return _bucket_sum(buckets, chibar.order) * (2 * (-1) ** (m + 1))
+    return [2 * (-1) ** (m + 1) * b for b in buckets]
 
 
 def trace_from_periods(query: TraceQuery) -> ExactNumber:

@@ -11,6 +11,8 @@ from heckeperiods.cyclotomic import (
     ExactPolynomial,
     QuadSurd,
     _add_into,
+    _bucket_poly,
+    _coefficient_buckets,
     _poly_mul,
     cyclotomic_polynomial,
     euler_phi,
@@ -289,24 +291,28 @@ def test_polynomial_ring_ops():
         assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
 
 
-def test_compose_linear_and_scale_argument():
-    p = ExactPolynomial.from_rational_coeffs([1, 0, 2])  # 2x^2 + 1
-    q = p.compose_linear(3, Fraction(1, 2))
-    for x in (0, 1, Fraction(-2, 3)):
-        assert q.evaluate(x) == p.evaluate(3 * Fraction(x) + Fraction(1, 2))
-    assert p.scale_argument(5) == p.compose_linear(5, 0)
+@pytest.mark.parametrize("order", [3, 4, 5, 7, 12])
+def test_coefficient_buckets_invert_bucket_poly(order):
+    rng = random.Random(order)
+    divisor_levels = [lv for lv in range(1, order + 1) if order % lv == 0]
+    polys = [ExactPolynomial.zero()]
+    for _ in range(6):
+        # coefficients born at any divisor level, zeros included
+        coeffs = [
+            rand_element(rng, rng.choice(divisor_levels)) if rng.random() < 0.8 else ExactNumber.zero()
+            for _ in range(rng.randint(1, 6))
+        ]
+        polys.append(ExactPolynomial(coeffs))
+    for p in polys:
+        buckets = _coefficient_buckets(p, order)
+        assert len(buckets) == euler_phi(order)
+        assert _bucket_poly(buckets, order) == p
 
 
-def test_reversed_scaled():
-    p = ExactPolynomial.from_rational_coeffs([Fraction(1, 6), -1, 1])
-    w = 6
-    c = Fraction(-1, 3)
-    r = p.reversed_scaled(w, c)
-    for x in (1, 2, Fraction(5, 7)):
-        x = Fraction(x)
-        assert r.evaluate(x) == x**w * p.evaluate(c / x)
+def test_coefficient_buckets_reject_a_level_outside_the_order():
+    p = ExactPolynomial([ExactNumber.one(), ExactNumber.zeta(5)])
     with pytest.raises(ValueError):
-        p.reversed_scaled(1, c)
+        _coefficient_buckets(p, 12)
 
 
 def test_polynomial_json_degree_descending():

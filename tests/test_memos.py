@@ -28,6 +28,7 @@ def workload():
     out += [closed_form_polynomial(PeriodContext(2, 10, 3, chi)) for chi in chars]
     out += [generalized_bernoulli_poly(k, chi) for chi in chars for k in range(12)]
     out += [gauss_sum(chi) for chi in chars]
+    out += [cyclotomic.sqrt_integer(n) for n in (2, 3, 6)]
     for chi in chars:
         ctx = PeriodContext(2, 10, 3, chi)
         out += [trace_closed_form(TraceQuery(ctx, m)) for m in range(11) if ctx.parity_holds(m)]
@@ -43,6 +44,7 @@ def test_memos_are_bounded():
     memos = package_memos()
     assert closed_form_polynomial in memos and generalized_bernoulli_poly in memos
     assert gauss_sum in memos and traces._trace_prefactor in memos
+    assert cyclotomic.sqrt_integer in memos
     for memo in memos:
         assert memo.cache_info().maxsize is not None, memo.__qualname__
 
