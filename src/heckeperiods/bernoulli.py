@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .characters import DirichletCharacter
-from .cyclotomic import _MEMO_SIZE, ExactNumber, ExactPolynomial, _add_into, _bucket_poly, _bucket_sum
+from .cyclotomic import _MEMO_SIZE, ExactNumber, ExactPolynomial, _add_into, _bucket_poly, _fold, euler_phi
 
 _ZERO = Fraction(0)
 
@@ -89,24 +89,10 @@ class BernoulliSelfCheckError(ArithmeticError):
     """The two defining expressions of B_{k,chi}(x) disagreed (should never happen)."""
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def generalized_bernoulli_poly(k: int, chi: DirichletCharacter) -> ExactPolynomial:
-    """The chi-weighted Bernoulli polynomial of degree index k.
-
-    Both defining expressions are evaluated:
-      (a) D^(k-1) * sum_h chi(h) B_k((h+x)/D)
-      (b) sum_j C(k,j) * (weighted Bernoulli number)_j * x^(k-j)
-    and must agree exactly.  For k < 0 the zero polynomial is returned,
-    matching the plain-Bernoulli convention (needed so that out-of-range
-    trace terms vanish).
-    """
-    if k < 0:
-        return ExactPolynomial.zero()
-    via_sum = _via_residue_sum(k, chi)
-    via_binomial = _via_binomial(k, chi)
-    if via_sum != via_binomial:
-        raise BernoulliSelfCheckError(f"defining expressions disagree at k={k}, chi mod {chi.modulus}")
-    return via_sum
+    """The chi-weighted Bernoulli polynomial of degree index k, built once
+    from its checked coordinates (the zero polynomial for k < 0)."""
+    return _bucket_poly(_weighted_coordinates(k, chi), chi.order)
 
 
 def generalized_bernoulli_number(k: int, chi: DirichletCharacter) -> ExactNumber:
@@ -114,6 +100,27 @@ def generalized_bernoulli_number(k: int, chi: DirichletCharacter) -> ExactNumber
     if k < 0:
         return ExactNumber.zero()
     return generalized_bernoulli_poly(k, chi).coefficient(0)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _weighted_coordinates(k: int, chi: DirichletCharacter) -> tuple[tuple[Fraction, ...], ...]:
+    """Power-basis coordinates of the chi-weighted Bernoulli polynomial at
+    level R = ord chi: entry j is the ascending rational polynomial that
+    multiplies zeta_R**j.
+
+    Both defining expressions are evaluated:
+      (a) D^(k-1) * sum_h chi(h) B_k((h+x)/D)
+      (b) sum_j C(k,j) * (weighted Bernoulli number)_j * x^(k-j)
+    and must agree exactly.  For k < 0 every polynomial is empty, matching
+    the plain-Bernoulli convention (needed so that out-of-range trace terms
+    vanish).
+    """
+    if k < 0:
+        return ((),) * euler_phi(chi.order)
+    via_sum = _via_residue_sum(k, chi)
+    if via_sum != _via_binomial(k, chi):
+        raise BernoulliSelfCheckError(f"defining expressions disagree at k={k}, chi mod {chi.modulus}")
+    return via_sum
 
 
 def _weighted_rational_polys(k: int, chi: DirichletCharacter) -> list[list[Fraction]]:
@@ -133,20 +140,21 @@ def _weighted_rational_polys(k: int, chi: DirichletCharacter) -> list[list[Fract
     return buckets
 
 
-def _via_residue_sum(k: int, chi: DirichletCharacter) -> ExactPolynomial:
-    return _bucket_poly(_weighted_rational_polys(k, chi), chi.order)
+def _via_residue_sum(k: int, chi: DirichletCharacter) -> tuple[tuple[Fraction, ...], ...]:
+    buckets = _weighted_rational_polys(k, chi)
+    columns = [_fold([b[i] if i < len(b) else _ZERO for b in buckets], chi.order) for i in range(k + 1)]
+    return tuple(zip(*columns))
 
 
-def _via_binomial(k: int, chi: DirichletCharacter) -> ExactPolynomial:
-    coeffs = [ExactNumber.zero(chi.order) for _ in range(k + 1)]
-    for j in range(k + 1):
-        number = _weighted_number_direct(j, chi)
-        coeffs[k - j] = number * math.comb(k, j)
-    return ExactPolynomial(coeffs)
+def _via_binomial(k: int, chi: DirichletCharacter) -> tuple[tuple[Fraction, ...], ...]:
+    # the coefficient of x^i is C(k, k-i) times the weighted number at k-i
+    columns = [[math.comb(k, j) * c for c in _weighted_number_direct(j, chi)] for j in range(k, -1, -1)]
+    return tuple(zip(*columns))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _weighted_number_direct(j: int, chi: DirichletCharacter) -> ExactNumber:
+def _weighted_number_direct(j: int, chi: DirichletCharacter) -> tuple[Fraction, ...]:
+    """Coordinates of the weighted Bernoulli number at level ord chi."""
     d = chi.modulus
     scale = Fraction(d) ** (j - 1)
     buckets = [_ZERO] * chi.order
@@ -154,4 +162,4 @@ def _weighted_number_direct(j: int, chi: DirichletCharacter) -> ExactNumber:
         e = chi.exponents[h]
         if e is not None:
             buckets[e] += _bernoulli_at(j, Fraction(h, d)) * scale
-    return _bucket_sum(buckets, chi.order)
+    return tuple(_fold(buckets, chi.order))

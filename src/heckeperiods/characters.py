@@ -13,7 +13,7 @@ import math
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
-from .cyclotomic import _MEMO_SIZE, ExactNumber, divisors, euler_phi, factorize
+from .cyclotomic import _MEMO_SIZE, ExactNumber, _bucket_sum, divisors, euler_phi, factorize
 
 
 # largest modulus enumerate_primitive_characters walks
@@ -122,11 +122,7 @@ class DirichletCharacter:
         return not self.is_odd()
 
     def conjugate(self) -> "DirichletCharacter":
-        return DirichletCharacter(
-            self.modulus,
-            self.order,
-            [None if e is None else (-e) % self.order for e in self.exponents],
-        )
+        return _conjugate(self)
 
     def __mul__(self, other: "DirichletCharacter") -> "DirichletCharacter":
         if not isinstance(other, DirichletCharacter):
@@ -157,6 +153,16 @@ class DirichletCharacter:
     def __repr__(self):
         kind = "primitive" if self.is_primitive else f"conductor {self.conductor}"
         return f"DirichletCharacter(mod {self.modulus}, order {self.order}, {kind})"
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _conjugate(chi: DirichletCharacter) -> DirichletCharacter:
+    """conj chi, validated once per character."""
+    return DirichletCharacter(
+        chi.modulus,
+        chi.order,
+        [None if e is None else (-e) % chi.order for e in chi.exponents],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +334,12 @@ def gauss_sum(chi: DirichletCharacter) -> ExactNumber:
     """tau(chi) = sum_h chi(h) zeta_D**h, exactly."""
     d = chi.modulus
     level = math.lcm(chi.order, d)
-    total = ExactNumber.zero(level)
+    counts = [0] * level
     for h in range(d):
         e = chi.exponents[h]
-        if e is None:
-            continue
-        total = total + ExactNumber.zeta(level, (e * (level // chi.order) + h * (level // d)) % level)
-    return total
+        if e is not None:
+            counts[(e * (level // chi.order) + h * (level // d)) % level] += 1
+    return _bucket_sum(counts, level)
 
 
 def chi_four_tuple(chi: DirichletCharacter, a: int, c: int, k: int, ell: int) -> ExactNumber:
@@ -363,21 +368,9 @@ def chi_four_tuple_exponent(chi: DirichletCharacter, a: int, c: int, k: int, ell
 
 
 def bezout_pair(a: int, c: int) -> tuple[int, int]:
-    """Some (b, d) with a*d - b*c = 1, for coprime a, c."""
-    g, u, v = _extended_gcd(a, c)
-    if g != 1:
+    """Some (b, d) with a*d - b*c = 1, for coprime a and c >= 1:
+    d = a^-1 mod c and b = (a*d - 1)/c."""
+    if math.gcd(a, c) != 1:
         raise CharacterError(f"gcd({a},{c}) != 1")
-    # a*u + c*v = 1  ->  d = u, b = -v
-    return -v, u
-
-
-def _extended_gcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
+    d = pow(a, -1, c)
+    return (a * d - 1) // c, d

@@ -407,15 +407,12 @@ def sqrt_integer(n: int) -> ExactNumber:
     result = ExactNumber.one(level)
     for p in factorize(n):
         if p == 2:
-            factor = ExactNumber.zeta(8, 1) + ExactNumber.zeta(8, 7)
+            factor = _bucket_sum([0, 1, 0, 0, 0, 0, 0, 1], 8)  # zeta8 + zeta8^7
         else:
-            gauss = ExactNumber.zero(p if p > 1 else 1)
-            for a in range(1, p):
-                gauss = gauss + ExactNumber.zeta(p, a) * _legendre(a, p)
+            factor = _bucket_sum([_legendre(a, p) for a in range(p)], p)
             if p % 4 == 3:
                 # gauss sum is i*sqrt(p); divide out i
-                gauss = gauss.lift_to(4 * p) * ExactNumber.zeta(4, 3)
-            factor = gauss
+                factor = factor.lift_to(4 * p) * ExactNumber.zeta(4, 3)
         result = result * factor.lift_to(level)
     if result.numeric().real < 0:
         result = -result
@@ -764,14 +761,6 @@ def _bucket_poly(buckets: Sequence[Sequence[Fraction]], order: int) -> ExactPoly
     return ExactPolynomial(
         _bucket_sum([b[i] if i < len(b) else _ZERO for b in buckets], order) for i in range(top)
     )
-
-
-def _coefficient_buckets(poly: ExactPolynomial, order: int) -> list[list[Fraction]]:
-    """The inverse of _bucket_poly: bucket j holds the zeta_order**j coordinate
-    of every coefficient, ascending.  Each coefficient is lifted to level
-    `order`, so its level must divide it (ValueError otherwise)."""
-    coords = [c.lift_to(order).coords for c in poly._asc]
-    return [[c[j] for c in coords] for j in range(euler_phi(order))]
 
 
 def _add_into(bucket: list, coeffs: Sequence) -> None:

@@ -23,13 +23,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .bernoulli import (
-    bernoulli_number,
-    bernoulli_shifted_coeffs,
-    generalized_bernoulli_poly,
-)
+from .bernoulli import _weighted_coordinates, bernoulli_number, bernoulli_shifted_coeffs
 from .characters import (
     DirichletCharacter,
     bezout_pair,
@@ -42,7 +38,6 @@ from .cyclotomic import (
     ExactPolynomial,
     _add_into,
     _bucket_poly,
-    _coefficient_buckets,
     _poly_mul,
     factorize,
 )
@@ -232,7 +227,7 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
         terms.append((chi, n + 1, Fraction(d**nt, n + 1), chi.value_exponent(-1), Fraction(-1, d), True))
 
     for psi, k, scalar, shift, alpha, reverse in terms:
-        for j, coeffs in enumerate(_coefficient_buckets(generalized_bernoulli_poly(k, psi), order)):
+        for j, coeffs in enumerate(_weighted_coordinates(k, psi)):
             scaled = [c * scalar * alpha**i for i, c in enumerate(coeffs)]
             if reverse:
                 scaled = [0] * (w + 1 - len(scaled)) + scaled[::-1]
@@ -355,9 +350,16 @@ def case_contribution(j: int, h: int, ctx: PeriodContext) -> ExactPolynomial:
     4 needs N|D) and return the zero polynomial when inapplicable; case 6
     does not depend on h.
     """
+    return _residue_polynomial(ctx, h, (j,))
+
+
+def _residue_polynomial(ctx: PeriodContext, h: int, cases: Iterable[int]) -> ExactPolynomial:
+    """(2i)^(w+1) times the rational sum of the given cases at residue h."""
     if math.gcd(h, ctx.modulus) != 1:
         raise ContextError(f"residue {h} is not coprime to {ctx.modulus}")
-    coeffs = _case_rational(j, h, ctx.level, ctx.w, ctx.n, ctx.modulus)
+    coeffs: list[Fraction] = []
+    for j in cases:
+        _add_into(coeffs, _case_rational(j, h, ctx.level, ctx.w, ctx.n, ctx.modulus))
     if not any(coeffs):
         return ExactPolynomial.zero()
     factor = _two_i_power(ctx.w + 1)
@@ -417,7 +419,4 @@ def residue_period(ctx: PeriodContext, m: int, h: int) -> ExactNumber:
 
 def residue_case_sum(ctx: PeriodContext, h: int) -> ExactPolynomial:
     """Sum of all six case contributions at residue h (shared by tests)."""
-    total = ExactPolynomial.zero()
-    for j in range(1, 7):
-        total = total + case_contribution(j, h, ctx)
-    return total
+    return _residue_polynomial(ctx, h, range(1, 7))

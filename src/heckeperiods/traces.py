@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .bernoulli import generalized_bernoulli_number
+from .bernoulli import _weighted_coordinates
 from .characters import DirichletCharacter, chi_four_tuple_exponent
 from .cyclotomic import _MEMO_SIZE, ExactNumber, _bucket_sum, sqrt_positive_integer
 from .periods import (
@@ -92,8 +92,8 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
             # the vanishing-binomial convention: the term is 0, B_{k,psi} unread
             continue
         factor = Fraction(binomial * scale, k)
-        for j, c in enumerate(generalized_bernoulli_number(k, psi).lift_to(order).coords):
-            buckets[(j + shift) % order] += c * factor
+        for j, coeffs in enumerate(_weighted_coordinates(k, psi)):
+            buckets[(j + shift) % order] += coeffs[0] * factor
 
     outer = Fraction(d, 2 * math.comb(w, m))
     total = _bucket_sum([b * outer for b in buckets], order)
@@ -102,10 +102,15 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _trace_prefactor(chibar: DirichletCharacter, w: int, level: int, e: int) -> ExactNumber:
-    """(2i)^(w+1) i^e sqrt(N^e) / tau(conj chi) with e = m + n + 2."""
-    # the level enters through (i sqrt N)^(m+n+2), i.e. as N^((m+n+2)/2);
-    # for odd m+n (even characters) this brings in sqrt(N)
-    return _prefactor(chibar, w) * ExactNumber.zeta(4, e % 4) * sqrt_positive_integer(level**e)
+    """(2i)^(w+1) (i sqrt N)^e / tau(conj chi) with e = m + n + 2."""
+    return _prefactor(chibar, w) * _i_sqrt_level_power(level, e)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _i_sqrt_level_power(level: int, e: int) -> ExactNumber:
+    """(i sqrt N)^e = i^e sqrt(N^e); for odd e (m + n odd, even characters)
+    this brings in sqrt(N)."""
+    return ExactNumber.zeta(4, e % 4) * sqrt_positive_integer(level**e)
 
 
 def _double_sum(ctx: PeriodContext, m: int) -> list[int]:
@@ -142,10 +147,5 @@ def trace_from_periods(query: TraceQuery) -> ExactNumber:
     """The trace as (-D)^(m+1) (i sqrt N)^(m+n+2) r_{m,chi}(R_n); must equal
     trace_closed_form exactly."""
     ctx, m = query.ctx, query.m
-    n, level, d = ctx.n, ctx.level, ctx.modulus
-    e = m + n + 2
-    # (i sqrt N)^e = i^e * N^(e//2) * (sqrt N if e odd)
-    factor = ExactNumber.zeta(4, e % 4) * Fraction(level ** (e // 2))
-    if e % 2:
-        factor = factor * sqrt_positive_integer(level)
-    return twisted_period(ctx, m) * factor * Fraction((-d) ** (m + 1))
+    period = twisted_period(ctx, m) * Fraction((-ctx.modulus) ** (m + 1))
+    return period * _i_sqrt_level_power(ctx.level, m + ctx.n + 2)

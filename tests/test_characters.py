@@ -180,6 +180,17 @@ def test_four_tuple_bezout_invariance():
         checked += 1
 
 
+def test_bezout_pair_has_determinant_one():
+    for a in range(1, 41):
+        for c in range(1, 41):
+            if math.gcd(a, c) != 1:
+                with pytest.raises(CharacterError):
+                    bezout_pair(a, c)
+                continue
+            b, d = bezout_pair(a, c)
+            assert a * d - b * c == 1, (a, c)
+
+
 def test_kronecker_symbol_values():
     assert kronecker_symbol(-3, 2) == -1
     assert kronecker_symbol(5, 4) == 1

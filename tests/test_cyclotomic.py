@@ -11,8 +11,6 @@ from heckeperiods.cyclotomic import (
     ExactPolynomial,
     QuadSurd,
     _add_into,
-    _bucket_poly,
-    _coefficient_buckets,
     _poly_mul,
     cyclotomic_polynomial,
     euler_phi,
@@ -289,30 +287,6 @@ def test_polynomial_ring_ops():
         assert p * (q + r) == p * q + p * r
         x = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
         assert (p * q).evaluate(x) == p.evaluate(x) * q.evaluate(x)
-
-
-@pytest.mark.parametrize("order", [3, 4, 5, 7, 12])
-def test_coefficient_buckets_invert_bucket_poly(order):
-    rng = random.Random(order)
-    divisor_levels = [lv for lv in range(1, order + 1) if order % lv == 0]
-    polys = [ExactPolynomial.zero()]
-    for _ in range(6):
-        # coefficients born at any divisor level, zeros included
-        coeffs = [
-            rand_element(rng, rng.choice(divisor_levels)) if rng.random() < 0.8 else ExactNumber.zero()
-            for _ in range(rng.randint(1, 6))
-        ]
-        polys.append(ExactPolynomial(coeffs))
-    for p in polys:
-        buckets = _coefficient_buckets(p, order)
-        assert len(buckets) == euler_phi(order)
-        assert _bucket_poly(buckets, order) == p
-
-
-def test_coefficient_buckets_reject_a_level_outside_the_order():
-    p = ExactPolynomial([ExactNumber.one(), ExactNumber.zeta(5)])
-    with pytest.raises(ValueError):
-        _coefficient_buckets(p, 12)
 
 
 def test_polynomial_json_degree_descending():

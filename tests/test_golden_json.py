@@ -1,0 +1,61 @@
+"""A fixed slice of outputs, serialized and hashed.
+
+Every other test compares exact numbers with ``==``, which lifts both sides to
+a common cyclotomic level first.  Only this one sees a change in the level a
+coefficient is stored at, or any other change in the ``to_json()`` text."""
+
+import hashlib
+import json
+import math
+
+from heckeperiods.bernoulli import generalized_bernoulli_number, generalized_bernoulli_poly
+from heckeperiods.characters import enumerate_primitive_characters, gauss_sum
+from heckeperiods.cyclotomic import sqrt_integer
+from heckeperiods.periods import (
+    PeriodContext,
+    case_contribution,
+    case_sum_polynomial,
+    closed_form_polynomial,
+    residue_case_sum,
+)
+from heckeperiods.traces import TraceQuery, trace_closed_form, trace_from_periods
+
+# sha256 of golden_values() serialized one line each; an intended change of
+# output recomputes it with golden_digest() and says why
+GOLDEN_SHA256 = "1db712738d9a800882ab0e6a7d1a69e41f854a68116aa0c66862ba2dbdbe1d0f"
+
+
+def golden_values():
+    for d in (3, 4, 5, 7, 8):
+        for chi in enumerate_primitive_characters(d):
+            yield gauss_sum(chi)
+            for k in range(-1, 12):
+                yield generalized_bernoulli_poly(k, chi)
+                yield generalized_bernoulli_number(k, chi)
+            for level in (1, 2):
+                for n in range(1, 10):
+                    ctx = PeriodContext(level, 10, n, chi)
+                    yield closed_form_polynomial(ctx)
+                    yield case_sum_polynomial(ctx)
+                    for m in range(11):
+                        if ctx.parity_holds(m):
+                            yield trace_closed_form(TraceQuery(ctx, m))
+                            yield trace_from_periods(TraceQuery(ctx, m))
+                    if level == 1 and n <= 2:
+                        for h in range(1, d):
+                            if math.gcd(h, d) == 1:
+                                yield residue_case_sum(ctx, h)
+                                yield from (case_contribution(j, h, ctx) for j in range(1, 7))
+    for n in (2, 3, 5, 6, 7):
+        yield sqrt_integer(n)
+
+
+def golden_digest() -> str:
+    digest = hashlib.sha256()
+    for value in golden_values():
+        digest.update(json.dumps(value.to_json(), sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
+def test_outputs_match_the_golden_json():
+    assert golden_digest() == GOLDEN_SHA256

@@ -28,6 +28,7 @@ def workload():
     out += [closed_form_polynomial(PeriodContext(2, 10, 3, chi)) for chi in chars]
     out += [generalized_bernoulli_poly(k, chi) for chi in chars for k in range(12)]
     out += [gauss_sum(chi) for chi in chars]
+    out += [chi.conjugate() for chi in chars]
     out += [cyclotomic.sqrt_integer(n) for n in (2, 3, 6)]
     for chi in chars:
         ctx = PeriodContext(2, 10, 3, chi)
@@ -42,8 +43,9 @@ def clear_memos():
 
 def test_memos_are_bounded():
     memos = package_memos()
-    assert closed_form_polynomial in memos and generalized_bernoulli_poly in memos
+    assert closed_form_polynomial in memos and bernoulli._weighted_coordinates in memos
     assert gauss_sum in memos and traces._trace_prefactor in memos
+    assert characters._conjugate in memos and traces._i_sqrt_level_power in memos
     assert cyclotomic.sqrt_integer in memos
     for memo in memos:
         assert memo.cache_info().maxsize is not None, memo.__qualname__
