@@ -1,10 +1,12 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_M).
 
-Numbers are stored as dense rational coordinate vectors on the power basis
+Numbers are stored as dense coordinate vectors on the power basis
 1, zeta_M, ..., zeta_M^(phi(M)-1), reduced modulo the M-th cyclotomic
-polynomial.  Binary operations lift both operands to the least common
-cyclotomic level, so values born at different levels (rationals, character
-values, Gauss sums, i) mix freely.
+polynomial: integer numerators over one common denominator.  A product
+multiplies integer vectors (by Kronecker substitution when they are long)
+and folds the high powers back with the reduction table.  Binary operations
+lift both operands to the least common cyclotomic level, so values born at
+different levels (rationals, character values, Gauss sums, i) mix freely.
 
 Everything here is immutable and pure; the per-level reduction tables are
 built whole on first use and only read afterwards.
@@ -129,34 +131,71 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _power_table(level: int) -> tuple[tuple[int, ...], ...]:
-    """Coordinates of zeta_level**e on the power basis (integer vectors) for
-    every exponent a product, lift or Galois image asks for:
-    0 <= e < max(level, 2*phi - 1).  Built whole, never extended."""
-    phi = euler_phi(level)
+def _power_table(level: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """phi(level) and the coordinates of zeta_level**e on the power basis, as
+    sparse (index, integer) pairs, for every exponent a product, lift or
+    Galois image asks for: 0 <= e < max(level, 2*phi - 1).  Built whole,
+    never extended."""
     cyclo = cyclotomic_polynomial(level)
-    rows = [tuple(int(t == j) for t in range(phi)) for j in range(phi)]
+    phi = len(cyclo) - 1
+    # x^phi = -(lower part of Phi) since Phi is monic
+    x_phi = [(t, -c) for t, c in enumerate(cyclo[:-1]) if c]
+    rows = [((j, 1),) for j in range(phi)]
     while len(rows) < max(level, 2 * phi - 1):
-        prev = rows[-1]
-        top = prev[-1]
-        # x^phi = -(lower part of Phi) since Phi is monic
-        rows.append(tuple(low - top * c for low, c in zip((0,) + prev[:-1], cyclo)))
-    return tuple(rows)
+        row: dict[int, int] = {}
+        for t, r in rows[-1]:  # times x
+            for s, c in x_phi if t + 1 == phi else ((t + 1, 1),):
+                row[s] = row.get(s, 0) + r * c
+        rows.append(tuple((t, r) for t, r in row.items() if r))
+    return phi, tuple(rows)
 
 
-def _fold(values: Sequence[Fraction], level: int) -> list[Fraction]:
+def _fold(values: Sequence, level: int) -> list:
     """Coordinates of sum_e values[e] * zeta_level**e, for len(values) within
-    the power table of the level."""
-    table = _power_table(level)
-    phi = len(table[0])
-    out = list(values[:phi]) + [_ZERO] * (phi - len(values))
+    the power table of the level.  Integer values fold to integers: the
+    padding is int 0."""
+    phi, rows = _power_table(level)
+    out = list(values[:phi]) + [0] * (phi - len(values))
     for e in range(phi, len(values)):
         q = values[e]
         if q:
-            for t, r in enumerate(table[e]):
-                if r:
-                    out[t] += q * r
+            for t, r in rows[e]:
+                out[t] += q * r
     return out
+
+
+# Kronecker substitution packs this many or more coefficients per operand;
+# shorter products are cheaper term by term
+_KRONECKER_LENGTH = 16
+
+
+def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Product of two ascending integer coefficient lists by Kronecker
+    substitution: each list becomes one integer in base 2**(8 * width), the
+    two integers are multiplied once, and the product's digits are read
+    back.  Every digit is shifted by half the base, so signed coefficients
+    pack and unpack as fixed-width unsigned bytes in linear time."""
+    size = len(a) + len(b) - 1
+    top_a, top_b = max(map(abs, a)), max(map(abs, b))
+    if not top_a or not top_b:
+        return [0] * size
+    # |product coefficient| <= min(len) * top_a * top_b < half
+    width = (min(len(a), len(b)) * top_a * top_b).bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    product = _kronecker_pack(a, width, half) * _kronecker_pack(b, width, half)
+    data = (product + _half_digits(width, size)).to_bytes(width * size, "little")
+    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * size, width)]
+
+
+def _kronecker_pack(values: Sequence[int], width: int, half: int) -> int:
+    """sum_i values[i] * 2**(8 * width * i), for |values[i]| < half."""
+    shifted = int.from_bytes(b"".join((v + half).to_bytes(width, "little") for v in values), "little")
+    return shifted - _half_digits(width, len(values))
+
+
+def _half_digits(width: int, count: int) -> int:
+    """The integer whose count base-2**(8 * width) digits are all half the base."""
+    return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -171,21 +210,31 @@ def _roots(level: int) -> tuple[complex, ...]:
 class ExactNumber:
     """An element of Q(zeta_M), M = self.level.
 
-    Coordinates are Fractions on the power basis after reduction mod Phi_M.
-    Two numbers at different levels compare equal iff they agree after
-    lifting to the least common level.
+    The coordinates on the power basis, after reduction mod Phi_M, are kept
+    as integer numerators over one positive common denominator, in lowest
+    terms (gcd(den, *nums) = 1), so equal numbers at one level have equal
+    fields.  Two numbers at different levels compare equal iff they agree
+    after lifting to the least common level.
     """
 
-    __slots__ = ("level", "coords")
+    __slots__ = ("level", "_den", "_nums")
 
     def __init__(self, level: int, coords: Iterable[Fraction]):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = [Fraction(c) for c in coords]
         if len(coords) != euler_phi(level):
             raise ValueError(
                 f"need {euler_phi(level)} coordinates at level {level}, got {len(coords)}"
             )
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "coords", coords)
+        den, (nums,) = _cleared([coords])
+        _store(self, level, den, nums)
+
+    @classmethod
+    def _make(cls, level: int, den: int, nums: Sequence[int]) -> "ExactNumber":
+        """The number sum_j nums[j]/den * zeta_level**j, for phi(level)
+        integers nums and a nonzero integer den: how every result is built."""
+        self = object.__new__(cls)
+        _store(self, level, den, nums)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactNumber is immutable")
@@ -194,12 +243,16 @@ class ExactNumber:
 
     @classmethod
     def from_rational(cls, q, level: int = 1) -> "ExactNumber":
-        coords = [Fraction(q)] + [_ZERO] * (euler_phi(level) - 1)
-        return cls(level, coords)
+        q = Fraction(q)
+        return cls._make(level, q.denominator, [q.numerator] + [0] * (_power_table(level)[0] - 1))
 
     @classmethod
     def zeta(cls, level: int, k: int = 1) -> "ExactNumber":
-        return cls(level, _power_table(level)[k % level])
+        phi, rows = _power_table(level)
+        nums = [0] * phi
+        for t, r in rows[k % level]:
+            nums[t] = r
+        return cls._make(level, 1, nums)
 
     @classmethod
     def zero(cls, level: int = 1) -> "ExactNumber":
@@ -211,23 +264,31 @@ class ExactNumber:
 
     # -- structure
 
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        """The rational coordinates on the power basis."""
+        return tuple(Fraction(n, self._den) for n in self._nums)
+
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self._nums)
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self._nums[1:])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ValueError("not a rational number")
-        return self.coords[0]
+        return Fraction(self._nums[0], self._den)
 
     def _map_exponents(self, level: int, k: int) -> "ExactNumber":
         """sum_j coords[j] * zeta_level**(j*k mod level), at the given level."""
-        values = [_ZERO] * level
-        for j, c in enumerate(self.coords):
-            values[j * k % level] = c
-        return ExactNumber(level, _fold(values, level))
+        phi, rows = _power_table(level)
+        out = [0] * phi
+        for j, c in enumerate(self._nums):
+            if c:
+                for t, r in rows[j * k % level]:
+                    out[t] += c * r
+        return ExactNumber._make(level, self._den, out)
 
     def lift_to(self, level: int) -> "ExactNumber":
         if level == self.level:
@@ -262,17 +323,23 @@ class ExactNumber:
             return ExactNumber.from_rational(value)
         return NotImplemented  # type: ignore[return-value]
 
+    def _scale(self, num: int, den: int) -> "ExactNumber":
+        """self * num/den, for integers num and den != 0."""
+        return ExactNumber._make(self.level, self._den * den, [x * num for x in self._nums])
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return ExactNumber(a.level, [x + y for x, y in zip(a.coords, b.coords)])
+        den = math.lcm(a._den, b._den)
+        ka, kb = den // a._den, den // b._den
+        return ExactNumber._make(a.level, den, [x * ka + y * kb for x, y in zip(a._nums, b._nums)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExactNumber(self.level, [-c for c in self.coords])
+        return ExactNumber._make(self.level, self._den, [-c for c in self._nums])
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -288,17 +355,18 @@ class ExactNumber:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
-            return ExactNumber(self.level, [c * q for c in self.coords])
+            return self._scale(other.numerator, other.denominator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
         if a.is_rational():
-            return b * a.coords[0]
+            return b._scale(a._nums[0], a._den)
         if b.is_rational():
-            return a * b.coords[0]
-        return ExactNumber(a.level, _fold(_poly_mul(a.coords, b.coords), a.level))
+            return a._scale(b._nums[0], b._den)
+        # both operands have phi(level) coordinates
+        product = (_poly_mul if len(a._nums) < _KRONECKER_LENGTH else _kronecker_mul)(a._nums, b._nums)
+        return ExactNumber._make(a.level, a._den * b._den, _fold(product, a.level))
 
     __rmul__ = __mul__
 
@@ -328,8 +396,8 @@ class ExactNumber:
                 product = product * image
                 if product.is_rational():
                     break
-        scale = ExactNumber.from_rational(1 / product.coords[0], self.level)
-        return math.prod(cofactor, start=scale)
+        result = math.prod(cofactor[1:], start=cofactor[0]) if cofactor else ExactNumber.one(self.level)
+        return result._scale(product._den, product._nums[0])
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -363,7 +431,7 @@ class ExactNumber:
         if other is NotImplemented:
             return NotImplemented
         a, b = self._common(other)
-        return a.coords == b.coords
+        return a._den == b._den and a._nums == b._nums
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -375,7 +443,8 @@ class ExactNumber:
 
     def numeric(self) -> complex:
         roots = _roots(self.level)
-        return sum((float(c) * r for c, r in zip(self.coords, roots) if c), 0j)
+        den = self._den
+        return sum((n / den * r for n, r in zip(self._nums, roots) if n), 0j)
 
     def to_json(self) -> dict:
         return {"level": self.level, "coords": [_fmt_rational(c) for c in self.coords]}
@@ -386,8 +455,21 @@ class ExactNumber:
 
     def __repr__(self):
         if self.is_rational():
-            return f"ExactNumber({self.coords[0]})"
+            return f"ExactNumber({self.rational_value()})"
         return f"ExactNumber(level={self.level}, coords={[str(c) for c in self.coords]})"
+
+
+def _store(number: ExactNumber, level: int, den: int, nums: Sequence[int]) -> None:
+    """Set the fields of a new number, in lowest terms with den > 0."""
+    g = math.gcd(den, *nums)
+    if den < 0:
+        g = -g
+    if g != 1:
+        den //= g
+        nums = [x // g for x in nums]
+    object.__setattr__(number, "level", level)
+    object.__setattr__(number, "_den", den)
+    object.__setattr__(number, "_nums", tuple(nums))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -751,16 +833,26 @@ class ExactPolynomial:
 
 def _bucket_sum(values: Sequence[Fraction], order: int) -> ExactNumber:
     """sum_e values[e] * zeta_order**e, for one rational per exponent class."""
-    return ExactNumber(order, _fold(values, order))
+    den, (nums,) = _cleared([values])
+    return ExactNumber._make(order, den, _fold(nums, order))
 
 
 def _bucket_poly(buckets: Sequence[Sequence[Fraction]], order: int) -> ExactPolynomial:
     """sum_e buckets[e](x) * zeta_order**e, assembled one coefficient at a time
     from the ascending rational polynomial of each exponent class."""
-    top = max((len(b) for b in buckets), default=0)
+    den, nums = _cleared(buckets)
+    top = max((len(b) for b in nums), default=0)
     return ExactPolynomial(
-        _bucket_sum([b[i] if i < len(b) else _ZERO for b in buckets], order) for i in range(top)
+        ExactNumber._make(order, den, _fold([b[i] if i < len(b) else 0 for b in nums], order))
+        for i in range(top)
     )
+
+
+def _cleared(lists: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
+    """One common denominator of rational lists, and their integer numerators
+    over it."""
+    den = math.lcm(*(q.denominator for values in lists for q in values))
+    return den, [[q.numerator * (den // q.denominator) for q in values] for values in lists]
 
 
 def _add_into(bucket: list, coeffs: Sequence) -> None:

@@ -118,7 +118,7 @@ def test_criterion_2_example_traces():
 
 
 def test_criterion_3_oracle_grid():
-    with criterion(3, "case-sum oracle and trace cross-path on the full grid", 180.0):
+    with criterion(3, "case-sum oracle and trace cross-path on the full grid", 60.0):
         contexts = 0
         trace_checks = 0
         for modulus in GRID_MODULI:
@@ -270,7 +270,7 @@ def test_criterion_7_numerics():
 
 
 def test_criterion_8_property_suites():
-    with criterion(8, "algebraic property suites", 600.0):
+    with criterion(8, "algebraic property suites", 120.0):
         # Bernoulli addition formula, k <= 12, 100 random rational shifts
         rng = random.Random(20240810)
         for _ in range(100):

@@ -11,6 +11,7 @@ from heckeperiods.cyclotomic import (
     ExactPolynomial,
     QuadSurd,
     _add_into,
+    _kronecker_mul,
     _poly_mul,
     cyclotomic_polynomial,
     euler_phi,
@@ -149,6 +150,59 @@ def test_lift_preserves_equality():
         rand_element(rng, 12).lift_to(9)
 
 
+def assert_lowest_terms(x):
+    assert x._den > 0
+    assert math.gcd(x._den, *x._nums) == 1
+    assert len(x._nums) == euler_phi(x.level)
+
+
+def test_results_are_in_lowest_terms():
+    rng = random.Random(17)
+    for level in (4, 12, 19, 60):
+        units = [a for a in range(2, level) if math.gcd(a, level) == 1]
+        for _ in range(5):
+            x, y = rand_element(rng, level), rand_element(rng, level)
+            results = [x + y, x - y, x * y, x * Fraction(-6, 35), x * 0, -x, x.lift_to(2 * level)]
+            results += [x.galois(a) for a in units[:3]]
+            if not x.is_zero():
+                results.append(x.inverse())
+            for z in results:
+                assert_lowest_terms(z)
+    negative = ExactNumber.from_rational(Fraction(-4, 6), 12)
+    for x in (negative, negative.inverse(), ExactNumber(3, [Fraction(2, 4), Fraction(-6, 8)])):
+        assert_lowest_terms(x)
+
+
+def test_common_factors_cancel():
+    zeta = ExactNumber.zeta(12)
+    third = zeta * Fraction(1, 3)
+    assert third._den == 3
+    assert third * 3 == zeta
+    assert (third * 3)._den == 1 and (third * 3)._nums == zeta._nums
+    x = rand_element(random.Random(3), 20)
+    difference = x - x
+    assert difference.is_zero() and difference._den == 1
+
+
+def test_kronecker_product_matches_the_term_by_term_product():
+    rng = random.Random(216)
+    sizes = (1, 8, 64, 300)  # coefficient bits, cycled over the lengths
+    vector = lambda length, bits: [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
+    for length in range(1, 217):  # 216 = phi(684), the longest product in use
+        a, b = vector(length, sizes[length % 4]), vector(length, sizes[length // 4 % 4])
+        assert _kronecker_mul(a, b) == _poly_mul(a, b)
+    for bits in sizes:
+        for la, lb in [(1, 216), (216, 1), (7, 108), (108, 215), (3, 4)]:
+            a, b = vector(la, bits), vector(lb, bits)
+            assert _kronecker_mul(a, b) == _poly_mul(a, b)
+            assert _kronecker_mul(a, [0] * lb) == [0] * (la + lb - 1)
+            assert _kronecker_mul([0] * la, [0] * lb) == [0] * (la + lb - 1)
+        # every coefficient at the bound: all negative, mixed, alternating
+        top = 2**bits
+        for a, b in [([-top] * 216, [-top] * 216), ([top] * 216, [-top] * 216), ([top, -top] * 108, [-top, top] * 108)]:
+            assert _kronecker_mul(a, b) == _poly_mul(a, b)
+
+
 def test_power():
     z = ExactNumber.zeta(5, 1)
     assert z**5 == ExactNumber.one()
@@ -220,6 +274,18 @@ def test_exact_number_json_roundtrip():
         assert ExactNumber.from_json(x.to_json()) == x
     data = ExactNumber.from_rational(Fraction(1, 3), 4).to_json()
     assert data == {"level": 4, "coords": ["1/3", "0"]}
+
+
+def test_json_roundtrip_at_high_levels_and_a_wrong_length():
+    rng = random.Random(32)
+    for level in (272, 684):
+        x = rand_element(rng, level, size=10**6)
+        assert ExactNumber.from_json(x.to_json()) == x
+        assert ExactNumber.from_json(x.to_json()).to_json() == x.to_json()
+    data = rand_element(rng, 12).to_json()
+    for coords in (data["coords"][:-1], data["coords"] + ["0"]):
+        with pytest.raises(ValueError):
+            ExactNumber.from_json({"level": 12, "coords": coords})
 
 
 def test_quad_surd_string_roundtrip():

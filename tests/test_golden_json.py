@@ -50,12 +50,39 @@ def golden_values():
         yield sqrt_integer(n)
 
 
-def golden_digest() -> str:
+# sha256 of high_level_values(), the same way: levels 272 and 684, where
+# field products are long enough to take the packed-integer route
+HIGH_LEVEL_SHA256 = "eac5b7c47c87caf2e6f2b4f6df8b6c2d72f3c16a0e1e4a33baeaf9eeaa928069"
+
+
+def high_level_values():
+    for d, order in ((19, 18), (17, 16)):
+        chi = next(c for c in enumerate_primitive_characters(d) if c.order == order)
+        tau = gauss_sum(chi)
+        yield tau
+        yield tau.inverse()
+        yield gauss_sum(chi.conjugate())
+        yield gauss_sum(chi.conjugate()).inverse()
+        for level in (1, 2):
+            ctx = PeriodContext(level, 10, 1, chi)
+            yield closed_form_polynomial(ctx)
+            yield case_sum_polynomial(ctx)
+            for m in range(11):
+                if ctx.parity_holds(m):
+                    yield trace_closed_form(TraceQuery(ctx, m))
+                    yield trace_from_periods(TraceQuery(ctx, m))
+
+
+def golden_digest(values=golden_values) -> str:
     digest = hashlib.sha256()
-    for value in golden_values():
+    for value in values():
         digest.update(json.dumps(value.to_json(), sort_keys=True).encode() + b"\n")
     return digest.hexdigest()
 
 
 def test_outputs_match_the_golden_json():
     assert golden_digest() == GOLDEN_SHA256
+
+
+def test_high_level_outputs_match_the_golden_json():
+    assert golden_digest(high_level_values) == HIGH_LEVEL_SHA256
