@@ -23,6 +23,7 @@ import re
 import sys
 from fractions import Fraction
 from pathlib import Path
+from typing import Callable
 
 from .characters import (
     CharacterError,
@@ -200,11 +201,13 @@ def polynomial_to_text(poly: ExactPolynomial, render) -> str:
     return " + ".join(terms)
 
 
-def _emit(args, payload: dict, text: str) -> None:
+def _emit(args, payload: dict, render: Callable[[], str]) -> None:
+    """Print the payload as JSON, or the text that render builds: only a
+    text request pays for the text rendering."""
     if args.format == "json":
         print(json.dumps(payload, indent=1))
     else:
-        print(text)
+        print(render())
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +240,7 @@ def cmd_theorem1(args) -> int:
                 terms.append(f"\\left({body}\\right)X^{{{k}}}" if k else f"\\left({body}\\right)")
         print(" + ".join(terms) if terms else "0")
         return 0
-    _emit(args, payload, polynomial_to_text(poly, exact_number_text))
+    _emit(args, payload, lambda: polynomial_to_text(poly, exact_number_text))
     return 0
 
 
@@ -252,7 +255,11 @@ def cmd_trace(args) -> int:
         "surd": str(surd) if surd is not None else None,
         "float": z.real if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) else [z.real, z.imag],
     }
-    _emit(args, payload, exact_number_text(value))
+    _emit(
+        args,
+        payload,
+        lambda: factored_surd_str(surd) if surd is not None else json.dumps(value.to_json()),
+    )
     return 0
 
 
@@ -307,12 +314,15 @@ def cmd_crosscheck(args) -> int:
         "all_equal": not failures,
         "failures": failures,
     }
-    text = (
-        f"ALL EQUAL ({contexts} contexts, {traces} trace queries)"
-        if not failures
-        else "MISMATCH:\n" + "\n".join(failures)
+    _emit(
+        args,
+        payload,
+        lambda: (
+            f"ALL EQUAL ({contexts} contexts, {traces} trace queries)"
+            if not failures
+            else "MISMATCH:\n" + "\n".join(failures)
+        ),
     )
-    _emit(args, payload, text)
     return 0 if not failures else 1
 
 
@@ -334,7 +344,7 @@ def cmd_eigen(args) -> int:
         lines = [f"char poly coefficients (degree-descending): {payload['char_poly']}"]
         for lam, vec in pairs:
             lines.append(f"lambda = {lam}:  ({', '.join(str(v) for v in vec)})")
-        _emit(args, payload, "\n".join(lines))
+        _emit(args, payload, lambda: "\n".join(lines))
         return 0
     form = registry.eigenform(args.fixture)
     payload = {
@@ -343,8 +353,7 @@ def cmd_eigen(args) -> int:
         "weight": form.weight,
         "terms": [{"n": n, "coeff": str(c)} for n, c in form.terms],
     }
-    text = " + ".join(f"({c})*R_{n}" for n, c in form.terms)
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: " + ".join(f"({c})*R_{n}" for n, c in form.terms))
     return 0
 
 
@@ -371,7 +380,7 @@ def cmd_ratio(args) -> int:
         "radicand": value.d,
         "text": text,
     }
-    _emit(args, payload, text)
+    _emit(args, payload, lambda: text)
     return 0
 
 
@@ -401,7 +410,7 @@ def cmd_verify_numeric(args) -> int:
         chi = parse_character(args.character)
         ctx = PeriodContext(args.level, args.weight - 2, args.n, chi)
         report = verify_trace_numeric(TraceQuery(ctx, args.m), args.truncation)
-        _emit(args, report.to_json(), json.dumps(report.to_json(), indent=1))
+        _emit(args, report.to_json(), lambda: json.dumps(report.to_json(), indent=1))
         return 0 if report.passed else 1
     else:
         raise ContextError(f"unknown check {args.check!r}")
@@ -414,7 +423,7 @@ def cmd_verify_numeric(args) -> int:
         "rel_err": abs_err / max(abs(expected), 1.0),
         "pass": abs_err <= tol,
     }
-    _emit(args, payload, json.dumps(payload, indent=1))
+    _emit(args, payload, lambda: json.dumps(payload, indent=1))
     return 0 if payload["pass"] else 1
 
 
@@ -435,7 +444,7 @@ def cmd_fixtures(args) -> int:
             data = (resources.files(__package__) / "fixtures" / name).read_text()
             (target / name).write_text(data)
             written.append(str(target / name))
-        _emit(args, {"written": written}, "\n".join(written))
+        _emit(args, {"written": written}, lambda: "\n".join(written))
         return 0
     payload = {
         "eigenforms": sorted(registry.eigenforms),
@@ -447,7 +456,7 @@ def cmd_fixtures(args) -> int:
     lines.append("matrices:")
     lines += [f"  {name}" for name in sorted(registry.matrices)]
     lines.append(f"central-value table: D in {registry.central_values.discriminants}")
-    _emit(args, payload, "\n".join(lines))
+    _emit(args, payload, lambda: "\n".join(lines))
     return 0
 
 

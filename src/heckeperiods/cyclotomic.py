@@ -35,18 +35,7 @@ _ONE = Fraction(1)
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError("euler_phi needs a positive integer")
-    result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
+    return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n).items())
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -98,36 +87,25 @@ def squarefree_divisors(n: int) -> list[int]:
 # cyclotomic polynomials and reduction tables
 
 
-def _int_poly_divide(num: Sequence[int], den: Sequence[int]) -> tuple[int, ...]:
-    """Exact division of integer polynomials (ascending coefficients)."""
-    num = list(num)
-    dn = len(den) - 1
-    out = [0] * (len(num) - dn)
-    for i in range(len(out) - 1, -1, -1):
-        c = num[i + dn]
-        if c % den[dn] != 0:
-            raise ArithmeticError("non-exact cyclotomic division")
-        q = c // den[dn]
-        out[i] = q
-        if q:
-            for j, dj in enumerate(den):
-                num[i + j] -= q * dj
-    if any(num[:dn]):
-        raise ArithmeticError("non-exact cyclotomic division")
-    return tuple(out)
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Integer coefficients of Phi_m, ascending, computed by dividing x^m - 1
-    by all lower-order cyclotomic polynomials."""
+    """Integer coefficients of Phi_m, ascending: the product of
+    (1 - x^(m/s))^mu(s) over squarefree s | m, as power series cut at
+    degree phi(m), one in-place sweep per factor.  For m > 1 the signs of
+    the factors cancel; for m = 1 the product is 1 - x = -Phi_1."""
     if m < 1:
         raise ValueError("level must be positive")
-    poly: Sequence[int] = [-1] + [0] * (m - 1) + [1]
-    for d in range(1, m):
-        if m % d == 0:
-            poly = _int_poly_divide(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    phi = euler_phi(m)
+    poly = [1] + [0] * phi
+    for s in squarefree_divisors(m):
+        k = m // s
+        if len(factorize(s)) % 2:  # mu(s) = -1: times 1/(1 - x^k) = sum_j x^(jk)
+            for i in range(k, phi + 1):
+                poly[i] += poly[i - k]
+        else:  # mu(s) = 1: times 1 - x^k
+            for i in range(phi, k - 1, -1):
+                poly[i] -= poly[i - k]
+    return tuple(-c for c in poly) if m == 1 else tuple(poly)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -645,10 +623,6 @@ class QuadSurd:
 
     def __repr__(self):
         return f"QuadSurd({self.a}, {self.b}, {self.d})"
-
-    @classmethod
-    def parse(cls, text: str) -> "QuadSurd":
-        return parse_quad_surd(text)
 
 
 _SURD_TERM = re.compile(

@@ -43,15 +43,15 @@ class FixtureError(ValueError):
 
 
 class RationalMatrix:
-    """A square matrix of rationals, dimension at most 3."""
+    """A square matrix of rationals, of any dimension n >= 1."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence]):
         rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
         n = len(rows)
-        if n < 1 or n > 3 or any(len(row) != n for row in rows):
-            raise ValueError("need a square matrix of dimension 1..3")
+        if n < 1 or any(len(row) != n for row in rows):
+            raise ValueError("need a nonempty square matrix")
         object.__setattr__(self, "rows", rows)
 
     def __setattr__(self, name, value):
@@ -83,35 +83,49 @@ class RationalMatrix:
         return f"RationalMatrix({[[str(x) for x in row] for row in self.rows]})"
 
 
+def _row_reduce(rows: Sequence[Sequence]) -> tuple[list[list], list[int], object]:
+    """Gauss-Jordan elimination of Fraction or QuadSurd rows: the reduced
+    row echelon form, its pivot columns and, for a square input, its
+    determinant (the pivots' product signed by the row swaps, or 0)."""
+    rows = [list(row) for row in rows]
+    pivots: list[int] = []
+    det = 1
+    for col in range(len(rows[0])):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if pivot_row is None:
+            det = 0
+            continue
+        if pivot_row != r:
+            rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+            det = -det
+        pivot = rows[r][col]
+        det = det * pivot
+        rows[r] = [x / pivot for x in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and row[col]:
+                factor = row[col]
+                rows[i] = [x - factor * y for x, y in zip(row, rows[r])]
+        pivots.append(col)
+    return rows, pivots, det
+
+
+def _char_coeffs(matrix: RationalMatrix) -> list[Fraction]:
+    """Ascending coefficients of det(xI - M): its values at x = 0 .. n-1,
+    less the monic x^n, fix the rest through one Vandermonde solve."""
+    n = matrix.dimension
+    system = []
+    for t in range(n):
+        shifted = [[(t if i == j else 0) - x for j, x in enumerate(row)] for i, row in enumerate(matrix.rows)]
+        value = _row_reduce(shifted)[2]
+        system.append([Fraction(t) ** k for k in range(n)] + [value - t**n])
+    reduced, _, _ = _row_reduce(system)
+    return [row[n] for row in reduced] + [Fraction(1)]
+
+
 def char_poly(matrix: RationalMatrix) -> ExactPolynomial:
     """Monic characteristic polynomial det(xI - M), exact."""
-    m = matrix.rows
-    n = matrix.dimension
-    if n == 1:
-        coeffs = [-m[0][0], Fraction(1)]
-    elif n == 2:
-        tr = m[0][0] + m[1][1]
-        det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        coeffs = [det, -tr, Fraction(1)]
-    else:
-        tr = m[0][0] + m[1][1] + m[2][2]
-        minors = (
-            m[1][1] * m[2][2] - m[1][2] * m[2][1]
-            + m[0][0] * m[2][2] - m[0][2] * m[2][0]
-            + m[0][0] * m[1][1] - m[0][1] * m[1][0]
-        )
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
-        coeffs = [-det, minors, -tr, Fraction(1)]
-    return ExactPolynomial.from_rational_coeffs(coeffs)
-
-
-def _char_poly_fractions(matrix: RationalMatrix) -> list[Fraction]:
-    poly = char_poly(matrix)
-    return [poly.coefficient(k).rational_value() for k in range(poly.degree() + 1)]
+    return ExactPolynomial.from_rational_coeffs(_char_coeffs(matrix))
 
 
 def _eval_fraction_poly(coeffs: list[Fraction], x: Fraction) -> Fraction:
@@ -133,17 +147,15 @@ def _deflate(coeffs: list[Fraction], root: Fraction) -> list[Fraction]:
     return out
 
 
-def _rational_roots_cubic(coeffs: list[Fraction]) -> Optional[Fraction]:
-    """One rational root of a monic cubic with rational coefficients, or None."""
+def _rational_root(coeffs: list[Fraction]) -> Optional[Fraction]:
+    """One rational root of a monic rational polynomial, or None; by the
+    rational root theorem on its least integral multiple."""
     scale = math.lcm(*(c.denominator for c in coeffs))
-    ints = [int(c * scale) for c in coeffs]
-    lead, const = ints[-1], ints[0]
+    const = int(coeffs[0] * scale)
     if const == 0:
         return _ZERO
-    p_divs = divisors(abs(const))
-    q_divs = divisors(abs(lead))
-    for q in q_divs:
-        for p in p_divs:
+    for q in divisors(scale):
+        for p in divisors(abs(const)):
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if _eval_fraction_poly(coeffs, cand) == 0:
                     return cand
@@ -170,14 +182,16 @@ def eigenvalues(matrix: RationalMatrix) -> list[QuadSurd]:
     """Eigenvalues with multiplicity; rational plus at most one quadratic pair.
 
     Raises FixtureError when the characteristic polynomial has an
-    irreducible factor of degree 3 (unsupported factorization).
+    irreducible factor of degree 3 or more (unsupported factorization).
     """
-    coeffs = _char_poly_fractions(matrix)
+    coeffs = _char_coeffs(matrix)
     roots: list[QuadSurd] = []
     while len(coeffs) - 1 >= 3:
-        root = _rational_roots_cubic(coeffs)
+        root = _rational_root(coeffs)
         if root is None:
-            raise FixtureError("unsupported factorization: irreducible cubic factor")
+            raise FixtureError(
+                f"unsupported factorization: no rational root of a degree-{len(coeffs) - 1} factor"
+            )
         roots.append(QuadSurd(root, 0, 1))
         coeffs = _deflate(coeffs, root)
     degree = len(coeffs) - 1
@@ -189,30 +203,18 @@ def eigenvalues(matrix: RationalMatrix) -> list[QuadSurd]:
 
 
 def _nullspace(mat: list[list[QuadSurd]]) -> list[list[QuadSurd]]:
-    n = len(mat)
-    rows = [row[:] for row in mat]
-    pivots: list[int] = []
-    r = 0
-    for col in range(n):
-        pivot_row = next((i for i in range(r, n) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(n):
-            if i != r and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
+    """A basis of the kernel: one vector per free column of the reduced
+    rows, with 1 in that column."""
+    reduced, pivots, _ = _row_reduce(mat)
+    zero, one = QuadSurd(0, 0, 1), QuadSurd(1, 0, 1)
     basis = []
-    free_cols = [c for c in range(n) if c not in pivots]
-    for free in free_cols:
-        vec = [QuadSurd(0, 0, 1) for _ in range(n)]
-        vec[free] = QuadSurd(1, 0, 1)
-        for row_idx, col in enumerate(pivots):
-            vec[col] = -rows[row_idx][free]
+    for free in range(len(mat[0])):
+        if free in pivots:
+            continue
+        vec = [zero] * len(mat[0])
+        vec[free] = one
+        for row, col in zip(reduced, pivots):
+            vec[col] = -row[free]
         basis.append(vec)
     return basis
 
@@ -246,14 +248,10 @@ def eigen_decompose(matrix: RationalMatrix) -> list[tuple[QuadSurd, tuple[QuadSu
     multiplicity k with a k-dimensional eigenspace yield k pairs.
     """
     n = matrix.dimension
-    seen: list[QuadSurd] = []
     out: list[tuple[QuadSurd, tuple[QuadSurd, ...]]] = []
-    for lam in eigenvalues(matrix):
-        if any(lam == s for s in seen):
-            continue
-        seen.append(lam)
+    for lam in dict.fromkeys(eigenvalues(matrix)):
         shifted = [
-            [QuadSurd(matrix.rows[i][j], 0, 1) - (lam if i == j else QuadSurd(0, 0, 1)) for j in range(n)]
+            [QuadSurd(matrix.rows[i][j], 0, 1) - (lam if i == j else 0) for j in range(n)]
             for i in range(n)
         ]
         for vec in _nullspace(shifted):

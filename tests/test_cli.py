@@ -58,6 +58,20 @@ def test_theorem1_text_and_json(capsys):
     assert code == 0 and "\\sqrt{3}" in latex_out
 
 
+def test_json_request_skips_the_text_rendering(capsys, monkeypatch):
+    args = ("theorem1", "--level", "1", "--weight", "12", "--n", "1",
+            "--character", "kronecker:-3", "--format", "json")
+    _, expected, _ = run(capsys, *args)
+
+    def refuse(*_args):
+        raise RuntimeError("text rendering built for a JSON request")
+
+    monkeypatch.setattr(cli, "polynomial_to_text", refuse)
+    code, out, _ = run(capsys, *args)
+    assert code == 0
+    assert out == expected
+
+
 def test_crosscheck_small(capsys):
     code, out, _ = run(capsys, "crosscheck", "--grid", "small")
     assert code == 0
@@ -86,6 +100,92 @@ def test_eigen_fixture(capsys):
     vectors = {tuple(p["eigenvector"]) for p in data["pairs"]}
     assert ("118041", "1135193 + 19*sqrt(144169)") in vectors
     assert ("118041", "1135193 - 19*sqrt(144169)") in vectors
+
+
+# stdout of the eigen command on both matrix fixtures, pinned byte for byte
+EIGEN_OUTPUT = {
+    ("t2-weight24-level1", "text"): '''\
+char poly coefficients (degree-descending): ['1', '-1080', '-20468736']
+lambda = 540 + 12*sqrt(144169):  (118041, 1135193 + 19*sqrt(144169))
+lambda = 540 - 12*sqrt(144169):  (118041, 1135193 - 19*sqrt(144169))
+''',
+    ("t2-weight24-level1", "json"): '''\
+{
+ "fixture": "t2-weight24-level1",
+ "char_poly": [
+  "1",
+  "-1080",
+  "-20468736"
+ ],
+ "pairs": [
+  {
+   "eigenvalue": "540 + 12*sqrt(144169)",
+   "eigenvector": [
+    "118041",
+    "1135193 + 19*sqrt(144169)"
+   ]
+  },
+  {
+   "eigenvalue": "540 - 12*sqrt(144169)",
+   "eigenvector": [
+    "118041",
+    "1135193 - 19*sqrt(144169)"
+   ]
+  }
+ ]
+}
+''',
+    ("t3-weight16-level2", "text"): '''\
+char poly coefficients (degree-descending): ['1', '444', '-30654288', '-70079318208']
+lambda = -3348:  (13, 176, 0)
+lambda = -3348:  (13, 0, -1408)
+lambda = 6252:  (7, 110, 168)
+''',
+    ("t3-weight16-level2", "json"): '''\
+{
+ "fixture": "t3-weight16-level2",
+ "char_poly": [
+  "1",
+  "444",
+  "-30654288",
+  "-70079318208"
+ ],
+ "pairs": [
+  {
+   "eigenvalue": "-3348",
+   "eigenvector": [
+    "13",
+    "176",
+    "0"
+   ]
+  },
+  {
+   "eigenvalue": "-3348",
+   "eigenvector": [
+    "13",
+    "0",
+    "-1408"
+   ]
+  },
+  {
+   "eigenvalue": "6252",
+   "eigenvector": [
+    "7",
+    "110",
+    "168"
+   ]
+  }
+ ]
+}
+''',
+}
+
+
+@pytest.mark.parametrize("fixture, fmt", sorted(EIGEN_OUTPUT))
+def test_eigen_matrix_output_pinned(capsys, fixture, fmt):
+    code, out, _ = run(capsys, "eigen", "--fixture", fixture, "--format", fmt)
+    assert code == 0
+    assert out == EIGEN_OUTPUT[fixture, fmt]
 
 
 def test_eigen_form_fixture(capsys):

@@ -61,6 +61,18 @@ def test_cyclotomic_polynomials():
         assert len(cyclotomic_polynomial(m)) == euler_phi(m) + 1
 
 
+def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
+    for m in range(1, 301):
+        product = [1]
+        for d in range(1, m + 1):
+            if m % d == 0:
+                product = _poly_mul(product, cyclotomic_polynomial(d))
+        assert product == [-1] + [0] * (m - 1) + [1], m
+    # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
+    phi_105 = cyclotomic_polynomial(105)
+    assert phi_105[7] == phi_105[41] == -2
+
+
 # ---------------------------------------------------------------------------
 # ring structure
 

@@ -30,7 +30,9 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         RationalMatrix([[1, 2]])
     with pytest.raises(ValueError):
-        RationalMatrix([[1, 2, 3, 4]] * 4)
+        RationalMatrix([[1, 2, 3], [4, 5]])
+    with pytest.raises(ValueError):
+        RationalMatrix([])
     m = RationalMatrix([["1/2", 1], [0, 3]])
     assert m.transpose().rows[0] == (Fraction(1, 2), Fraction(0))
 
@@ -88,6 +90,42 @@ def test_eigen_decompose_weight16(registry):
 
 def test_irreducible_cubic_rejected():
     companion = RationalMatrix([[0, 0, 2], [1, 0, 0], [0, 1, 0]])  # x^3 - 2
+    with pytest.raises(FixtureError, match="unsupported factorization"):
+        eigenvalues(companion)
+
+
+# P B P^-1 for B = diag(2, 2, -3) + [[0, 1], [1, 1]] and a unimodular P:
+# char poly (x - 2)^2 (x + 3) (x^2 - x - 1), a 2-dimensional eigenspace for 2
+FIVE = [
+    [23, -39, 32, -13, 13],
+    [9, -17, 13, -4, 4],
+    [-2, 1, -2, 3, -3],
+    [9, -18, 13, -3, 5],
+    [-1, 1, -2, 1, 1],
+]
+
+
+def test_char_poly_general_dimension():
+    linear = [ExactPolynomial.from_rational_coeffs([-2, 1])] * 2
+    linear.append(ExactPolynomial.from_rational_coeffs([3, 1]))
+    expected = ExactPolynomial.from_rational_coeffs([-1, -1, 1])
+    for factor in linear:
+        expected = expected * factor
+    assert char_poly(RationalMatrix(FIVE)) == expected
+
+
+def test_eigen_decompose_general_dimension():
+    matrix = RationalMatrix(FIVE)
+    pairs = eigen_decompose(matrix)
+    golden = (QuadSurd(Fraction(1, 2), Fraction(1, 2), 5), QuadSurd(Fraction(1, 2), Fraction(-1, 2), 5))
+    assert [lam for lam, _ in pairs] == [QuadSurd(2, 0, 1)] * 2 + [QuadSurd(-3, 0, 1), *golden]
+    for lam, vec in pairs:
+        assert any(vec)
+        assert matrix.apply(list(vec)) == [lam * v for v in vec]
+
+
+def test_irreducible_quartic_rejected():
+    companion = RationalMatrix([[0, 0, 0, 2], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]])  # x^4 - 2
     with pytest.raises(FixtureError, match="unsupported factorization"):
         eigenvalues(companion)
 
