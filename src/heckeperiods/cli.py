@@ -40,6 +40,7 @@ from .eigenforms import (
     twisted_lambda_ratio,
 )
 from .numeric import (
+    TRUNCATION,
     _split_lambda,
     assembled_twisted_lambda,
     lambda_delta,
@@ -117,11 +118,17 @@ def character_spec_string(chi: DirichletCharacter) -> str:
 # output helpers
 
 
+# text output trial-divides by candidates below this and prints what is left
+# unfactored: a cofactor below its square is 1 or prime, so a number whose
+# second-largest prime factor is below it prints fully factored
+_FACTOR_BOUND = 2**16
+
+
 def _factored_int(n: int) -> str:
     if n <= 1:
         return str(n)
     parts = []
-    for p, e in sorted(factorize(n).items()):
+    for p, e in sorted(factorize(n, _FACTOR_BOUND).items()):
         parts.append(str(p) if e == 1 else f"{p}^{e}")
     return "*".join(parts)
 
@@ -377,7 +384,7 @@ def cmd_ratio(args) -> int:
         "m2": args.m2,
         "base": value.base.to_json(),
         "radical": value.radical.to_json(),
-        "radicand": value.d,
+        "radicand": form.radicand,
         "text": text,
     }
     _emit(args, payload, lambda: text)
@@ -508,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--character", default="kronecker:-3")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--truncation", type=int, default=None)
+    p.add_argument("--truncation", type=int, default=TRUNCATION)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("fixtures", help="list or dump the bundled fixtures")
@@ -528,14 +535,10 @@ _HANDLERS = {
     "fixtures": cmd_fixtures,
 }
 
-_DEFAULT_TRUNCATION = {"lambda": 120, "petersson": 10**4, "twisted": 300, "trace": 300}
-
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "truncation", None) is None and args.command == "verify-numeric":
-        args.truncation = _DEFAULT_TRUNCATION[args.check]
     try:
         return _HANDLERS[args.command](args)
     except ParityError as exc:

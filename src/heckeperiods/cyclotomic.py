@@ -38,14 +38,17 @@ def euler_phi(n: int) -> int:
     return math.prod((p - 1) * p ** (e - 1) for p, e in factorize(n).items())
 
 
-def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1 by trial division (desk-scale inputs)."""
+def factorize(n: int, bound: Optional[int] = None) -> dict[int, int]:
+    """Prime factorization of n >= 1 by trial division (desk-scale inputs).
+    With a bound, only candidates below it are tried, and what is left, a
+    number whose prime factors all lie at or above the bound, is entered
+    as one factor: prime whenever it is below bound**2."""
     if n < 1:
         raise ValueError("factorize needs a positive integer")
     factors: dict[int, int] = {}
     m = n
     p = 2
-    while p * p <= m:
+    while p * p <= m and (bound is None or p < bound):
         while m % p == 0:
             factors[p] = factors.get(p, 0) + 1
             m //= p
@@ -489,34 +492,43 @@ def sqrt_positive_integer(n: int) -> ExactNumber:
     return sqrt_integer(f) * s
 
 
+def _is_zero(x) -> bool:
+    """Zero test for a Fraction or an ExactNumber, without lifting a 0."""
+    return x.is_zero() if isinstance(x, ExactNumber) else x == 0
+
+
 def _legendre(a: int, p: int) -> int:
     r = pow(a % p, (p - 1) // 2, p)
     return r - p if r > 1 else r
 
 
 # ---------------------------------------------------------------------------
-# quadratic surd recognition
+# quadratic extensions and surd recognition
 
 
 class QuadSurd:
-    """A number a + b*sqrt(d) with rational a, b and squarefree d >= 1."""
+    """A number a + b*sqrt(d) with squarefree d >= 1 and parts a, b either
+    both rational (Fraction) or cyclotomic (ExactNumber), the root adjoined
+    formally.  Normalized: b = 0 sets d = 1, and for d = 1 the radical part
+    is folded into a."""
 
     __slots__ = ("a", "b", "d")
 
     def __init__(self, a, b, d: int):
-        a, b = Fraction(a), Fraction(b)
+        a = a if isinstance(a, ExactNumber) else Fraction(a)
+        b = b if isinstance(b, ExactNumber) else Fraction(b)
         if d < 1 or not is_squarefree(d):
             raise ValueError("radicand must be a squarefree positive integer")
-        if b == 0:
+        if _is_zero(b):
             d = 1
-        if d == 1:
-            a, b = a + b, _ZERO
+        elif d == 1:
+            a, b = a + b, b * 0
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
     def __setattr__(self, name, value):
-        raise AttributeError("QuadSurd is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -527,7 +539,7 @@ class QuadSurd:
     def __hash__(self):
         return hash((self.a, self.b, self.d))
 
-    # -- field arithmetic in Q(sqrt d); rationals (d = 1) mix with anything
+    # -- field arithmetic in K(sqrt d); rationals (d = 1) mix with anything
 
     @staticmethod
     def _coerce(value):
@@ -545,24 +557,25 @@ class QuadSurd:
         raise ValueError(f"incompatible radicands {self.d} and {other.d}")
 
     def is_zero(self) -> bool:
-        return self.a == 0 and self.b == 0
+        return _is_zero(self.a) and _is_zero(self.b)
 
     def __bool__(self):
         return not self.is_zero()
 
     def conjugate(self) -> "QuadSurd":
-        return QuadSurd(self.a, -self.b, self.d)
+        """The image under sqrt(d) -> -sqrt(d)."""
+        return type(self)(self.a, -self.b, self.d)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return QuadSurd(self.a + other.a, self.b + other.b, self._join(other))
+        return type(self)(self.a + other.a, self.b + other.b, self._join(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadSurd(-self.a, -self.b, self.d)
+        return type(self)(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -574,14 +587,16 @@ class QuadSurd:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return -self + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction, ExactNumber)):
+            return type(self)(self.a * other, self.b * other, self.d)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         d = self._join(other)
-        return QuadSurd(
+        return type(self)(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -591,9 +606,10 @@ class QuadSurd:
 
     def inverse(self) -> "QuadSurd":
         norm = self.a * self.a - self.b * self.b * self.d
-        if norm == 0:
+        if _is_zero(norm):
             raise ZeroDivisionError("inverse of zero surd")
-        return QuadSurd(self.a / norm, -self.b / norm, self.d)
+        inv = 1 / norm
+        return type(self)(self.a * inv, -self.b * inv, self.d)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -605,7 +621,7 @@ class QuadSurd:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other * self.inverse()
+        return self.inverse() * other
 
     def numeric(self) -> float:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
@@ -675,11 +691,12 @@ def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
         level = math.lcm(x.level, root.level)
         xs = x.lift_to(level)
         rs = root.lift_to(level)
-        pivot = next((j for j in range(1, len(rs.coords)) if rs.coords[j]), None)
+        x_coords, r_coords = xs.coords, rs.coords
+        pivot = next((j for j in range(1, len(r_coords)) if r_coords[j]), None)
         if pivot is None:
             continue
-        b = xs.coords[pivot] / rs.coords[pivot]
-        a = xs.coords[0] - b * rs.coords[0]
+        b = x_coords[pivot] / r_coords[pivot]
+        a = x_coords[0] - b * r_coords[0]
         if b and xs == ExactNumber.from_rational(a, level) + rs * b:
             return QuadSurd(a, b, d)
     return None

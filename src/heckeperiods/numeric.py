@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -25,6 +26,9 @@ _ZETA_TERMS = 100000
 _TRACE_TOLERANCE = 1e-5
 # fewest q-expansion terms a numeric sum accepts: a shorter sum is no check
 _MIN_TERMS = 100
+# q-expansion terms every numeric sum takes by default; the lambda values
+# and 1/||Delta||^2 are bit-identical from here to 10^4 terms
+TRUNCATION = 300
 
 
 @dataclass(frozen=True)
@@ -66,19 +70,23 @@ def _pentagonal_terms(m: int) -> list[tuple[int, int]]:
 
 
 _tau_cache: list[int] = []
+_tau_publish = threading.Lock()
 
 
 def tau_coefficients(m: int) -> QExpansion:
     """tau(1..m), exact, as the coefficients of g = f^24 for the pentagonal
-    series f, by the power recurrence n g_n = sum_j (25j - n) f_j g_(n-j)."""
+    series f, by the power recurrence n g_n = sum_j (25j - n) f_j g_(n-j).
+    The shared table only ever grows: a request extends its own copy and
+    publishes it if it is still the longest."""
     if m < 1:
         raise ContextError("need at least one tau coefficient")
     if m > 10**6:
         raise ContextError("truncation capped at 10^6")
     global _tau_cache
-    if len(_tau_cache) < m:
+    table = _tau_cache
+    if len(table) < m:
         terms = _pentagonal_terms(m)
-        g = list(_tau_cache) or [1]
+        g = list(table) or [1]
         for n in range(len(g), m):
             acc = 0
             for j, sign in terms:
@@ -89,8 +97,11 @@ def tau_coefficients(m: int) -> QExpansion:
             if remainder:
                 raise ArithmeticError(f"power recurrence not exact at q^{n}")
             g.append(value)
-        _tau_cache = g
-    return QExpansion(tuple(_tau_cache[:m]), weight=12, level=1)
+        with _tau_publish:
+            if len(g) > len(_tau_cache):
+                _tau_cache = g
+        table = g
+    return QExpansion(tuple(table[:m]), weight=12, level=1)
 
 
 def _check_terms(truncation: int) -> None:
@@ -118,10 +129,15 @@ def incomplete_gamma_integer(k: int, x: float) -> float:
 def _split_lambda(s: int, truncation: int, t0: float) -> float:
     """Completed L-value of the discriminant form with its Mellin integral
     split at height t0; the piece below t0 is mapped above 1/t0 by the
-    functional equation.  The value does not depend on t0, the terms do."""
-    tau = tau_coefficients(truncation)
+    functional equation.  The value does not depend on t0, the terms do.
+    They fall like exp(-2 pi n min(t0, 1/t0)), so the sum stops near n = 17
+    for t0 in {1/2, 1}; the table past the first _MIN_TERMS coefficients is
+    only asked for if the sum runs beyond them."""
+    tau = tau_coefficients(min(truncation, _MIN_TERMS))
     total = 0.0
     for n in range(1, truncation + 1):
+        if n > tau.truncation():
+            tau = tau_coefficients(truncation)
         x = 2 * math.pi * n
         term = tau.a(n) * (
             incomplete_gamma_integer(s, x * t0) / x**s
@@ -134,7 +150,7 @@ def _split_lambda(s: int, truncation: int, t0: float) -> float:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def lambda_delta(s: int, truncation: int = 120) -> float:
+def lambda_delta(s: int, truncation: int = TRUNCATION) -> float:
     """Completed L-value of the discriminant form at integer s in 1..11."""
     if not 1 <= s <= 11:
         raise ContextError("s must lie in 1..11")
@@ -160,7 +176,7 @@ def zeta_value(s: int) -> float:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def petersson_delta_inverse(truncation: int = 10**4) -> float:
+def petersson_delta_inverse(truncation: int = TRUNCATION) -> float:
     """1 / ||Delta||^2 by inverting the zeta-ratio identity for the
     weighted sum of squared tau values."""
     _check_terms(truncation)
@@ -180,7 +196,7 @@ def petersson_delta_inverse(truncation: int = 10**4) -> float:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def numeric_twisted_period(m: int, h: int, d: int, truncation: int = 300) -> complex:
+def numeric_twisted_period(m: int, h: int, d: int, truncation: int = TRUNCATION) -> complex:
     """r_{m, h/d} of the discriminant form: the path integral split at
     height 1/d, the lower piece mapped back up through the cusp matrix."""
     if math.gcd(h, d) != 1:
@@ -215,7 +231,7 @@ def numeric_twisted_period(m: int, h: int, d: int, truncation: int = 300) -> com
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def assembled_twisted_lambda(m: int, chi: DirichletCharacter, truncation: int = 300) -> complex:
+def assembled_twisted_lambda(m: int, chi: DirichletCharacter, truncation: int = TRUNCATION) -> complex:
     """Lambda(Delta, chi, m+1) numerically: (-D i)^(m+1) / tau(conj chi)
     times the conj(chi)-weighted sum of residue periods."""
     d = chi.modulus
@@ -254,7 +270,7 @@ class NumericCheck:
         }
 
 
-def verify_trace_numeric(query: TraceQuery, truncation: int = 300) -> NumericCheck:
+def verify_trace_numeric(query: TraceQuery, truncation: int = TRUNCATION) -> NumericCheck:
     """Compare the exact trace (evaluated as a float) against the numeric
     product Lambda(Delta, chi, m+1) * Lambda(Delta, n+1) / ||Delta||^2.
 

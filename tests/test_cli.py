@@ -349,3 +349,90 @@ def test_zero_trace_exits_zero(capsys):
     code, json_out, _ = run(capsys, *args, "--format", "json")
     assert code == 0
     assert ExactNumber.from_json(json.loads(json_out)["exact"]).is_zero()
+
+
+def test_factoring_in_text_output_is_bounded():
+    # both factors are primes above the 2^16 trial-division bound; complete
+    # trial division of this product would not return
+    n = (2**31 - 1) * (2**61 - 1)
+    assert cli._factored_int(n) == str(n)
+    assert cli._factored_int(2**20 * 3 * 65537 * 65539) == f"2^20*3*{65537 * 65539}"
+    assert cli._factored_int(2**5 * 3**4 * 65521 * 65537) == "2^5*3^4*65521*65537"
+    assert factored_surd_str(QuadSurd(0, Fraction(7, n), 3)) == f"(7/{n})*sqrt(3)"
+
+
+# ratio --format json stdout, captured before SurdPair became a QuadSurd:
+# a zero ratio, whose radical vanishes, still reports the form's radicand
+RATIO_OUTPUT = {
+    ("sl2z-w24-odd-plus", "kronecker:-3", "11", "1"): '''{
+ "fixture": "sl2z-w24-odd-plus",
+ "character": "table:3:0,zeta[2]^0,zeta[2]^1",
+ "m1": 11,
+ "m2": 1,
+ "base": {
+  "level": 12,
+  "coords": [
+   "0",
+   "0",
+   "0",
+   "0"
+  ]
+ },
+ "radical": {
+  "level": 12,
+  "coords": [
+   "0",
+   "0",
+   "0",
+   "0"
+  ]
+ },
+ "radicand": 144169,
+ "text": "0"
+}
+''',
+    ("sl2z-w24-even-plus", "kronecker:5", "9", "11"): '''{
+ "fixture": "sl2z-w24-even-plus",
+ "character": "table:5:0,zeta[2]^0,zeta[2]^1,zeta[2]^1,zeta[2]^0",
+ "m1": 9,
+ "m2": 11,
+ "base": {
+  "level": 20,
+  "coords": [
+   "4301981/57760",
+   "0",
+   "0",
+   "0",
+   "0",
+   "0",
+   "0",
+   "0"
+  ]
+ },
+ "radical": {
+  "level": 20,
+  "coords": [
+   "12443/635360",
+   "0",
+   "0",
+   "0",
+   "0",
+   "0",
+   "0",
+   "0"
+  ]
+ },
+ "radicand": 144169,
+ "text": "(4301981/57760) + (12443/635360)*sqrt(144169)"
+}
+''',
+}
+
+
+@pytest.mark.parametrize("request_key", sorted(RATIO_OUTPUT))
+def test_ratio_json_output_pinned(capsys, request_key):
+    fixture, character, m1, m2 = request_key
+    code, out, err = run(capsys, "ratio", "--fixture", fixture, "--character", character,
+                         "--m1", m1, "--m2", m2, "--format", "json")
+    assert (code, err) == (0, "")
+    assert out == RATIO_OUTPUT[request_key]

@@ -219,6 +219,44 @@ def test_surd_pair_arithmetic():
     assert x.conjugate_radical().radical == -two
 
 
+def test_surd_pair_is_quad_surd_over_the_cyclotomic_field():
+    i = ExactNumber.zeta(4)
+    w = ExactNumber.zeta(3)
+    x = SurdPair(i, w, D2)
+    y = SurdPair(w, ExactNumber.one(), D2)
+    # every operation keeps the subclass
+    results = [x + y, x - y, -x, x * y, x / y, x.inverse(), x.conjugate(),
+               x.conjugate_radical(), 2 + x, 1 - x, 1 / x, x * Fraction(1, 3), i * x,
+               SurdPair.zero(D2)]
+    assert all(type(r) is SurdPair for r in results)
+    assert isinstance(x, QuadSurd)
+    assert (x / y) * y == x and x * x.inverse() == 1
+    assert (x * y).base == i * w + w * D2 and (x * y).radical == i + w * w
+    # an int, Fraction or ExactNumber factor scales both parts in place
+    for factor in (3, Fraction(-2, 7), ExactNumber.from_rational(5)):
+        scaled = x * factor
+        assert (scaled.base.level, scaled.radical.level) == (4, 3)
+        assert scaled.base == i * factor and scaled.radical == w * factor
+    assert (x * i).radical.level == 12
+    # a zero radical compares equal whatever d was, and keeps its level
+    zero_rad = SurdPair(i, ExactNumber.zero(12), D2)
+    assert zero_rad == SurdPair(i, ExactNumber.zero(), 5) == SurdPair(i, ExactNumber.zero(), 1)
+    assert zero_rad.d == 1 and zero_rad.radical.level == 12
+    assert SurdPair.zero(D2).is_zero() and not x.is_zero()
+    # d = 1 folds the radical into the base
+    folded = SurdPair(i, w, 1)
+    assert folded.base == i + w and folded.radical.is_zero()
+    with pytest.raises(ValueError):
+        x + SurdPair(i, w, 5)
+    with pytest.raises(ValueError):
+        x * SurdPair(i, w, 5)
+    with pytest.raises(ZeroDivisionError):
+        SurdPair.zero(D2).inverse()
+    with pytest.raises(AttributeError):
+        x.a = i
+    assert str(x) == repr(x) == f"SurdPair(d={D2})"
+
+
 def test_fixture_registry_contents(registry):
     assert len(registry.eigenforms) == 42
     assert len(registry.matrices) == 2

@@ -1,6 +1,8 @@
 """Floating checks: tau expansion, completed L-values, path integrals."""
 
 import math
+import sys
+import threading
 
 import pytest
 
@@ -64,7 +66,7 @@ def test_tau_multiplicativity_spot_checks():
 
 
 def test_tau_at_petersson_size(monkeypatch):
-    # tau(1..10^4) is what petersson_delta_inverse() sums over
+    # tau(1..10^4) is what petersson_delta_inverse(10**4) sums over
     monkeypatch.setattr(numeric, "_tau_cache", [])
     m = 10**4
     tau = tau_coefficients(m)
@@ -84,6 +86,65 @@ def test_tau_at_petersson_size(monkeypatch):
     assert tau.a(97 * 103) == tau.a(97) * tau.a(103)
     # a shorter request is served from the prefix
     assert tau_coefficients(40).coefficients == brute_force_tau(40)
+
+
+def test_a_short_tau_request_never_shrinks_the_table(monkeypatch):
+    # the short request copies the (empty) table and is paused inside its
+    # recurrence while a long one computes and publishes 1000 coefficients
+    monkeypatch.setattr(numeric, "_tau_cache", [])
+    paused, resume = threading.Event(), threading.Event()
+    pentagonal = numeric._pentagonal_terms
+
+    class PausedOnce(list):
+        def __iter__(self):
+            if not paused.is_set():
+                paused.set()
+                resume.wait(30)
+            return super().__iter__()
+
+    monkeypatch.setattr(
+        numeric, "_pentagonal_terms", lambda m: PausedOnce(pentagonal(m)) if m == 150 else pentagonal(m)
+    )
+    short = []
+    thread = threading.Thread(target=lambda: short.append(tau_coefficients(150)))
+    thread.start()
+    try:
+        assert paused.wait(30)
+        long = tau_coefficients(1000)
+    finally:
+        resume.set()
+        thread.join(30)
+    assert not thread.is_alive()
+    assert len(numeric._tau_cache) == 1000
+    assert short[0].coefficients == long.coefficients[:150]
+
+
+def test_concurrent_tau_requests_keep_the_longest_table(monkeypatch):
+    monkeypatch.setattr(numeric, "_tau_cache", [])
+    # the longest requests start first, so shorter ones finish after them
+    sizes = [400 * k for k in range(8, 0, -1)]
+    results = {}
+    start = threading.Barrier(len(sizes))
+
+    def request(m):
+        start.wait(30)
+        results[m] = tau_coefficients(m)
+
+    threads = [threading.Thread(target=request, args=(m,)) for m in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert len(numeric._tau_cache) == max(sizes)
+    longest = results[max(sizes)].coefficients
+    for m in sizes:
+        assert results[m].coefficients == longest[:m]
 
 
 def test_qexpansion_validation():
