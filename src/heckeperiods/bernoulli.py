@@ -11,7 +11,6 @@ internal error, not a recoverable condition.
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,36 +18,29 @@ from .characters import DirichletCharacter
 from .cyclotomic import _MEMO_SIZE, ExactNumber, ExactPolynomial, _add_into, _bucket_poly, _fold, euler_phi
 
 _ZERO = Fraction(0)
-
-_numbers: list[Fraction] = [Fraction(1)]
-_numbers_lock = threading.Lock()
+# Bernoulli numbers are memoized in rows of this length: a short row wastes
+# little on a cold start, and the recursion over rows stays shallow
+_ROW = 8
 
 
 def bernoulli_number(k: int) -> Fraction:
-    """B_k, memoized; 0 for negative k."""
-    if k < 0:
-        return _ZERO
-    if k >= len(_numbers):
-        with _numbers_lock:
-            while len(_numbers) <= k:
-                m = len(_numbers)
-                acc = _ZERO
-                for j in range(m):
-                    acc += math.comb(m + 1, j) * _numbers[j]
-                _numbers.append(-acc / (m + 1))
-    return _numbers[k]
+    """B_k; 0 for negative k."""
+    return _bernoulli_numbers(k // _ROW)[k] if k >= 0 else _ZERO
 
 
-def bernoulli_poly_coeffs(k: int) -> list[Fraction]:
-    """Ascending rational coefficients of B_k(x); empty list for k < 0."""
-    if k < 0:
-        return []
-    return [math.comb(k, j) * bernoulli_number(j) for j in range(k, -1, -1)]
+@lru_cache(maxsize=_MEMO_SIZE)
+def _bernoulli_numbers(row: int) -> tuple[Fraction, ...]:
+    """B_0..B_m for m = _ROW*(row + 1) - 1: the numbers of the rows below,
+    extended by the recurrence sum_{j <= m} C(m+1, j) B_j = 0."""
+    numbers = list(_bernoulli_numbers(row - 1)) if row else [Fraction(1)]
+    for m in range(len(numbers), _ROW * (row + 1)):
+        numbers.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(numbers)) / (m + 1))
+    return tuple(numbers)
 
 
 def bernoulli_poly(k: int) -> ExactPolynomial:
     """B_k(x) as an exact polynomial; the zero polynomial for k < 0."""
-    return ExactPolynomial.from_rational_coeffs(bernoulli_poly_coeffs(k))
+    return ExactPolynomial.from_rational_coeffs(bernoulli_shifted_coeffs(k, _ZERO))
 
 
 def bernoulli_shifted_coeffs(k: int, a: Fraction) -> list[Fraction]:
@@ -97,8 +89,6 @@ def generalized_bernoulli_poly(k: int, chi: DirichletCharacter) -> ExactPolynomi
 
 def generalized_bernoulli_number(k: int, chi: DirichletCharacter) -> ExactNumber:
     """Constant term of the weighted polynomial; 0 for k < 0."""
-    if k < 0:
-        return ExactNumber.zero()
     return generalized_bernoulli_poly(k, chi).coefficient(0)
 
 
@@ -123,11 +113,12 @@ def _weighted_coordinates(k: int, chi: DirichletCharacter) -> tuple[tuple[Fracti
     return via_sum
 
 
-def _weighted_rational_polys(k: int, chi: DirichletCharacter) -> list[list[Fraction]]:
-    """For each value-exponent class e, the rational polynomial multiplying
-    zeta_order**e in D^(k-1) * sum_h chi(h) B_k((h+x)/D)."""
+def _via_residue_sum(k: int, chi: DirichletCharacter) -> tuple[tuple[Fraction, ...], ...]:
+    """D^(k-1) * sum_h chi(h) B_k((h+x)/D), one rational polynomial per
+    value-exponent class, folded to coordinates at level ord chi."""
     d = chi.modulus
     scale = Fraction(d) ** (k - 1)
+    inv = Fraction(1, d)
     buckets: list[list[Fraction]] = [[] for _ in range(chi.order)]
     for h in range(d):
         e = chi.exponents[h]
@@ -135,13 +126,7 @@ def _weighted_rational_polys(k: int, chi: DirichletCharacter) -> list[list[Fract
             continue
         # B_k((h+x)/D) = sum_j C(k,j) B_j(h/D) (x/D)^(k-j)
         shifted = bernoulli_shifted_coeffs(k, Fraction(h, d))
-        inv = Fraction(1, d)
         _add_into(buckets[e], [c * inv**i * scale for i, c in enumerate(shifted)])
-    return buckets
-
-
-def _via_residue_sum(k: int, chi: DirichletCharacter) -> tuple[tuple[Fraction, ...], ...]:
-    buckets = _weighted_rational_polys(k, chi)
     columns = [_fold([b[i] if i < len(b) else _ZERO for b in buckets], chi.order) for i in range(k + 1)]
     return tuple(zip(*columns))
 

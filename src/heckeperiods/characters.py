@@ -343,26 +343,21 @@ def gauss_sum(chi: DirichletCharacter) -> ExactNumber:
 
 
 def chi_four_tuple(chi: DirichletCharacter, a: int, c: int, k: int, ell: int) -> ExactNumber:
-    """chi(a,c,k,ell) = chi(k*b + ell*d) for any b, d with a*d - b*c = 1.
+    """chi(a,c,k,ell) = chi(k*b + ell*d) for any b, d with a*d - b*c = 1; the
+    value does not depend on the pair, since (b,d) + t*(a,c) adds t*modulus."""
+    e = chi_four_tuple_exponent(chi, a, c, k, ell)
+    return ExactNumber.zero(chi.order) if e is None else ExactNumber.zeta(chi.order, e)
 
-    Requires gcd(a,c) = 1 and k*a + ell*c = modulus; the value does not
-    depend on the Bezout pair because shifting (b,d) by t*(a,c) moves the
-    argument by t*modulus.
-    """
+
+def chi_four_tuple_exponent(chi: DirichletCharacter, a: int, c: int, k: int, ell: int) -> Optional[int]:
+    """Exponent form of chi_four_tuple (None when the value is 0), for
+    positive arguments with gcd(a,c) = 1 and k*a + ell*c = modulus."""
     if min(a, c, k, ell) < 1:
         raise CharacterError("all four arguments must be positive")
     if math.gcd(a, c) != 1:
         raise CharacterError(f"gcd({a},{c}) != 1")
     if k * a + ell * c != chi.modulus:
         raise CharacterError(f"{k}*{a} + {ell}*{c} != {chi.modulus}")
-    b, d = bezout_pair(a, c)
-    return chi.value((k * b + ell * d) % chi.modulus)
-
-
-def chi_four_tuple_exponent(chi: DirichletCharacter, a: int, c: int, k: int, ell: int) -> Optional[int]:
-    """Exponent form of chi_four_tuple (None when the value is 0)."""
-    if math.gcd(a, c) != 1 or k * a + ell * c != chi.modulus:
-        raise CharacterError("invalid quadruple")
     b, d = bezout_pair(a, c)
     return chi.value_exponent((k * b + ell * d) % chi.modulus)
 

@@ -41,6 +41,7 @@ from .eigenforms import (
 )
 from .numeric import (
     TRUNCATION,
+    _float_json,
     _split_lambda,
     assembled_twisted_lambda,
     lambda_delta,
@@ -256,11 +257,10 @@ def cmd_trace(args) -> int:
     query = TraceQuery(ctx, args.m)
     value = trace_closed_form(query)
     surd = recognize_surd(value)
-    z = value.numeric()
     payload = {
         "exact": value.to_json(),
         "surd": str(surd) if surd is not None else None,
-        "float": z.real if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) else [z.real, z.imag],
+        "float": _float_json(value.numeric()),
     }
     _emit(
         args,

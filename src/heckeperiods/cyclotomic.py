@@ -80,17 +80,14 @@ def is_squarefree(n: int) -> bool:
 
 
 def squarefree_divisors(n: int) -> list[int]:
-    divs = [1]
-    for p in factorize(n):
-        divs += [d * p for d in divs]
-    return sorted(divs)
+    """The divisors of the radical of n."""
+    return divisors(math.prod(factorize(n)))
 
 
 # ---------------------------------------------------------------------------
 # cyclotomic polynomials and reduction tables
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Integer coefficients of Phi_m, ascending: the product of
     (1 - x^(m/s))^mu(s) over squarefree s | m, as power series cut at
@@ -206,7 +203,7 @@ class ExactNumber:
             raise ValueError(
                 f"need {euler_phi(level)} coordinates at level {level}, got {len(coords)}"
             )
-        den, (nums,) = _cleared([coords])
+        den, nums = _cleared(coords)
         _store(self, level, den, nums)
 
     @classmethod
@@ -381,16 +378,19 @@ class ExactNumber:
         return result._scale(product._den, product._nums[0])
 
     def __truediv__(self, other):
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                raise ZeroDivisionError("division by zero")
+            return self._scale(other.denominator, other.numerator)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other * self.inverse()
+        if isinstance(other, (int, Fraction)):
+            return self.inverse()._scale(other.numerator, other.denominator)
+        return NotImplemented
 
     def __pow__(self, exponent: int):
         if not isinstance(exponent, int):
@@ -413,10 +413,6 @@ class ExactNumber:
             return NotImplemented
         a, b = self._common(other)
         return a._den == b._den and a._nums == b._nums
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     __hash__ = None  # mutable-free but not canonical across levels
 
@@ -824,26 +820,23 @@ class ExactPolynomial:
 
 def _bucket_sum(values: Sequence[Fraction], order: int) -> ExactNumber:
     """sum_e values[e] * zeta_order**e, for one rational per exponent class."""
-    den, (nums,) = _cleared([values])
+    den, nums = _cleared(values)
     return ExactNumber._make(order, den, _fold(nums, order))
 
 
 def _bucket_poly(buckets: Sequence[Sequence[Fraction]], order: int) -> ExactPolynomial:
-    """sum_e buckets[e](x) * zeta_order**e, assembled one coefficient at a time
-    from the ascending rational polynomial of each exponent class."""
-    den, nums = _cleared(buckets)
-    top = max((len(b) for b in nums), default=0)
+    """sum_e buckets[e](x) * zeta_order**e, each coefficient the _bucket_sum
+    of the ascending rational polynomials of the exponent classes."""
+    top = max((len(b) for b in buckets), default=0)
     return ExactPolynomial(
-        ExactNumber._make(order, den, _fold([b[i] if i < len(b) else 0 for b in nums], order))
-        for i in range(top)
+        _bucket_sum([b[i] if i < len(b) else 0 for b in buckets], order) for i in range(top)
     )
 
 
-def _cleared(lists: Sequence[Sequence[Fraction]]) -> tuple[int, list[list[int]]]:
-    """One common denominator of rational lists, and their integer numerators
-    over it."""
-    den = math.lcm(*(q.denominator for values in lists for q in values))
-    return den, [[q.numerator * (den // q.denominator) for q in values] for values in lists]
+def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """One common denominator of rationals, and their integer numerators over it."""
+    den = math.lcm(*(q.denominator for q in values))
+    return den, [q.numerator * (den // q.denominator) for q in values]
 
 
 def _add_into(bucket: list, coeffs: Sequence) -> None:

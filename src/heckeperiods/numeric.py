@@ -13,10 +13,8 @@ import cmath
 import math
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .characters import DirichletCharacter, gauss_sum
-from .cyclotomic import _MEMO_SIZE
 from .periods import ContextError
 from .traces import TraceQuery, trace_closed_form
 
@@ -149,7 +147,6 @@ def _split_lambda(s: int, truncation: int, t0: float) -> float:
     return total
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def lambda_delta(s: int, truncation: int = TRUNCATION) -> float:
     """Completed L-value of the discriminant form at integer s in 1..11."""
     if not 1 <= s <= 11:
@@ -158,7 +155,6 @@ def lambda_delta(s: int, truncation: int = TRUNCATION) -> float:
     return _split_lambda(s, truncation, 1.0)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def zeta_value(s: int) -> float:
     """Zeta by direct summation plus the integral-plus-half tail correction."""
     if s < 2:
@@ -175,7 +171,6 @@ def zeta_value(s: int) -> float:
     return total
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def petersson_delta_inverse(truncation: int = TRUNCATION) -> float:
     """1 / ||Delta||^2 by inverting the zeta-ratio identity for the
     weighted sum of squared tau values."""
@@ -195,7 +190,6 @@ def petersson_delta_inverse(truncation: int = TRUNCATION) -> float:
 # twisted periods as path integrals
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def numeric_twisted_period(m: int, h: int, d: int, truncation: int = TRUNCATION) -> complex:
     """r_{m, h/d} of the discriminant form: the path integral split at
     height 1/d, the lower piece mapped back up through the cusp matrix."""
@@ -230,7 +224,6 @@ def numeric_twisted_period(m: int, h: int, d: int, truncation: int = TRUNCATION)
     return 1j ** (m + 1) * upper + (-1) ** (m + 1) * 1j ** (11 - m) * float(d) ** (10 - 2 * m) * lower
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def assembled_twisted_lambda(m: int, chi: DirichletCharacter, truncation: int = TRUNCATION) -> complex:
     """Lambda(Delta, chi, m+1) numerically: (-D i)^(m+1) / tau(conj chi)
     times the conj(chi)-weighted sum of residue periods."""
@@ -249,6 +242,11 @@ def assembled_twisted_lambda(m: int, chi: DirichletCharacter, truncation: int = 
 # end-to-end check against the exact trace
 
 
+def _float_json(z: complex):
+    """z as JSON: re alone when |im| < 1e-9 * max(1, |re|), else [re, im]."""
+    return z.real if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) else [z.real, z.imag]
+
+
 @dataclass(frozen=True)
 class NumericCheck:
     expected: complex
@@ -258,12 +256,9 @@ class NumericCheck:
     passed: bool
 
     def to_json(self) -> dict:
-        def fmt(z: complex):
-            return z.real if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) else [z.real, z.imag]
-
         return {
-            "expected": fmt(self.expected),
-            "computed": fmt(self.computed),
+            "expected": _float_json(self.expected),
+            "computed": _float_json(self.computed),
             "abs_err": self.abs_err,
             "rel_err": self.rel_err,
             "pass": self.passed,
@@ -282,8 +277,8 @@ def verify_trace_numeric(query: TraceQuery, truncation: int = TRUNCATION) -> Num
     exact = trace_closed_form(query).numeric()
     numeric = (
         assembled_twisted_lambda(query.m, ctx.chi, truncation)
-        * lambda_delta(ctx.n + 1)
-        * petersson_delta_inverse()
+        * lambda_delta(ctx.n + 1, truncation)
+        * petersson_delta_inverse(truncation)
     )
     abs_err = abs(exact - numeric)
     scale = max(abs(exact), abs(numeric), 1.0)

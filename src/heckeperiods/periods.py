@@ -249,7 +249,8 @@ def _prime_ratio_product(level: int, s: int, w: int) -> Fraction:
 
 def _case_rational(j: int, h: int, level: int, w: int, n: int, d: int) -> list[Fraction]:
     """Ascending coefficients of the case-j residue contribution divided by
-    the common (2i)^(w+1) factor.  Gated cases return []."""
+    the common (2i)^(w+1) factor, for j in 1..4 and 6 (case 5 comes from
+    _case_five_rows).  Gated cases return []."""
     nt = w - n
     h %= d
     if j == 1:
@@ -279,8 +280,6 @@ def _case_rational(j: int, h: int, level: int, w: int, n: int, d: int) -> list[F
         return _reversed_bernoulli(
             n + 1, beta, Fraction(-1, d * d), w, Fraction(d**w, n + 1)
         )
-    if j == 5:
-        return _case_five(h, level, w, n, d)
     if j == 6:
         bw = bernoulli_number(w + 2)
         scalar = (
@@ -311,36 +310,24 @@ def _reversed_bernoulli(k: int, shift: Fraction, c: Fraction, w: int, scalar: Fr
     return out
 
 
-def _case_five(h: int, level: int, w: int, n: int, d: int) -> list[Fraction]:
-    """Case 5 at residue h, summed in integers scaled by D^w."""
-    nt = w - n
-    out = [0] * (w + 1)
-    any_term = False
-    for a, c, k, ell in enumerate_quadruples(level, d):
+def _case_five_rows(ctx: PeriodContext) -> list[list[Fraction]]:
+    """Case 5 at every residue, from one walk over the quadruples: row h is
+    summed in integers scaled by D^w and divided by D^w once (empty when no
+    quadruple reaches h).  A quadruple with Bezout residue e adds its sign
+    class a, c > 0 at -e and its class c < 0 at +e; in each class exactly
+    one matrix realizes the residue.  Rows of non-units are never read."""
+    d, n, nt = ctx.modulus, ctx.n, ctx.n_tilde
+    rows: list[list[int]] = [[] for _ in range(d)]
+    for a, c, k, ell in enumerate_quadruples(ctx.level, d):
         b0, d0 = bezout_pair(a, c)
         e = (k * b0 + ell * d0) % d
-        # sign class a,c > 0 pairs the residue -e; class c < 0 pairs +e,
-        # and in each class exactly one matrix realizes the residue
-        if (-e) % d == h % d:
-            term = _poly_mul(
-                _binomial_power(a * d, -ell, n),
-                _binomial_power(c * d, k, nt),
-            )
-            for i, t in enumerate(term):
-                out[i] -= t
-            any_term = True
-        if e % d == h % d:
-            term = _poly_mul(
-                _binomial_power(a * d, ell, n),
-                _binomial_power(-c * d, k, nt),
-            )
-            for i, t in enumerate(term):
-                out[i] += t
-            any_term = True
-    if not any_term:
-        return []
-    scale = d**w
-    return [Fraction(x, scale) for x in out]
+        # class c < 0: (aD*X + ell)^n (-cD*X + k)^(w-n); class a, c > 0:
+        # -(aD*X - ell)^n (cD*X + k)^(w-n), which is (-1)^(n+1) times the first at -X
+        term = _poly_mul(_binomial_power(a * d, ell, n), _binomial_power(-c * d, k, nt))
+        _add_into(rows[e], term)
+        _add_into(rows[-e % d], [-t if (n + i) % 2 == 0 else t for i, t in enumerate(term)])
+    scale = d**ctx.w
+    return [[Fraction(x, scale) for x in row] for row in rows]
 
 
 def case_contribution(j: int, h: int, ctx: PeriodContext) -> ExactPolynomial:
@@ -355,15 +342,15 @@ def case_contribution(j: int, h: int, ctx: PeriodContext) -> ExactPolynomial:
 
 def _residue_polynomial(ctx: PeriodContext, h: int, cases: Iterable[int]) -> ExactPolynomial:
     """(2i)^(w+1) times the rational sum of the given cases at residue h."""
-    if math.gcd(h, ctx.modulus) != 1:
-        raise ContextError(f"residue {h} is not coprime to {ctx.modulus}")
+    d = ctx.modulus
+    if math.gcd(h, d) != 1:
+        raise ContextError(f"residue {h} is not coprime to {d}")
     coeffs: list[Fraction] = []
     for j in cases:
-        _add_into(coeffs, _case_rational(j, h, ctx.level, ctx.w, ctx.n, ctx.modulus))
-    if not any(coeffs):
-        return ExactPolynomial.zero()
+        row = _case_five_rows(ctx)[h % d] if j == 5 else _case_rational(j, h, ctx.level, ctx.w, ctx.n, d)
+        _add_into(coeffs, row)
     factor = _two_i_power(ctx.w + 1)
-    return ExactPolynomial([factor * c if c else ExactNumber.zero(4) for c in coeffs])
+    return ExactPolynomial([factor * c for c in coeffs])
 
 
 def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
@@ -375,11 +362,13 @@ def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     d = ctx.modulus
     chibar = ctx.chi.conjugate()
     buckets: list[list[Fraction]] = [[] for _ in range(chibar.order)]
+    fives = _case_five_rows(ctx)
     for h in range(1, d):
         e = chibar.value_exponent(h)
         if e is None:
             continue
-        for j in range(1, 7):
+        _add_into(buckets[e], fives[h])
+        for j in (1, 2, 3, 4, 6):
             _add_into(buckets[e], _case_rational(j, h, ctx.level, ctx.w, ctx.n, d))
     assembled = _bucket_poly(buckets, chibar.order)
     return assembled.scale(_prefactor(chibar, ctx.w))

@@ -11,6 +11,7 @@ from heckeperiods.characters import (
     DirichletCharacter,
     bezout_pair,
     chi_four_tuple,
+    chi_four_tuple_exponent,
     enumerate_characters,
     enumerate_primitive_characters,
     gauss_sum,
@@ -146,10 +147,11 @@ def test_four_tuple_paper_values(chi3):
 
 
 def test_four_tuple_validation(chi3):
-    with pytest.raises(CharacterError):
-        chi_four_tuple(chi3, 2, 2, 1, 1)  # gcd > 1
-    with pytest.raises(CharacterError):
-        chi_four_tuple(chi3, 1, 1, 1, 1)  # k*a + ell*c != 3
+    # gcd > 1; k*a + ell*c != 3; a zero argument, with gcd 1 and k*a + ell*c = 3
+    for args in ((2, 2, 1, 1), (1, 1, 1, 1), (0, 1, 1, 3)):
+        for four_tuple in (chi_four_tuple, chi_four_tuple_exponent):
+            with pytest.raises(CharacterError):
+                four_tuple(chi3, *args)
 
 
 def test_four_tuple_bezout_invariance():

@@ -230,12 +230,17 @@ def test_verify_numeric_lambda_catches_a_wrong_tau(capsys, monkeypatch):
     tau = list(numeric.tau_coefficients(120).coefficients)
     tau[1] += 1
     monkeypatch.setattr(numeric, "_tau_cache", tau)
-    numeric.lambda_delta.cache_clear()
-    try:
-        code, out, _ = run(capsys, "verify-numeric", "--check", "lambda", "--m", "4",
-                           "--format", "json")
-    finally:
-        numeric.lambda_delta.cache_clear()
+    code, out, _ = run(capsys, "verify-numeric", "--check", "lambda", "--m", "4",
+                       "--format", "json")
+    assert code == 1
+    assert json.loads(out)["pass"] is False
+
+
+def test_verify_numeric_petersson_catches_a_wrong_tau(capsys, monkeypatch):
+    tau = list(numeric.tau_coefficients(numeric.TRUNCATION).coefficients)
+    tau[1] += 1
+    monkeypatch.setattr(numeric, "_tau_cache", tau)
+    code, out, _ = run(capsys, "verify-numeric", "--check", "petersson", "--format", "json")
     assert code == 1
     assert json.loads(out)["pass"] is False
 

@@ -102,6 +102,28 @@ def test_inverse_randomized():
         ExactNumber.zero(12).inverse()
 
 
+def test_division_by_and_of_rationals_matches_the_field_route():
+    # q / x scales the inverse and x / q scales x; the fields, level included,
+    # are those of the route through the field element q
+    rng = random.Random(5)
+    for level in (4, 12, 7, 60):
+        x = rand_element(rng, level)
+        for q in (3, -2, Fraction(-7, 5), Fraction(1, 9), 0):
+            embedded = ExactNumber.from_rational(q)
+            assert _fields(q / x) == _fields(embedded * x.inverse())
+            if q:
+                assert _fields(x / q) == _fields(x * embedded.inverse())
+            else:
+                with pytest.raises(ZeroDivisionError):
+                    x / q
+        with pytest.raises(ZeroDivisionError):
+            1 / ExactNumber.zero(level)
+
+
+def _fields(x):
+    return x.level, x._den, x._nums
+
+
 def test_inverse_without_a_rational_norm():
     x = 2 + ExactNumber.zeta(7)
     assert not (x * x.conjugate()).is_rational()

@@ -1,9 +1,12 @@
 """Package memos: bounded, and filled correctly by many threads at once."""
 
+import importlib
+import pkgutil
 import sys
 import threading
 
-from heckeperiods import bernoulli, characters, cyclotomic, numeric, periods, traces
+import heckeperiods
+from heckeperiods import bernoulli, characters, cyclotomic, traces
 from heckeperiods.bernoulli import generalized_bernoulli_poly
 from heckeperiods.characters import enumerate_primitive_characters, gauss_sum, kronecker_character
 from heckeperiods.periods import PeriodContext, closed_form_polynomial
@@ -12,10 +15,33 @@ from heckeperiods.traces import TraceQuery, trace_closed_form
 THREADS = 8
 
 
+# every memo of the package: one is added or dropped only on purpose, when a
+# workload reuses its entries
+MEMOS = {
+    "bernoulli._bernoulli_at",
+    "bernoulli._bernoulli_numbers",
+    "bernoulli._weighted_coordinates",
+    "bernoulli._weighted_number_direct",
+    "characters._conjugate",
+    "characters.gauss_sum",
+    "cyclotomic._power_table",
+    "cyclotomic._roots",
+    "cyclotomic.sqrt_integer",
+    "periods._prefactor",
+    "periods.closed_form_polynomial",
+    "traces._i_sqrt_level_power",
+    "traces._trace_prefactor",
+}
+
+
 def package_memos():
+    modules = [
+        importlib.import_module(f"heckeperiods.{info.name}")
+        for info in pkgutil.iter_modules(heckeperiods.__path__)
+    ]
     return [
         value
-        for module in (bernoulli, characters, cyclotomic, numeric, periods, traces)
+        for module in [heckeperiods, *modules]
         for value in vars(module).values()
         if hasattr(value, "cache_info") and value.__module__ == module.__name__
     ]
@@ -39,6 +65,11 @@ def workload():
 def clear_memos():
     for memo in package_memos():
         memo.cache_clear()
+
+
+def test_the_package_memos_are_pinned():
+    names = {f"{memo.__module__.rsplit('.', 1)[-1]}.{memo.__qualname__}" for memo in package_memos()}
+    assert names == MEMOS
 
 
 def test_memos_are_bounded():

@@ -286,3 +286,46 @@ def test_residue_case_sum_matches_contributions(chi3):
     for j in range(1, 7):
         total = total + case_contribution(j, 1, ctx)
     assert residue_case_sum(ctx, 1) == total
+
+
+def case_five_reference(ctx, h):
+    """Case 5 at residue h alone, term by term in Fractions: every quadruple
+    with Bezout residue e = k*b + ell*d adds -(aX - ell/D)^n (cX + k/D)^(w-n)
+    when h = -e and (aX + ell/D)^n (-cX + k/D)^(w-n) when h = e, all times
+    (2i)^(w+1)."""
+    d, n, nt = ctx.modulus, ctx.n, ctx.n_tilde
+    coeffs = [Fraction(0)] * (ctx.w + 1)
+
+    def add(sign, p, q, r, s):
+        # sign * (pX + q)^n (rX + s)^(w-n)
+        left = [math.comb(n, i) * Fraction(p) ** i * q ** (n - i) for i in range(n + 1)]
+        right = [math.comb(nt, j) * Fraction(r) ** j * s ** (nt - j) for j in range(nt + 1)]
+        for i, x in enumerate(left):
+            for j, y in enumerate(right):
+                coeffs[i + j] += sign * x * y
+
+    for a, c, k, ell in enumerate_quadruples(ctx.level, d):
+        dd = next(x for x in range(c) if (a * x - 1) % c == 0)
+        e = (k * (a * dd - 1) // c + ell * dd) % d
+        if (h + e) % d == 0:
+            add(-1, a, Fraction(-ell, d), c, Fraction(k, d))
+        if (h - e) % d == 0:
+            add(1, a, Fraction(ell, d), -c, Fraction(k, d))
+    factor = ExactNumber.zeta(4, (ctx.w + 1) % 4) * 2 ** (ctx.w + 1)
+    return ExactPolynomial([factor * q for q in coeffs])
+
+
+def test_case_five_matches_the_per_residue_walk():
+    # one walk over the quadruples yields every residue's case-5 row
+    chi37 = next(chi for chi in enumerate_primitive_characters(37) if chi.order == 36)
+    contexts = [PeriodContext(level, 14, n, chi37) for level in (1, 2) for n in (1, 7, 13)]
+    chi4 = kronecker_character(-4)
+    contexts += [PeriodContext(level, 10, n, chi4) for level in (1, 2) for n in (1, 2)]
+    for ctx in contexts:
+        residues = (1, 2, 6, 31, 36) if ctx.modulus == 37 else (1, 3)
+        for h in residues:
+            assert case_contribution(5, h, ctx) == case_five_reference(ctx, h), (ctx, h)
+    # D = 4 has the quadruple (1, 1, 2, 2), whose residue 2 is no unit: it must
+    # reach neither row compared above, and those rows are not empty
+    assert (1, 1, 2, 2) in enumerate_quadruples(1, 4)
+    assert not case_contribution(5, 1, PeriodContext(1, 10, 1, chi4)).is_zero()
