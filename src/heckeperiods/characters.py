@@ -2,8 +2,8 @@
 
 A character mod D is stored as a table of root-of-unity exponents: on units
 h the value is zeta_R**e(h) where R is the character's order, elsewhere 0.
-Construction goes through generators of the unit group (CRT over prime
-powers); multiplicativity and the conductor are validated on every
+Enumeration reads each unit's logarithms off its residues mod the prime
+powers of D; multiplicativity and the conductor are validated on every
 constructor path.
 """
 
@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .cyclotomic import _MEMO_SIZE, ExactNumber, _bucket_sum, divisors, euler_phi, factorize
+from .cyclotomic import _MEMO_SIZE, ExactNumber, _bucket_sum, divisors, factorize
 
 
 # largest modulus enumerate_primitive_characters walks
@@ -178,78 +179,49 @@ def _primitive_root_prime(p: int) -> int:
     raise ArithmeticError(f"no primitive root mod {p}")
 
 
-def _unit_group(modulus: int) -> list[tuple[int, int]]:
-    """Generators of (Z/modulus)* as (generator, order) pairs via CRT."""
-    gens: list[tuple[int, int]] = []
+def _unit_logs(modulus: int) -> tuple[list[int], dict[int, tuple[int, ...]]]:
+    """Generator orders of (Z/modulus)* and every unit's exponent vector.
+
+    (Z/modulus)* is the product over p^e || modulus of (Z/p^e)*: cyclic for
+    odd p (primitive root g, or g + p when g^(p-1) = 1 mod p^2) and for 4
+    (generator 3), trivial for 2, and <-1> x <5> for 2^e with e >= 3.  A
+    unit's vector concatenates the local vectors of its residues mod each
+    p^e, which is its vector for the CRT lifts of the local generators."""
+    orders: list[int] = []
+    local: list[tuple[int, dict[int, tuple[int, ...]]]] = []
     for p, e in factorize(modulus).items():
         q = p**e
-        rest = modulus // q
         if p == 2:
-            if e == 1:
-                local = []
-            elif e == 2:
-                local = [(3, 2)]
-            else:
-                local = [(q - 1, 2), (5, 2 ** (e - 2))]
+            gens = [] if e == 1 else [(3, 2)] if e == 2 else [(q - 1, 2), (5, q // 4)]
         else:
             g = _primitive_root_prime(p)
             if e > 1 and pow(g, p - 1, p * p) == 1:
                 g += p
-            local = [(g % q, euler_phi(q))]
-        for g, s in local:
-            if rest == 1:
-                gens.append((g % modulus, s))
-            else:
-                inv = pow(q % rest, -1, rest)
-                lifted = (g + q * ((1 - g) * inv % rest)) % modulus
-                gens.append((lifted, s))
-    return gens
-
-
-def _unit_logs(modulus: int) -> tuple[list[tuple[int, int]], dict[int, tuple[int, ...]]]:
-    """Exponent tuples for every unit with respect to the CRT generators."""
-    gens = _unit_group(modulus)
-    start = 1 % modulus
-    logs: dict[int, tuple[int, ...]] = {start: tuple(0 for _ in gens)}
-    frontier = [start]
-    while frontier:
-        u = frontier.pop()
-        vec = logs[u]
-        for i, (g, _s) in enumerate(gens):
-            v = u * g % modulus
-            if v not in logs:
-                logs[v] = tuple(x + (1 if j == i else 0) for j, x in enumerate(vec))
-                frontier.append(v)
-    return gens, logs
-
-
-def character_from_generator_images(modulus: int, images: Sequence[int]) -> DirichletCharacter:
-    """Character sending the i-th CRT generator (order s_i) to zeta_{s_i}**images[i]."""
-    gens, logs = _unit_logs(modulus)
-    if len(images) != len(gens):
-        raise CharacterError("one image per generator required")
-    r0 = math.lcm(*(s for _, s in gens)) if gens else 1
-    raw: list[Optional[int]] = [None] * modulus
-    for u, vec in logs.items():
-        e = 0
-        for (_g, s), x, t in zip(gens, vec, images):
-            e += x * t * (r0 // s)
-        raw[u] = e % r0
-    return DirichletCharacter(modulus, r0, raw)
+            gens = [(g, q - q // p)]
+        logs: dict[int, tuple[int, ...]] = {1 % q: ()}
+        for g, s in gens:
+            logs = {u * pow(g, x, q) % q: vec + (x,) for u, vec in logs.items() for x in range(s)}
+            orders.append(s)
+        local.append((q, logs))
+    units = {
+        h: sum((table[h % q] for q, table in local), ())
+        for h in range(modulus)
+        if math.gcd(h, modulus) == 1
+    }
+    return orders, units
 
 
 def enumerate_characters(modulus: int) -> Iterator[DirichletCharacter]:
-    """All Dirichlet characters mod modulus, trivial one included."""
-    gens, _logs = _unit_logs(modulus)
-    counts = [s for _, s in gens]
-    total = math.prod(counts) if counts else 1
-    for idx in range(total):
-        images = []
-        rem = idx
-        for s in counts:
-            images.append(rem % s)
-            rem //= s
-        yield character_from_generator_images(modulus, images)
+    """All Dirichlet characters mod modulus, trivial one included: the i-th
+    generator goes to each power of zeta_{s_i}, the first varying fastest."""
+    orders, units = _unit_logs(modulus)
+    r0 = math.lcm(*orders)
+    for images in product(*(range(s) for s in reversed(orders))):
+        weights = [t * (r0 // s) for t, s in zip(reversed(images), orders)]
+        raw: list[Optional[int]] = [None] * modulus
+        for u, vec in units.items():
+            raw[u] = sum(x * c for x, c in zip(vec, weights)) % r0
+        yield DirichletCharacter(modulus, r0, raw)
 
 
 def enumerate_primitive_characters(modulus: int) -> list[DirichletCharacter]:

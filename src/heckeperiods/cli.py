@@ -192,21 +192,19 @@ def exact_number_latex(x: ExactNumber) -> str:
     return f"{_latex_rational(surd.a)}{joiner}{bpart}"
 
 
-def polynomial_to_text(poly: ExactPolynomial, render) -> str:
-    if poly.is_zero():
-        return "0"
-    terms = []
-    for k in range(poly.degree(), -1, -1):
-        c = poly.coefficient(k)
-        if c.is_zero():
-            continue
-        if k == 0:
-            terms.append(render(c))
-        elif k == 1:
-            terms.append(f"({render(c)})*X")
-        else:
-            terms.append(f"({render(c)})*X^{k}")
-    return " + ".join(terms)
+def _text_term(body: str, k: int) -> str:
+    return body if k == 0 else f"({body})*X" if k == 1 else f"({body})*X^{k}"
+
+
+def _latex_term(body: str, k: int) -> str:
+    return f"\\left({body}\\right)X^{{{k}}}" if k else f"\\left({body}\\right)"
+
+
+def polynomial_to_text(poly: ExactPolynomial, render, term=_text_term) -> str:
+    """The nonzero terms, highest power first: term(render(c), k) for c*X^k."""
+    degree = poly.degree()
+    terms = [term(render(c), degree - i) for i, c in enumerate(poly.coefficients) if not c.is_zero()]
+    return " + ".join(terms) or "0"
 
 
 def _emit(args, payload: dict, render: Callable[[], str]) -> None:
@@ -240,13 +238,7 @@ def cmd_theorem1(args) -> int:
         "polynomial": poly.to_json(),
     }
     if args.format == "latex":
-        terms = []
-        for k in range(poly.degree(), -1, -1):
-            c = poly.coefficient(k)
-            if not c.is_zero():
-                body = exact_number_latex(c)
-                terms.append(f"\\left({body}\\right)X^{{{k}}}" if k else f"\\left({body}\\right)")
-        print(" + ".join(terms) if terms else "0")
+        print(polynomial_to_text(poly, exact_number_latex, _latex_term))
         return 0
     _emit(args, payload, lambda: polynomial_to_text(poly, exact_number_text))
     return 0
@@ -406,6 +398,11 @@ def cmd_verify_numeric(args) -> int:
         tol = 1e-6 * abs(expected)
     elif args.check == "twisted":
         chi = parse_character(args.character)
+        if not chi.is_primitive:
+            raise ContextError(
+                f"character must be primitive (conductor {chi.conductor} "
+                f"!= modulus {chi.modulus})"
+            )
         if chi.modulus != 3 or args.m not in _TWISTED_REFERENCE:
             raise ContextError(
                 "twisted reference values exist for kronecker:-3 at m in {1,3,5}"

@@ -13,6 +13,7 @@ ratio in which the untwisted factor cancels.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 from dataclasses import dataclass
@@ -452,44 +453,24 @@ class FixtureRegistry:
 
 
 def _parse_factored(text: str) -> int:
-    """Evaluate a product string like "2*(2^7*3^2)^2" to an integer."""
-    pos = 0
+    """Evaluate a product string like "2*(2^7*3^2)^2" to an integer: digits,
+    "*", "^" and parentheses, read by Python's parser with ^ as **."""
+    if not set(text) <= set("0123456789*^()"):
+        raise FixtureError(f"unexpected characters in factored value {text!r}")
+    try:
+        tree = ast.parse(text.replace("^", "**"), mode="eval")
+    except SyntaxError:
+        raise FixtureError(f"cannot parse factored value {text!r}") from None
 
-    def parse_product() -> int:
-        nonlocal pos
-        value = parse_factor()
-        while pos < len(text) and text[pos] == "*":
-            pos += 1
-            value *= parse_factor()
-        return value
+    def evaluate(node: ast.AST) -> int:
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            return node.value
+        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Pow)):
+            left, right = evaluate(node.left), evaluate(node.right)
+            return left * right if isinstance(node.op, ast.Mult) else left**right
+        raise FixtureError(f"cannot parse factored value {text!r}")
 
-    def parse_factor() -> int:
-        nonlocal pos
-        if pos < len(text) and text[pos] == "(":
-            pos += 1
-            value = parse_product()
-            if pos >= len(text) or text[pos] != ")":
-                raise FixtureError(f"unbalanced parentheses in {text!r}")
-            pos += 1
-        else:
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            if start == pos:
-                raise FixtureError(f"cannot parse factored value {text!r}")
-            value = int(text[start:pos])
-        if pos < len(text) and text[pos] == "^":
-            pos += 1
-            start = pos
-            while pos < len(text) and text[pos].isdigit():
-                pos += 1
-            value = value ** int(text[start:pos])
-        return value
-
-    result = parse_product()
-    if pos != len(text):
-        raise FixtureError(f"trailing characters in factored value {text!r}")
-    return result
+    return evaluate(tree.body)
 
 
 def _load_json(name: str) -> dict:

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Optional
 
 from .bernoulli import _weighted_coordinates, bernoulli_number, bernoulli_shifted_coeffs
 from .characters import (
@@ -310,17 +310,21 @@ def _reversed_bernoulli(k: int, shift: Fraction, c: Fraction, w: int, scalar: Fr
     return out
 
 
-def _case_five_rows(ctx: PeriodContext) -> list[list[Fraction]]:
+def _case_five_rows(ctx: PeriodContext, residue: Optional[int] = None) -> list[list[Fraction]]:
     """Case 5 at every residue, from one walk over the quadruples: row h is
     summed in integers scaled by D^w and divided by D^w once (empty when no
     quadruple reaches h).  A quadruple with Bezout residue e adds its sign
     class a, c > 0 at -e and its class c < 0 at +e; in each class exactly
-    one matrix realizes the residue.  Rows of non-units are never read."""
+    one matrix realizes the residue.  Given a residue, quadruples that reach
+    neither it nor its negative are skipped, so only that row (and its
+    negative's) is complete.  Rows of non-units are never read."""
     d, n, nt = ctx.modulus, ctx.n, ctx.n_tilde
     rows: list[list[int]] = [[] for _ in range(d)]
     for a, c, k, ell in enumerate_quadruples(ctx.level, d):
         b0, d0 = bezout_pair(a, c)
         e = (k * b0 + ell * d0) % d
+        if residue is not None and residue % d not in (e, -e % d):
+            continue
         # class c < 0: (aD*X + ell)^n (-cD*X + k)^(w-n); class a, c > 0:
         # -(aD*X - ell)^n (cD*X + k)^(w-n), which is (-1)^(n+1) times the first at -X
         term = _poly_mul(_binomial_power(a * d, ell, n), _binomial_power(-c * d, k, nt))
@@ -347,7 +351,7 @@ def _residue_polynomial(ctx: PeriodContext, h: int, cases: Iterable[int]) -> Exa
         raise ContextError(f"residue {h} is not coprime to {d}")
     coeffs: list[Fraction] = []
     for j in cases:
-        row = _case_five_rows(ctx)[h % d] if j == 5 else _case_rational(j, h, ctx.level, ctx.w, ctx.n, d)
+        row = _case_five_rows(ctx, h)[h % d] if j == 5 else _case_rational(j, h, ctx.level, ctx.w, ctx.n, d)
         _add_into(coeffs, row)
     factor = _two_i_power(ctx.w + 1)
     return ExactPolynomial([factor * c for c in coeffs])

@@ -1,5 +1,6 @@
 """Dirichlet characters: construction, Gauss sums, the four-argument value."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -82,6 +83,21 @@ def test_enumerate_each_exactly_once():
         from heckeperiods.cyclotomic import euler_phi
 
         assert len(chars) == euler_phi(d)
+
+
+def test_enumeration_tables_and_order_are_pinned():
+    # sha256 of (order, exponents) for every character enumerate_characters
+    # yields, in order, and of every sorted primitive list, for 2 <= d <= 100
+    rows = [
+        (
+            d,
+            [(chi.order, chi.exponents) for chi in enumerate_characters(d)],
+            [(chi.order, chi.exponents) for chi in enumerate_primitive_characters(d)],
+        )
+        for d in range(2, 101)
+    ]
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "e2c5524e076ae6a6431919f36e9e24eadcc5e0f1281fc1abca0f3b950c02cd88"
 
 
 def test_brute_force_character_tables_mod5():

@@ -58,6 +58,22 @@ def test_theorem1_text_and_json(capsys):
     assert code == 0 and "\\sqrt{3}" in latex_out
 
 
+def test_theorem1_latex_output(capsys):
+    code, out, _ = run(
+        capsys, "theorem1", "--level", "1", "--weight", "12", "--n", "2",
+        "--character", "kronecker:-3", "--format", "latex",
+    )
+    assert code == 0
+    assert out == (
+        "\\left(\\frac{9175040}{9}\\sqrt{3}\\right)X^{10} + "
+        "\\left(-\\frac{2293760}{9}\\sqrt{3}\\right)X^{8} + "
+        "\\left(\\frac{2293760}{243}\\sqrt{3}\\right)X^{6} + "
+        "\\left(\\frac{2293760}{2187}\\sqrt{3}\\right)X^{4} + "
+        "\\left(-\\frac{2293760}{6561}\\sqrt{3}\\right)X^{2} + "
+        "\\left(\\frac{9175040}{531441}\\sqrt{3}\\right)\n"
+    )
+
+
 def test_json_request_skips_the_text_rendering(capsys, monkeypatch):
     args = ("theorem1", "--level", "1", "--weight", "12", "--n", "1",
             "--character", "kronecker:-3", "--format", "json")
@@ -298,6 +314,8 @@ def test_validation_error_exit_code(capsys):
         ("verify-numeric", "--check", "lambda", "--m", "3", "--truncation", "0"),
         ("verify-numeric", "--check", "trace", "--m", "5", "--truncation", "0"),
         ("verify-numeric", "--check", "twisted", "--m", "3", "--truncation", "50"),
+        ("verify-numeric", "--check", "twisted", "--m", "3",
+         "--character", "table:3:0,zeta[1]^0,zeta[1]^0"),
     ],
 )
 def test_bad_requests_exit_two(capsys, argv):

@@ -1,6 +1,7 @@
 """Fixture algebra: exact eigen-decomposition and twisted-value ratios."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -281,10 +282,9 @@ def test_galois_conjugate_pairs(registry):
 def test_parse_factored():
     assert _parse_factored("2*(2^7*3^2)^2") == 2 * (2**7 * 3**2) ** 2
     assert _parse_factored("(2^6*3*15671)^2") == (2**6 * 3 * 15671) ** 2
-    with pytest.raises(FixtureError):
-        _parse_factored("2*(3")
-    with pytest.raises(FixtureError):
-        _parse_factored("2)3")
+    for text in ("2*(3", "2)3", "", "2 * 3", "0x10", "-3", "2.0"):
+        with pytest.raises(FixtureError, match=re.escape(repr(text))):
+            _parse_factored(text)
 
 
 def test_malformed_fixture_reports_line(tmp_path, monkeypatch):

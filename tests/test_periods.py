@@ -13,6 +13,7 @@ from heckeperiods.characters import (
     gauss_sum,
     kronecker_character,
 )
+from heckeperiods import periods
 from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, sqrt_integer
 from heckeperiods.periods import (
     ContextError,
@@ -329,3 +330,29 @@ def test_case_five_matches_the_per_residue_walk():
     # reach neither row compared above, and those rows are not empty
     assert (1, 1, 2, 2) in enumerate_quadruples(1, 4)
     assert not case_contribution(5, 1, PeriodContext(1, 10, 1, chi4)).is_zero()
+
+
+def test_per_residue_case_five_multiplies_only_its_quadruples(monkeypatch):
+    # a single residue's case-5 row multiplies out only the quadruples whose
+    # Bezout residue is h or -h, not every quadruple of the context
+    chi37 = next(chi for chi in enumerate_primitive_characters(37) if chi.order == 36)
+    ctx = PeriodContext(1, 14, 7, chi37)
+    h = 2
+    quadruples = enumerate_quadruples(ctx.level, 37)
+    reaching = 0
+    for a, c, k, ell in quadruples:
+        dd = next(x for x in range(c) if (a * x - 1) % c == 0)
+        if (k * (a * dd - 1) // c + ell * dd) % 37 in (h, 37 - h):
+            reaching += 1
+    assert 0 < reaching < len(quadruples)
+    calls = 0
+    poly_mul = periods._poly_mul
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return poly_mul(*args)
+
+    monkeypatch.setattr(periods, "_poly_mul", counting)
+    case_contribution(5, h, ctx)
+    assert calls == reaching
