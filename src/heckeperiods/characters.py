@@ -276,8 +276,9 @@ def kronecker_symbol(a: int, n: int) -> int:
 def kronecker_character(d: int) -> DirichletCharacter:
     """The quadratic character (d/.) as a primitive character mod |d|.
 
-    Raises (naming the actual conductor) when the symbol is induced from a
-    smaller modulus, i.e. when d is not a fundamental discriminant.
+    Raises when d is not a fundamental discriminant: when the symbol is
+    induced from a smaller modulus (naming the actual conductor), or when it
+    is not periodic mod |d| (the values of (3/.) on 0..2 are those of (-3/.)).
     """
     m = abs(d)
     if m < 2:
@@ -294,6 +295,8 @@ def kronecker_character(d: int) -> DirichletCharacter:
         raise CharacterError(
             f"({d}/.) is induced from modulus {chi.conductor}; not primitive mod {m}"
         )
+    if chi.sign_at_minus_one() != (1 if d > 0 else -1):
+        raise CharacterError(f"({d}/.) is not periodic mod {m}: {d} is not a fundamental discriminant")
     return chi
 
 

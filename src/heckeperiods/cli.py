@@ -164,11 +164,20 @@ def factored_surd_str(surd: QuadSurd) -> str:
     return bpart
 
 
-def exact_number_text(x: ExactNumber) -> str:
+def _surd_or_json(x: ExactNumber, render: Callable[[QuadSurd], str], times_i: str) -> str:
+    """x rendered as a surd, or as i times one (QuadSurd keeps d >= 1, so
+    i*sqrt(5) is recognized in -i*x); its JSON if neither."""
     surd = recognize_surd(x)
     if surd is not None:
-        return factored_surd_str(surd)
+        return render(surd)
+    surd = recognize_surd(x * ExactNumber.zeta(4, 3))
+    if surd is not None:
+        return times_i.format(render(surd))
     return json.dumps(x.to_json())
+
+
+def exact_number_text(x: ExactNumber) -> str:
+    return _surd_or_json(x, factored_surd_str, "i*({})")
 
 
 def _latex_rational(q: Fraction) -> str:
@@ -179,10 +188,7 @@ def _latex_rational(q: Fraction) -> str:
     return f"{sign}\\frac{{{q.numerator}}}{{{q.denominator}}}"
 
 
-def exact_number_latex(x: ExactNumber) -> str:
-    surd = recognize_surd(x)
-    if surd is None:
-        return json.dumps(x.to_json())
+def _latex_surd(surd: QuadSurd) -> str:
     if surd.b == 0:
         return _latex_rational(surd.a)
     bpart = f"{_latex_rational(surd.b)}\\sqrt{{{surd.d}}}"
@@ -190,6 +196,10 @@ def exact_number_latex(x: ExactNumber) -> str:
         return bpart
     joiner = "+" if surd.b > 0 else ""
     return f"{_latex_rational(surd.a)}{joiner}{bpart}"
+
+
+def exact_number_latex(x: ExactNumber) -> str:
+    return _surd_or_json(x, _latex_surd, "i\\left({}\\right)")
 
 
 def _text_term(body: str, k: int) -> str:
@@ -436,18 +446,17 @@ def cmd_fixtures(args) -> int:
     if args.dump:
         from importlib import resources
 
+        source = resources.files(__package__) / "fixtures"
         target = Path(args.dump)
-        target.mkdir(parents=True, exist_ok=True)
-        written = []
-        for name in (
-            "sl2z_eigenforms.json",
-            "gamma0_2_newforms.json",
-            "hecke_matrices.json",
-            "central_values.json",
-        ):
-            data = (resources.files(__package__) / "fixtures" / name).read_text()
-            (target / name).write_text(data)
-            written.append(str(target / name))
+        names = ("sl2z_eigenforms.json", "gamma0_2_newforms.json", "hecke_matrices.json",
+                 "central_values.json")
+        try:
+            target.mkdir(parents=True, exist_ok=True)
+            for name in names:
+                (target / name).write_text((source / name).read_text())
+        except OSError as exc:
+            raise FixtureError(f"cannot dump the fixtures to {args.dump!r}: {exc.strerror or exc}") from exc
+        written = [str(target / name) for name in names]
         _emit(args, {"written": written}, lambda: "\n".join(written))
         return 0
     payload = {

@@ -176,11 +176,6 @@ def _half_digits(width: int, count: int) -> int:
     return int.from_bytes((bytes(width - 1) + b"\x80") * count, "little")
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
-def _roots(level: int) -> tuple[complex, ...]:
-    return tuple(cmath.exp(2j * cmath.pi * j / level) for j in range(euler_phi(level)))
-
-
 # ---------------------------------------------------------------------------
 # field elements
 
@@ -419,9 +414,8 @@ class ExactNumber:
     # -- output
 
     def numeric(self) -> complex:
-        roots = _roots(self.level)
-        den = self._den
-        return sum((n / den * r for n, r in zip(self._nums, roots) if n), 0j)
+        den, level = self._den, self.level
+        return sum((n / den * cmath.exp(2j * cmath.pi * j / level) for j, n in enumerate(self._nums) if n), 0j)
 
     def to_json(self) -> dict:
         return {"level": self.level, "coords": [_fmt_rational(c) for c in self.coords]}

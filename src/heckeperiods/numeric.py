@@ -1,9 +1,9 @@
 """Floating-point reproduction of the level-one numeric checks.
 
 Everything here is double precision with conservative truncation: the
-completed L-values of the discriminant form via incomplete-gamma sums, its
-Petersson norm via the zeta-ratio formula, and twisted periods as path
-integrals split at the cusp height.  These are sanity anchors for the
+periods of the discriminant form as one path integral split at a height
+(its completed L-values are the periods at the cusp 0/1), and its Petersson
+norm via the zeta-ratio formula.  These are sanity anchors for the
 exact machinery, not high-precision evaluators.
 """
 
@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import cmath
 import math
-import threading
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .characters import DirichletCharacter, gauss_sum
+from .cyclotomic import _MEMO_SIZE
 from .periods import ContextError
 from .traces import TraceQuery, trace_closed_form
 
@@ -67,39 +68,27 @@ def _pentagonal_terms(m: int) -> list[tuple[int, int]]:
     return terms
 
 
-_tau_cache: list[int] = []
-_tau_publish = threading.Lock()
-
-
+@lru_cache(maxsize=_MEMO_SIZE)
 def tau_coefficients(m: int) -> QExpansion:
     """tau(1..m), exact, as the coefficients of g = f^24 for the pentagonal
-    series f, by the power recurrence n g_n = sum_j (25j - n) f_j g_(n-j).
-    The shared table only ever grows: a request extends its own copy and
-    publishes it if it is still the longest."""
+    series f, by the power recurrence n g_n = sum_j (25j - n) f_j g_(n-j)."""
     if m < 1:
         raise ContextError("need at least one tau coefficient")
     if m > 10**6:
         raise ContextError("truncation capped at 10^6")
-    global _tau_cache
-    table = _tau_cache
-    if len(table) < m:
-        terms = _pentagonal_terms(m)
-        g = list(table) or [1]
-        for n in range(len(g), m):
-            acc = 0
-            for j, sign in terms:
-                if j > n:
-                    break
-                acc += sign * (25 * j - n) * g[n - j]
-            value, remainder = divmod(acc, n)
-            if remainder:
-                raise ArithmeticError(f"power recurrence not exact at q^{n}")
-            g.append(value)
-        with _tau_publish:
-            if len(g) > len(_tau_cache):
-                _tau_cache = g
-        table = g
-    return QExpansion(tuple(table[:m]), weight=12, level=1)
+    terms = _pentagonal_terms(m)
+    g = [1]
+    for n in range(1, m):
+        acc = 0
+        for j, sign in terms:
+            if j > n:
+                break
+            acc += sign * (25 * j - n) * g[n - j]
+        value, remainder = divmod(acc, n)
+        if remainder:
+            raise ArithmeticError(f"power recurrence not exact at q^{n}")
+        g.append(value)
+    return QExpansion(tuple(g), weight=12, level=1)
 
 
 def _check_terms(truncation: int) -> None:
@@ -124,27 +113,10 @@ def incomplete_gamma_integer(k: int, x: float) -> float:
     return math.factorial(k - 1) * math.exp(-x) * acc
 
 
-def _split_lambda(s: int, truncation: int, t0: float) -> float:
-    """Completed L-value of the discriminant form with its Mellin integral
-    split at height t0; the piece below t0 is mapped above 1/t0 by the
-    functional equation.  The value does not depend on t0, the terms do.
-    They fall like exp(-2 pi n min(t0, 1/t0)), so the sum stops near n = 17
-    for t0 in {1/2, 1}; the table past the first _MIN_TERMS coefficients is
-    only asked for if the sum runs beyond them."""
-    tau = tau_coefficients(min(truncation, _MIN_TERMS))
-    total = 0.0
-    for n in range(1, truncation + 1):
-        if n > tau.truncation():
-            tau = tau_coefficients(truncation)
-        x = 2 * math.pi * n
-        term = tau.a(n) * (
-            incomplete_gamma_integer(s, x * t0) / x**s
-            + incomplete_gamma_integer(12 - s, x / t0) / x ** (12 - s)
-        )
-        total += term
-        if abs(term) < 1e-18 and n > 8:
-            break
-    return total
+def _split_lambda(s: int, truncation: int, height: float) -> float:
+    """Completed L-value of the discriminant form, Lambda(Delta, s) =
+    (-i)^s r_{s-1}: the untwisted period at the cusp 0/1 split at the height."""
+    return ((-1j) ** s * _split_period(s - 1, 0, 1, truncation, height)).real
 
 
 def lambda_delta(s: int, truncation: int = TRUNCATION) -> float:
@@ -187,34 +159,31 @@ def petersson_delta_inverse(truncation: int = TRUNCATION) -> float:
 
 
 # ---------------------------------------------------------------------------
-# twisted periods as path integrals
+# periods as path integrals
 
 
-def numeric_twisted_period(m: int, h: int, d: int, truncation: int = TRUNCATION) -> complex:
-    """r_{m, h/d} of the discriminant form: the path integral split at
-    height 1/d, the lower piece mapped back up through the cusp matrix."""
-    if math.gcd(h, d) != 1:
-        raise ValueError(f"residue {h} not coprime to {d}")
-    if not 0 <= m <= 10:
-        raise ValueError("m must lie in 0..10")
-    _check_terms(truncation)
+def _split_period(m: int, h: int, d: int, truncation: int, height: float) -> complex:
+    """r_{m, h/d} of the discriminant form: the path integral from h/d to
+    i*infinity split at the given height above h/d, the lower piece mapped
+    above 1/(d^2 height) through the cusp matrix.  The value does not depend
+    on the height, the terms do: they fall like exp(-2 pi n y) for the
+    smaller of the two heights y."""
     tau = tau_coefficients(truncation)
-    y0 = 1.0 / d
-    upper = 0j
-    lower = 0j
-    s_inv = pow(h, -1, d)
+    h_inv = pow(h, -1, d)
+    low_height = 1.0 / (d * d * height)
+    upper = lower = 0j
     for n in range(1, truncation + 1):
         x = 2 * math.pi * n
         up = (
             tau.a(n)
             * cmath.exp(2j * math.pi * n * h / d)
-            * incomplete_gamma_integer(m + 1, x * y0)
+            * incomplete_gamma_integer(m + 1, x * height)
             / x ** (m + 1)
         )
         low = (
             tau.a(n)
-            * cmath.exp(-2j * math.pi * n * s_inv / d)
-            * incomplete_gamma_integer(11 - m, x * y0)
+            * cmath.exp(-2j * math.pi * n * h_inv / d)
+            * incomplete_gamma_integer(11 - m, x * low_height)
             / x ** (11 - m)
         )
         upper += up
@@ -222,6 +191,16 @@ def numeric_twisted_period(m: int, h: int, d: int, truncation: int = TRUNCATION)
         if abs(up) + abs(low) < 1e-20 and n > 8:
             break
     return 1j ** (m + 1) * upper + (-1) ** (m + 1) * 1j ** (11 - m) * float(d) ** (10 - 2 * m) * lower
+
+
+def numeric_twisted_period(m: int, h: int, d: int, truncation: int = TRUNCATION) -> complex:
+    """r_{m, h/d} of the discriminant form, the path integral split at height 1/d."""
+    if math.gcd(h, d) != 1:
+        raise ValueError(f"residue {h} not coprime to {d}")
+    if not 0 <= m <= 10:
+        raise ValueError("m must lie in 0..10")
+    _check_terms(truncation)
+    return _split_period(m, h, d, truncation, 1.0 / d)
 
 
 def assembled_twisted_lambda(m: int, chi: DirichletCharacter, truncation: int = TRUNCATION) -> complex:

@@ -51,6 +51,30 @@ def test_kronecker_parity_matches_sign():
         assert chi.sign_at_minus_one() == (1 if d > 0 else -1)
 
 
+def is_fundamental_discriminant(d):
+    def squarefree(n):
+        return all(n % (p * p) for p in range(2, math.isqrt(abs(n)) + 1))
+
+    if d % 4 == 1:
+        return squarefree(d)
+    return d % 4 == 0 and (d // 4) % 4 in (2, 3) and squarefree(d // 4)
+
+
+def test_kronecker_accepts_exactly_the_fundamental_discriminants():
+    # d = 3 is refused too: its values mod 3 are those of (-3/.), but (3/.)
+    # has conductor 12
+    accepted = set()
+    for d in range(-400, 401):
+        if abs(d) < 2:
+            continue
+        try:
+            kronecker_character(d)
+        except CharacterError:
+            continue
+        accepted.add(d)
+    assert accepted == {d for d in range(-400, 401) if abs(d) >= 2 and is_fundamental_discriminant(d)}
+
+
 def test_kronecker_rejects_imprimitive():
     with pytest.raises(CharacterError, match="modulus 1"):
         kronecker_character(9)

@@ -74,6 +74,19 @@ def test_theorem1_latex_output(capsys):
     )
 
 
+def test_theorem1_prints_imaginary_surds_factored(capsys):
+    # at n = 1 an even character makes every coefficient i*b*sqrt(D)
+    args = ("theorem1", "--level", "1", "--weight", "12", "--n", "1")
+    code, out, _ = run(capsys, *args, "--character", "kronecker:5")
+    assert code == 0 and "coords" not in out
+    assert out.startswith("(i*(-(2^23*3^4*7/5^2)*sqrt(5)))*X^10 + ")
+    code, out, _ = run(capsys, *args, "--character", "kronecker:8")
+    assert code == 0 and "coords" not in out
+    code, out, _ = run(capsys, *args, "--character", "kronecker:5", "--format", "latex")
+    assert code == 0
+    assert out.startswith("\\left(i\\left(-\\frac{4756340736}{25}\\sqrt{5}\\right)\\right)X^{10} + ")
+
+
 def test_json_request_skips_the_text_rendering(capsys, monkeypatch):
     args = ("theorem1", "--level", "1", "--weight", "12", "--n", "1",
             "--character", "kronecker:-3", "--format", "json")
@@ -242,10 +255,14 @@ def test_verify_numeric_lambda(capsys):
     assert data["pass"] is True and data["abs_err"] < 1e-12
 
 
-def test_verify_numeric_lambda_catches_a_wrong_tau(capsys, monkeypatch):
-    tau = list(numeric.tau_coefficients(120).coefficients)
+def plant_a_wrong_tau(monkeypatch):
+    tau = list(numeric.tau_coefficients(numeric.TRUNCATION).coefficients)
     tau[1] += 1
-    monkeypatch.setattr(numeric, "_tau_cache", tau)
+    monkeypatch.setattr(numeric, "tau_coefficients", lambda m: numeric.QExpansion(tuple(tau[:m]), 12, 1))
+
+
+def test_verify_numeric_lambda_catches_a_wrong_tau(capsys, monkeypatch):
+    plant_a_wrong_tau(monkeypatch)
     code, out, _ = run(capsys, "verify-numeric", "--check", "lambda", "--m", "4",
                        "--format", "json")
     assert code == 1
@@ -253,9 +270,7 @@ def test_verify_numeric_lambda_catches_a_wrong_tau(capsys, monkeypatch):
 
 
 def test_verify_numeric_petersson_catches_a_wrong_tau(capsys, monkeypatch):
-    tau = list(numeric.tau_coefficients(numeric.TRUNCATION).coefficients)
-    tau[1] += 1
-    monkeypatch.setattr(numeric, "_tau_cache", tau)
+    plant_a_wrong_tau(monkeypatch)
     code, out, _ = run(capsys, "verify-numeric", "--check", "petersson", "--format", "json")
     assert code == 1
     assert json.loads(out)["pass"] is False
@@ -279,6 +294,15 @@ def test_fixtures_listing_and_dump(capsys, tmp_path):
     assert (target / "central_values.json").exists()
     dumped = json.loads((target / "central_values.json").read_text())
     assert dumped["rows"][0]["D"] == 8
+
+
+def test_fixtures_dump_onto_a_file_is_a_bad_request(capsys, tmp_path):
+    target = tmp_path / "taken"
+    target.write_text("not a directory")
+    code, out, err = run(capsys, "fixtures", "--dump", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("invalid request:") and str(target) in err
+    assert target.read_text() == "not a directory"
 
 
 def test_parity_error_exit_code(capsys):
@@ -316,6 +340,8 @@ def test_validation_error_exit_code(capsys):
         ("verify-numeric", "--check", "twisted", "--m", "3", "--truncation", "50"),
         ("verify-numeric", "--check", "twisted", "--m", "3",
          "--character", "table:3:0,zeta[1]^0,zeta[1]^0"),
+        ("trace", "--level", "1", "--weight", "12", "--character", "kronecker:3",
+         "--m", "1", "--n", "1"),
     ],
 )
 def test_bad_requests_exit_two(capsys, argv):

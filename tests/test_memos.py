@@ -9,6 +9,7 @@ import heckeperiods
 from heckeperiods import bernoulli, characters, cyclotomic, traces
 from heckeperiods.bernoulli import generalized_bernoulli_poly
 from heckeperiods.characters import enumerate_primitive_characters, gauss_sum, kronecker_character
+from heckeperiods.numeric import tau_coefficients
 from heckeperiods.periods import PeriodContext, closed_form_polynomial
 from heckeperiods.traces import TraceQuery, trace_closed_form
 
@@ -25,8 +26,8 @@ MEMOS = {
     "characters._conjugate",
     "characters.gauss_sum",
     "cyclotomic._power_table",
-    "cyclotomic._roots",
     "cyclotomic.sqrt_integer",
+    "numeric.tau_coefficients",
     "periods._prefactor",
     "periods.closed_form_polynomial",
     "traces._i_sqrt_level_power",
@@ -56,6 +57,7 @@ def workload():
     out += [gauss_sum(chi) for chi in chars]
     out += [chi.conjugate() for chi in chars]
     out += [cyclotomic.sqrt_integer(n) for n in (2, 3, 6)]
+    out.append(tau_coefficients(300))
     for chi in chars:
         ctx = PeriodContext(2, 10, 3, chi)
         out += [trace_closed_form(TraceQuery(ctx, m)) for m in range(11) if ctx.parity_holds(m)]
@@ -77,7 +79,7 @@ def test_memos_are_bounded():
     assert closed_form_polynomial in memos and bernoulli._weighted_coordinates in memos
     assert gauss_sum in memos and traces._trace_prefactor in memos
     assert characters._conjugate in memos and traces._i_sqrt_level_power in memos
-    assert cyclotomic.sqrt_integer in memos
+    assert cyclotomic.sqrt_integer in memos and tau_coefficients in memos
     for memo in memos:
         assert memo.cache_info().maxsize is not None, memo.__qualname__
 
