@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import re
 import sys
 from fractions import Fraction
@@ -31,7 +32,7 @@ from .characters import (
     enumerate_primitive_characters,
     kronecker_character,
 )
-from .cyclotomic import ExactNumber, ExactPolynomial, QuadSurd, recognize_surd, factorize
+from .cyclotomic import ExactNumber, ExactPolynomial, QuadSurd, _surd_text, factorize, recognize_surd
 from .eigenforms import (
     FixtureError,
     char_poly,
@@ -141,27 +142,11 @@ def factored_surd_str(surd: QuadSurd) -> str:
         num = _factored_int(q.numerator)
         return num if q.denominator == 1 else f"{num}/{_factored_int(q.denominator)}"
 
-    if surd.b == 0:
-        q = surd.a
-        return rational(q) if q >= 0 else f"-({rational(-q)})"
-    terms = []
-    if surd.a:
-        terms.append(rational(surd.a) if surd.a > 0 else f"-({rational(-surd.a)})")
-    b = surd.b
-    root = f"sqrt({surd.d})"
-    if b == 1:
-        bpart = root
-    elif b == -1:
-        bpart = f"-{root}"
-    elif b > 0:
-        bpart = f"({rational(b)})*{root}"
-    else:
-        bpart = f"-({rational(-b)})*{root}"
-    if terms and b > 0:
-        return f"{terms[0]} + {bpart}"
-    if terms:
-        return f"{terms[0]} {bpart.replace('-', '- ', 1)}"
-    return bpart
+    return _surd_text(
+        surd,
+        lambda q: rational(q) if q >= 0 else f"-({rational(-q)})",
+        lambda q: f"({rational(q)})",
+    )
 
 
 def _surd_or_json(x: ExactNumber, render: Callable[[QuadSurd], str], times_i: str) -> str:
@@ -443,7 +428,9 @@ def cmd_verify_numeric(args) -> int:
 
 def cmd_fixtures(args) -> int:
     registry = load_fixtures()
-    if args.dump:
+    if args.dump == "":
+        raise FixtureError("the --dump path is empty")
+    if args.dump is not None:
         from importlib import resources
 
         source = resources.files(__package__) / "fixtures"
@@ -546,7 +533,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
+        code = _HANDLERS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of standard output has gone: send the rest to devnull,
+        # so the interpreter's final flush does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

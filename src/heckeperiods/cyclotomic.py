@@ -14,18 +14,16 @@ built whole on first use and only read afterwards.
 
 from __future__ import annotations
 
+import ast
 import cmath
 import math
-import re
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 # the bound of every memo in the package
 _MEMO_SIZE = 1024
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 # ---------------------------------------------------------------------------
@@ -617,56 +615,65 @@ class QuadSurd:
         return float(self.a) + float(self.b) * math.sqrt(self.d)
 
     def __str__(self):
-        if self.b == 0:
-            return _fmt_rational(self.a)
-        root = f"sqrt({self.d})"
-        bpart = root if self.b == 1 else (f"-{root}" if self.b == -1 else f"{_fmt_rational(self.b)}*{root}")
-        if self.a == 0:
-            return bpart
-        sign = "+" if self.b > 0 else "-"
-        babs = root if abs(self.b) == 1 else f"{_fmt_rational(abs(self.b))}*{root}"
-        return f"{_fmt_rational(self.a)} {sign} {babs}"
+        return _surd_text(self, _fmt_rational, _fmt_rational)
 
     def __repr__(self):
         return f"QuadSurd({self.a}, {self.b}, {self.d})"
 
 
-_SURD_TERM = re.compile(
-    r"\s*(?P<sign>[+-])?\s*(?:(?P<coef>\d+(?:/\d+)?)\s*\*\s*)?"
-    r"(?:sqrt\(\s*(?P<rad>\d+)\s*\)|(?P<plain>\d+(?:/\d+)?))\s*"
-)
+def _surd_text(surd: QuadSurd, signed: Callable[[Fraction], str], unsigned: Callable[[Fraction], str]) -> str:
+    """The a + b*sqrt(d) layout of a rational surd: signed(q) prints any
+    rational, unsigned(q) a positive coefficient of the root."""
+    if surd.b == 0:
+        return signed(surd.a)
+    root = f"sqrt({surd.d})"
+    babs = root if abs(surd.b) == 1 else f"{unsigned(abs(surd.b))}*{root}"
+    if surd.a == 0:
+        return babs if surd.b > 0 else f"-{babs}"
+    return f"{signed(surd.a)} {'+' if surd.b > 0 else '-'} {babs}"
+
+
+# the grammar of surd text: characters first, then these operators
+_SURD_CHARS = frozenset("0123456789+-*/^() sqrt")
+
+_SURD_OPS = {
+    ast.Add: operator.add,
+    ast.Sub: operator.sub,
+    ast.Mult: operator.mul,
+    ast.Div: operator.truediv,
+    ast.Pow: operator.pow,
+}
 
 
 def parse_quad_surd(text: str) -> QuadSurd:
-    """Parse "a + b*sqrt(d)" (either part optional) into a QuadSurd."""
-    a = _ZERO
-    b = _ZERO
-    d = 1
-    pos = 0
-    seen = False
-    while pos < len(text):
-        m = _SURD_TERM.match(text, pos)
-        if not m or m.end() == pos:
-            raise ValueError(f"cannot parse surd: {text!r}")
-        sign = -1 if m.group("sign") == "-" else 1
-        if m.group("rad") is not None:
-            rad = int(m.group("rad"))
-            coef = Fraction(m.group("coef")) if m.group("coef") else _ONE
-            s, f = square_and_squarefree_part(rad)
-            if f == 1:
-                a += sign * coef * s
-            else:
-                if d != 1 and d != f:
-                    raise ValueError(f"mixed radicands in {text!r}")
-                d = f
-                b += sign * coef * s
-        else:
-            a += sign * Fraction(m.group("plain"))
-        pos = m.end()
-        seen = True
-    if not seen:
-        raise ValueError(f"empty surd: {text!r}")
-    return QuadSurd(a, b, d)
+    """Evaluate surd text such as "1135193+19*sqrt(144169)": integers,
+    + - * / ^ and parentheses, read by Python's parser with ^ as **, and
+    sqrt(<integer>) with one radicand in all."""
+    if not set(text) <= _SURD_CHARS:
+        raise ValueError(f"unexpected characters in surd {text!r}")
+
+    def evaluate(node: ast.AST):
+        match node:
+            case ast.Constant(value=int(n)):
+                return Fraction(n)
+            case ast.BinOp(left, op, right) if type(op) in _SURD_OPS:
+                return _SURD_OPS[type(op)](evaluate(left), evaluate(right))
+            case ast.UnaryOp(ast.USub(), operand):
+                return -evaluate(operand)
+            case ast.UnaryOp(ast.UAdd(), operand):
+                return evaluate(operand)
+            case ast.Call(ast.Name("sqrt"), [ast.Constant(value=int(n))], []):
+                s, f = square_and_squarefree_part(n)
+                return QuadSurd(0, s, f)
+        raise ValueError("unsupported expression")
+
+    try:
+        value = evaluate(ast.parse(text.replace("^", "**"), mode="eval").body)
+    except (SyntaxError, ZeroDivisionError, TypeError, ValueError) as exc:
+        raise ValueError(f"cannot parse surd {text!r}: {exc}") from None
+    if not isinstance(value, (Fraction, QuadSurd)):
+        raise ValueError(f"cannot parse surd {text!r}: not in Q(sqrt d)")
+    return QuadSurd._coerce(value)
 
 
 def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:

@@ -13,7 +13,6 @@ ratio in which the untwisted factor cancels.
 
 from __future__ import annotations
 
-import ast
 import json
 import math
 from dataclasses import dataclass
@@ -453,24 +452,17 @@ class FixtureRegistry:
 
 
 def _parse_factored(text: str) -> int:
-    """Evaluate a product string like "2*(2^7*3^2)^2" to an integer: digits,
-    "*", "^" and parentheses, read by Python's parser with ^ as **."""
-    if not set(text) <= set("0123456789*^()"):
-        raise FixtureError(f"unexpected characters in factored value {text!r}")
-    try:
-        tree = ast.parse(text.replace("^", "**"), mode="eval")
-    except SyntaxError:
-        raise FixtureError(f"cannot parse factored value {text!r}") from None
-
-    def evaluate(node: ast.AST) -> int:
-        if isinstance(node, ast.Constant) and type(node.value) is int:
-            return node.value
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Mult, ast.Pow)):
-            left, right = evaluate(node.left), evaluate(node.right)
-            return left * right if isinstance(node.op, ast.Mult) else left**right
-        raise FixtureError(f"cannot parse factored value {text!r}")
-
-    return evaluate(tree.body)
+    """Evaluate a product string like "2*(2^7*3^2)^2" to an integer: surd
+    text (parse_quad_surd) restricted to digits, "*", "^" and parentheses."""
+    if set(text) <= set("0123456789*^()"):
+        try:
+            value = parse_quad_surd(text)
+        except ValueError:
+            pass
+        else:
+            if value.b == 0 and value.a.denominator == 1:
+                return value.a.numerator
+    raise FixtureError(f"cannot parse factored value {text!r}")
 
 
 def _load_json(name: str) -> dict:

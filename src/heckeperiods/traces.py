@@ -108,9 +108,10 @@ def _trace_prefactor(chibar: DirichletCharacter, w: int, level: int, e: int) -> 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _i_sqrt_level_power(level: int, e: int) -> ExactNumber:
-    """(i sqrt N)^e = i^e sqrt(N^e); for odd e (m + n odd, even characters)
-    this brings in sqrt(N)."""
-    return ExactNumber.zeta(4, e % 4) * sqrt_positive_integer(level**e)
+    """(i sqrt N)^e = i^e N^(e // 2) sqrt(N)^(e mod 2); for odd e (m + n odd,
+    even characters) this brings in sqrt(N), and only N is factored."""
+    root = sqrt_positive_integer(level) if e % 2 else 1
+    return ExactNumber.zeta(4, e % 4) * root * level ** (e // 2)
 
 
 def _double_sum(ctx: PeriodContext, m: int) -> list[int]:

@@ -1,6 +1,10 @@
 """Command-line surface: outputs, schemas, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -342,12 +346,31 @@ def test_validation_error_exit_code(capsys):
          "--character", "table:3:0,zeta[1]^0,zeta[1]^0"),
         ("trace", "--level", "1", "--weight", "12", "--character", "kronecker:3",
          "--m", "1", "--n", "1"),
+        ("fixtures", "--dump", ""),
     ],
 )
 def test_bad_requests_exit_two(capsys, argv):
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("invalid request:")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""])
+def test_closed_stdout_exits_quietly(unbuffered):
+    # the reader of standard output is gone before the first write, whether
+    # the write fails in the handler (unbuffered) or at the final flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONUNBUFFERED=unbuffered)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "heckeperiods.cli", "fixtures"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 @pytest.mark.parametrize("fault", [ValueError("not a rational number"), ArithmeticError("inexact")])

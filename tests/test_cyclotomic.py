@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -335,6 +336,23 @@ def test_quad_surd_string_roundtrip():
     assert parse_quad_surd("12*sqrt(4)") == QuadSurd(24, 0, 1)  # square parts fold in
     with pytest.raises(ValueError):
         parse_quad_surd("sqrt(2)+sqrt(3)")
+
+
+def test_parse_quad_surd_evaluates_arithmetic():
+    assert parse_quad_surd("2*3") == QuadSurd(6, 0, 1)
+    assert parse_quad_surd("2^3-1") == QuadSurd(7, 0, 1)
+    assert parse_quad_surd("(1+sqrt(5))/2") == QuadSurd(Fraction(1, 2), Fraction(1, 2), 5)
+    assert parse_quad_surd("-(3/2)*sqrt(8)") == QuadSurd(0, -3, 2)
+    assert parse_quad_surd("+sqrt(2) - 1") == QuadSurd(-1, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3 sqrt(5)", "1 2", "1/0", "2^(1/2)", "0x10", "sqrt(5)^2", "sqrt(x)", "sqrt(2.0)", "", "sqrt(0)"],
+)
+def test_parse_quad_surd_rejects_non_surd_text(text):
+    with pytest.raises(ValueError, match=re.escape(repr(text))):
+        parse_quad_surd(text)
 
 
 def test_quad_surd_field_ops():

@@ -1,5 +1,6 @@
 """Fixture algebra: exact eigen-decomposition and twisted-value ratios."""
 
+import hashlib
 import json
 import re
 from fractions import Fraction
@@ -302,6 +303,31 @@ def test_malformed_fixture_reports_line(tmp_path, monkeypatch):
     monkeypatch.setattr(module, "resources", FakeResources)
     with pytest.raises(FixtureError, match="line 3"):
         load_fixtures()
+
+
+def test_fixture_coefficients_are_surd_arithmetic(monkeypatch):
+    import heckeperiods.eigenforms as module
+
+    real = module._load_json
+
+    def patched(name):
+        data = real(name)
+        if name == "sl2z_eigenforms.json":
+            data["forms"][0]["terms"][0]["coeff"] = "2*3"
+        return data
+
+    monkeypatch.setattr(module, "_load_json", patched)
+    form = load_fixtures().eigenform("sl2z-w24-odd-plus")
+    assert form.terms[0] == (1, QuadSurd(6, 0, 1))
+
+
+def test_fixture_registry_is_pinned(registry):
+    # every coefficient of every bundled eigenform, as read from the fixtures
+    digest = hashlib.sha256()
+    for name, form in sorted(registry.eigenforms.items()):
+        for n, c in form.terms:
+            digest.update(f"{name} {n} {c.a} {c.b} {c.d}\n".encode())
+    assert digest.hexdigest() == "18bcb61707da76bb35523ec485af4184b512f78764035a34c3cb2920b5f695b5"
 
 
 def test_fixture_coeff_strings_roundtrip(registry):

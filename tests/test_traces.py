@@ -1,5 +1,6 @@
 """The exact L-value trace: closed form against the period route."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -93,3 +94,13 @@ def test_sign_flip_under_m_reflection(chi3):
         a = trace_closed_form(TraceQuery(ctx, m))
         b = trace_closed_form(TraceQuery(ctx, 10 - m))
         assert a == -b
+
+
+def test_routes_agree_at_a_ten_digit_prime_level(chi3):
+    # (i sqrt N)^e factors N alone, never N^e: at N = 10^9 + 7 the trace
+    # takes milliseconds, where trial division of N^e would not finish
+    start = time.monotonic()
+    for n, m in ((1, 1), (2, 2), (1, 3)):
+        q = TraceQuery(PeriodContext(10**9 + 7, 10, n, chi3), m)
+        assert trace_closed_form(q) == trace_from_periods(q), (n, m)
+    assert time.monotonic() - start < 2.0
