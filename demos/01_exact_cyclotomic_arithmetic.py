@@ -40,8 +40,8 @@ print("zeta_5 recognized:", recognize_surd(ExactNumber.zeta(5, 1)))  # None
 
 # Polynomials carry exact coefficients; they are the output type of the
 # period formulas, which do their substitutions on rational coefficient lists.
-p = ExactPolynomial.from_rational_coeffs([Fraction(1, 6), -1, 1])  # x^2 - x + 1/6
-print("p(2/3) =", p.evaluate(Fraction(2, 3)).rational_value())
+p = ExactPolynomial([Fraction(1, 6), -1, 1, 0])  # x^2 - x + 1/6; trailing zeros trimmed
+print("p has degree", p.degree(), "and coefficients", [str(c.rational_value()) for c in p.coefficients])
 
 # Serialization round-trips bit-exactly.
 print("JSON form of 1/3 at level 4:", ExactNumber.from_rational(Fraction(1, 3), 4).to_json())

@@ -40,7 +40,7 @@ def _bernoulli_numbers(row: int) -> tuple[Fraction, ...]:
 
 def bernoulli_poly(k: int) -> ExactPolynomial:
     """B_k(x) as an exact polynomial; the zero polynomial for k < 0."""
-    return ExactPolynomial.from_rational_coeffs(bernoulli_shifted_coeffs(k, _ZERO))
+    return ExactPolynomial(bernoulli_shifted_coeffs(k, _ZERO))
 
 
 def bernoulli_shifted_coeffs(k: int, a: Fraction) -> list[Fraction]:

@@ -356,14 +356,10 @@ def cmd_ratio(args) -> int:
     form = registry.eigenform(args.fixture)
     chi = parse_character(args.character)
     value = twisted_lambda_ratio(form, chi, args.m1, args.m2)
-    base_s = recognize_surd(value.base)
-    rad_s = recognize_surd(value.radical)
-    if value.radical.is_zero():
-        text = str(base_s) if base_s is not None else json.dumps(value.base.to_json())
-    elif base_s is not None and rad_s is not None:
-        text = f"({base_s}) + ({rad_s})*sqrt({value.d})"
-    else:
-        text = "see json"
+    text = _surd_or_json(value.base, str, "i*({})")
+    if not value.radical.is_zero():
+        radical = _surd_or_json(value.radical, str, "i*({})")
+        text = f"({text}) + ({radical})*sqrt({value.d})"
     payload = {
         "fixture": args.fixture,
         "character": character_spec_string(chi),

@@ -507,6 +507,17 @@ class QuadSurd:
         b = b if isinstance(b, ExactNumber) else Fraction(b)
         if d < 1 or not is_squarefree(d):
             raise ValueError("radicand must be a squarefree positive integer")
+        self._store(a, b, d)
+
+    @classmethod
+    def _make(cls, a, b, d: int) -> "QuadSurd":
+        """a + b*sqrt(d) from Fraction or ExactNumber parts and a radicand
+        already checked: how every arithmetic result is built."""
+        self = object.__new__(cls)
+        self._store(a, b, d)
+        return self
+
+    def _store(self, a, b, d: int) -> None:
         if _is_zero(b):
             d = 1
         elif d == 1:
@@ -534,7 +545,7 @@ class QuadSurd:
         if isinstance(value, QuadSurd):
             return value
         if isinstance(value, (int, Fraction)):
-            return QuadSurd(value, 0, 1)
+            return QuadSurd._make(Fraction(value), Fraction(0), 1)
         return NotImplemented
 
     def _join(self, other: "QuadSurd") -> int:
@@ -552,18 +563,18 @@ class QuadSurd:
 
     def conjugate(self) -> "QuadSurd":
         """The image under sqrt(d) -> -sqrt(d)."""
-        return type(self)(self.a, -self.b, self.d)
+        return self._make(self.a, -self.b, self.d)
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return type(self)(self.a + other.a, self.b + other.b, self._join(other))
+        return self._make(self.a + other.a, self.b + other.b, self._join(other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return type(self)(-self.a, -self.b, self.d)
+        return self._make(-self.a, -self.b, self.d)
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -579,12 +590,12 @@ class QuadSurd:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, ExactNumber)):
-            return type(self)(self.a * other, self.b * other, self.d)
+            return self._make(self.a * other, self.b * other, self.d)
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
         d = self._join(other)
-        return type(self)(
+        return self._make(
             self.a * other.a + self.b * other.b * d,
             self.a * other.b + self.b * other.a,
             d,
@@ -597,7 +608,7 @@ class QuadSurd:
         if _is_zero(norm):
             raise ZeroDivisionError("inverse of zero surd")
         inv = 1 / norm
-        return type(self)(self.a * inv, -self.b * inv, self.d)
+        return self._make(self.a * inv, -self.b * inv, self.d)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -664,7 +675,7 @@ def parse_quad_surd(text: str) -> QuadSurd:
                 return evaluate(operand)
             case ast.Call(ast.Name("sqrt"), [ast.Constant(value=int(n))], []):
                 s, f = square_and_squarefree_part(n)
-                return QuadSurd(0, s, f)
+                return QuadSurd._make(Fraction(0), Fraction(s), f)
         raise ValueError("unsupported expression")
 
     try:
@@ -700,11 +711,13 @@ def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over ExactNumber
+# polynomials over ExactNumber: an output record, built once from buckets
 
 
 class ExactPolynomial:
-    """Univariate polynomial with ExactNumber coefficients.
+    """Univariate polynomial with ExactNumber coefficients, the output of the
+    period and Bernoulli routes; it has no ring arithmetic, only a scalar
+    product.
 
     Internally ascending; the public `coefficients` view is degree-descending
     with a nonzero leading coefficient (empty for the zero polynomial).
@@ -720,14 +733,6 @@ class ExactPolynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactPolynomial is immutable")
-
-    @classmethod
-    def zero(cls) -> "ExactPolynomial":
-        return cls([])
-
-    @classmethod
-    def from_rational_coeffs(cls, ascending: Iterable, level: int = 1) -> "ExactPolynomial":
-        return cls([ExactNumber.from_rational(c, level) for c in ascending])
 
     # -- views
 
@@ -748,45 +753,6 @@ class ExactPolynomial:
             return self._asc[k]
         return ExactNumber.zero()
 
-    # -- arithmetic
-
-    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        if not isinstance(other, ExactPolynomial):
-            return NotImplemented
-        a, b = self._asc, other._asc
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return ExactPolynomial(out)
-
-    def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial([-c for c in self._asc])
-
-    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        if not isinstance(other, ExactPolynomial):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ExactNumber)):
-            return self.scale(other)
-        if not isinstance(other, ExactPolynomial):
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return ExactPolynomial.zero()
-        out = [ExactNumber.zero() for _ in range(len(self._asc) + len(other._asc) - 1)]
-        for i, a in enumerate(self._asc):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other._asc):
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return ExactPolynomial(out)
-
-    __rmul__ = __mul__
-
     def scale(self, factor) -> "ExactPolynomial":
         return ExactPolynomial([c * factor for c in self._asc])
 
@@ -798,13 +764,6 @@ class ExactPolynomial:
         return all(a == b for a, b in zip(self._asc, other._asc))
 
     __hash__ = None
-
-    def evaluate(self, x) -> ExactNumber:
-        x = x if isinstance(x, ExactNumber) else ExactNumber.from_rational(x)
-        result = ExactNumber.zero()
-        for c in reversed(self._asc):
-            result = result * x + c
-        return result
 
     def to_json(self) -> dict:
         return {"degree": self.degree(), "coefficients": [c.to_json() for c in self.coefficients]}

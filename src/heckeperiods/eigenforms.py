@@ -125,7 +125,7 @@ def _char_coeffs(matrix: RationalMatrix) -> list[Fraction]:
 
 def char_poly(matrix: RationalMatrix) -> ExactPolynomial:
     """Monic characteristic polynomial det(xI - M), exact."""
-    return ExactPolynomial.from_rational_coeffs(_char_coeffs(matrix))
+    return ExactPolynomial(_char_coeffs(matrix))
 
 
 def _eval_fraction_poly(coeffs: list[Fraction], x: Fraction) -> Fraction:

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -142,6 +143,52 @@ def test_multiplicativity_validated():
     # a table breaking chi(ab) = chi(a)chi(b) must be rejected
     with pytest.raises(CharacterError):
         DirichletCharacter(5, 4, [None, 0, 1, 1, 2])
+
+
+def _multiplicative_by_pairs(d, order, exps):
+    """The O(D^2) definition: chi(1) = 1 and chi(ab) = chi(a)chi(b) for
+    every pair of units."""
+    units = [h for h in range(d) if math.gcd(h, d) == 1]
+    return exps[1 % d] % order == 0 and all(
+        (exps[a] + exps[b]) % order == exps[a * b % d] % order for a in units for b in units
+    )
+
+
+def test_validation_agrees_with_the_pairwise_definition():
+    # genuine tables (at a multiple of their order), the same with one unit's
+    # value changed, and random exponents on the units
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(1500):
+        d = rng.randint(2, 48)
+        units = [h for h in range(d) if math.gcd(h, d) == 1]
+        kind = rng.choice(["genuine", "perturbed", "random"])
+        if kind == "random":
+            order = rng.randint(1, 12)
+            exps = [rng.randrange(order) if h in units else None for h in range(d)]
+        else:
+            chi = rng.choice(list(enumerate_characters(d)))
+            order = chi.order * rng.choice([1, 2, 3] if kind == "genuine" else [2, 3])
+            exps = [None if e is None else e * (order // chi.order) for e in chi.exponents]
+            if kind == "perturbed":
+                h = rng.choice(units)
+                exps[h] = (exps[h] + rng.randrange(1, order)) % order
+        expected = _multiplicative_by_pairs(d, order, exps)
+        try:
+            DirichletCharacter(d, order, exps)
+            accepted = True
+        except CharacterError:
+            accepted = False
+        assert accepted == expected, (d, order, exps)
+        seen.add((kind, expected))
+    assert seen >= {("genuine", True), ("perturbed", False), ("random", True), ("random", False)}
+
+
+def test_validation_is_fast_at_a_large_modulus():
+    start = time.monotonic()
+    chi = kronecker_character(-19999)
+    assert time.monotonic() - start < 2.0
+    assert chi.order == 2 and chi.is_primitive
 
 
 def test_nontrivial_sum_vanishes():

@@ -114,8 +114,15 @@ def test_crosscheck_small(capsys):
 def test_crosscheck_names_the_first_difference(capsys, monkeypatch):
     oracle = cli.case_sum_polynomial
     trace = cli.trace_from_periods
-    bump = ExactPolynomial.from_rational_coeffs([0, 0, 0, 1])
-    monkeypatch.setattr(cli, "case_sum_polynomial", lambda ctx: oracle(ctx) + bump)
+
+    def bumped(ctx):
+        # the oracle's polynomial plus X^3
+        poly = oracle(ctx)
+        coeffs = [poly.coefficient(k) for k in range(max(poly.degree() + 1, 4))]
+        coeffs[3] = coeffs[3] + 1
+        return ExactPolynomial(coeffs)
+
+    monkeypatch.setattr(cli, "case_sum_polynomial", bumped)
     monkeypatch.setattr(cli, "trace_from_periods", lambda query: trace(query) + 1)
     code, out, _ = run(capsys, "crosscheck", "--grid", "small", "--format", "json")
     assert code == 1
@@ -249,6 +256,21 @@ def test_ratio_zero_prints_zero(capsys):
     )
     assert code == 0
     assert out.strip() == "0"
+
+
+def test_ratio_text_of_a_quartic_character_carries_the_json(capsys):
+    argv = ["ratio", "--fixture", "sl2z-w24-even-plus", "--character",
+            "table:5:0,zeta[4]^0,zeta[4]^1,zeta[4]^3,zeta[4]^2", "--m1", "2", "--m2", "4"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    code, data, _ = run(capsys, *argv, "--format", "json")
+    data = json.loads(data)
+    assert data["text"] == out.strip() and "see json" not in out
+    # the base is no surd: the text opens with its JSON, and the radical follows
+    base, end = json.JSONDecoder().raw_decode(out, 1)
+    assert out.startswith("(") and out[end:].startswith(") + (")
+    assert out.strip().endswith("*sqrt(144169)")
+    assert ExactNumber.from_json(base) == ExactNumber.from_json(data["base"])
 
 
 def test_verify_numeric_lambda(capsys):
