@@ -1,21 +1,38 @@
 """Bernoulli numbers and polynomials, plain and character-weighted.
 
 Conventions follow the generating function t*e^(x*t)/(e^t - 1), so B_1 is
--1/2, and B_k(x) is the zero polynomial for negative k.  The
-character-weighted polynomials are computed from both defining expressions
-(the level-power residue sum and the binomial expansion in the weighted
-Bernoulli numbers) and the two must agree exactly; a mismatch is a hard
-internal error, not a recoverable condition.
+-1/2, and B_k(x) is the zero polynomial for negative k.
+
+Sums of Bernoulli values over residues run in integers.  Let L_j be the
+least common multiple of the denominators of B_0..B_j (by von
+Staudt-Clausen, the product of the primes p <= j + 1).  Then
+D^j * L_j * B_j(r/D) is an integer for every integer r, and
+``_bernoulli_row(j, D)`` holds these integers for r = 0..D-1 over the stated
+denominator D^j * L_j.  Each row is built once per (j, D) from the addition
+formula and memoized, so every k that reads B_j(r/D) reuses it.  The period
+routes read the rows, add integers and divide once at the end.
+
+The character-weighted polynomials are computed from both defining
+expressions (the level-power residue sum and the binomial expansion in the
+weighted Bernoulli numbers) and the two must agree exactly; a mismatch is a
+hard internal error, not a recoverable condition.  Both are integer
+coordinates over D * L_k.  They share the rows and the fold to power-basis
+coordinates and nothing else: the residue sum adds one integer polynomial
+per residue, the binomial expansion adds one integer number per index and
+spreads it with binomial coefficients.  The rows themselves are checked
+against a rational reference in the tests.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .characters import DirichletCharacter
-from .cyclotomic import _MEMO_SIZE, ExactNumber, ExactPolynomial, _add_into, _bucket_poly, _fold, euler_phi
+from .cyclotomic import _MEMO_SIZE, ExactNumber, ExactPolynomial, _bucket_poly, _fold, euler_phi
 
 _ZERO = Fraction(0)
 # Bernoulli numbers are memoized in rows of this length: a short row wastes
@@ -38,6 +55,38 @@ def _bernoulli_numbers(row: int) -> tuple[Fraction, ...]:
     return tuple(numbers)
 
 
+def _denominator_lcms(k: int) -> list[int]:
+    """L_0..L_k, with L_j the least common multiple of the denominators of
+    B_0..B_j."""
+    return list(itertools.accumulate((bernoulli_number(j).denominator for j in range(k + 1)), math.lcm))
+
+
+def _numerators(j: int, q: int, ps: Iterable[int]) -> tuple[int, list[int]]:
+    """q^j * L_j and the integers q^j * L_j * B_j(p/q) for each p: the
+    addition formula B_j(p/q) = sum_i C(j,i) B_(j-i) (p/q)^i, cleared of
+    denominators and evaluated by Horner's rule in p."""
+    lcm = _denominator_lcms(j)[-1]
+    descending = []
+    for i in range(j, -1, -1):
+        b = bernoulli_number(j - i)
+        descending.append(math.comb(j, i) * b.numerator * (lcm // b.denominator) * q ** (j - i))
+    values = []
+    for p in ps:
+        acc = 0
+        for c in descending:
+            acc = acc * p + c
+        values.append(acc)
+    return q**j * lcm, values
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _bernoulli_row(j: int, d: int) -> tuple[int, tuple[int, ...]]:
+    """The stated denominator D^j * L_j and the integer numerators of
+    B_j(r/D) over it, for r = 0..D-1."""
+    den, values = _numerators(j, d, range(d))
+    return den, tuple(values)
+
+
 def bernoulli_poly(k: int) -> ExactPolynomial:
     """B_k(x) as an exact polynomial; the zero polynomial for k < 0."""
     return ExactPolynomial(bernoulli_shifted_coeffs(k, _ZERO))
@@ -50,16 +99,11 @@ def bernoulli_shifted_coeffs(k: int, a: Fraction) -> list[Fraction]:
     return [math.comb(k, j) * _bernoulli_at(j, a) for j in range(k, -1, -1)]
 
 
-# typed: a float argument equal to a Fraction key must not share its entry
-@lru_cache(maxsize=_MEMO_SIZE, typed=True)
-def _bernoulli_at(k: int, a: Fraction) -> Fraction:
-    acc = _ZERO
-    power = Fraction(1)
-    # B_k(a) = sum_j C(k,j) B_{k-j} a^j
-    for j in range(k + 1):
-        acc += math.comb(k, j) * bernoulli_number(k - j) * power
-        power *= a
-    return acc
+def _bernoulli_at(k: int, a) -> Fraction:
+    """B_k(a) for a rational a."""
+    a = Fraction(a)
+    den, (num,) = _numerators(k, a.denominator, (a.numerator,))
+    return Fraction(num, den)
 
 
 def bernoulli_frac(k: int, x) -> Fraction:
@@ -84,7 +128,8 @@ class BernoulliSelfCheckError(ArithmeticError):
 def generalized_bernoulli_poly(k: int, chi: DirichletCharacter) -> ExactPolynomial:
     """The chi-weighted Bernoulli polynomial of degree index k, built once
     from its checked coordinates (the zero polynomial for k < 0)."""
-    return _bucket_poly(_weighted_coordinates(k, chi), chi.order)
+    den, coords = _weighted_coordinates(k, chi)
+    return _bucket_poly(coords, chi.order, den)
 
 
 def generalized_bernoulli_number(k: int, chi: DirichletCharacter) -> ExactNumber:
@@ -93,10 +138,11 @@ def generalized_bernoulli_number(k: int, chi: DirichletCharacter) -> ExactNumber
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _weighted_coordinates(k: int, chi: DirichletCharacter) -> tuple[tuple[Fraction, ...], ...]:
+def _weighted_coordinates(k: int, chi: DirichletCharacter) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Power-basis coordinates of the chi-weighted Bernoulli polynomial at
-    level R = ord chi: entry j is the ascending rational polynomial that
-    multiplies zeta_R**j.
+    level R = ord chi, as a common denominator and integer numerators over
+    it: entry j is the ascending integer polynomial that multiplies
+    zeta_R**j.
 
     Both defining expressions are evaluated:
       (a) D^(k-1) * sum_h chi(h) B_k((h+x)/D)
@@ -106,45 +152,57 @@ def _weighted_coordinates(k: int, chi: DirichletCharacter) -> tuple[tuple[Fracti
     vanish).
     """
     if k < 0:
-        return ((),) * euler_phi(chi.order)
+        return 1, ((),) * euler_phi(chi.order)
     via_sum = _via_residue_sum(k, chi)
     if via_sum != _via_binomial(k, chi):
         raise BernoulliSelfCheckError(f"defining expressions disagree at k={k}, chi mod {chi.modulus}")
-    return via_sum
+    return chi.modulus * _denominator_lcms(k)[-1], via_sum
 
 
-def _via_residue_sum(k: int, chi: DirichletCharacter) -> tuple[tuple[Fraction, ...], ...]:
-    """D^(k-1) * sum_h chi(h) B_k((h+x)/D), one rational polynomial per
-    value-exponent class, folded to coordinates at level ord chi."""
+def _via_residue_sum(k: int, chi: DirichletCharacter) -> tuple[tuple[int, ...], ...]:
+    """D * L_k * D^(k-1) * sum_h chi(h) B_k((h+x)/D), one integer polynomial
+    per value-exponent class, folded to coordinates at level ord chi."""
     d = chi.modulus
-    scale = Fraction(d) ** (k - 1)
-    inv = Fraction(1, d)
-    buckets: list[list[Fraction]] = [[] for _ in range(chi.order)]
+    top = _bernoulli_row(k, d)[0] // d**k
+    # B_k((h+x)/D) = sum_i C(k,i) B_(k-i)(h/D) (x/D)^i, and row k-i states
+    # B_(k-i)(h/D) over D^(k-i) * L_(k-i)
+    weights, rows = [], []
+    for i in range(k + 1):
+        den, row = _bernoulli_row(k - i, d)
+        weights.append(math.comb(k, i) * top * d ** (k - i) // den)
+        rows.append(row)
+    buckets = [[0] * (k + 1) for _ in range(chi.order)]
     for h in range(d):
         e = chi.exponents[h]
         if e is None:
             continue
-        # B_k((h+x)/D) = sum_j C(k,j) B_j(h/D) (x/D)^(k-j)
-        shifted = bernoulli_shifted_coeffs(k, Fraction(h, d))
-        _add_into(buckets[e], [c * inv**i * scale for i, c in enumerate(shifted)])
-    columns = [_fold([b[i] if i < len(b) else _ZERO for b in buckets], chi.order) for i in range(k + 1)]
+        bucket = buckets[e]
+        for i, (weight, row) in enumerate(zip(weights, rows)):
+            bucket[i] += weight * row[h]
+    columns = [_fold([b[i] for b in buckets], chi.order) for i in range(k + 1)]
     return tuple(zip(*columns))
 
 
-def _via_binomial(k: int, chi: DirichletCharacter) -> tuple[tuple[Fraction, ...], ...]:
-    # the coefficient of x^i is C(k, k-i) times the weighted number at k-i
-    columns = [[math.comb(k, j) * c for c in _weighted_number_direct(j, chi)] for j in range(k, -1, -1)]
+def _via_binomial(k: int, chi: DirichletCharacter) -> tuple[tuple[int, ...], ...]:
+    # the coefficient of x^i is C(k, k-i) times the weighted number at k-i,
+    # brought from its denominator D * L_(k-i) to D * L_k
+    lcms = _denominator_lcms(k)
+    columns = [
+        [math.comb(k, j) * (lcms[k] // lcms[j]) * c for c in _weighted_number_direct(j, chi)]
+        for j in range(k, -1, -1)
+    ]
     return tuple(zip(*columns))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _weighted_number_direct(j: int, chi: DirichletCharacter) -> tuple[Fraction, ...]:
-    """Coordinates of the weighted Bernoulli number at level ord chi."""
+def _weighted_number_direct(j: int, chi: DirichletCharacter) -> tuple[int, ...]:
+    """Coordinates of the weighted Bernoulli number D^(j-1) * sum_h chi(h)
+    B_j(h/D) at level ord chi, as integers over D * L_j."""
     d = chi.modulus
-    scale = Fraction(d) ** (j - 1)
-    buckets = [_ZERO] * chi.order
+    buckets = [0] * chi.order
+    row = _bernoulli_row(j, d)[1]
     for h in range(d):
         e = chi.exponents[h]
         if e is not None:
-            buckets[e] += _bernoulli_at(j, Fraction(h, d)) * scale
+            buckets[e] += row[h]
     return tuple(_fold(buckets, chi.order))

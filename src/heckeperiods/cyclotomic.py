@@ -196,7 +196,7 @@ class ExactNumber:
             raise ValueError(
                 f"need {euler_phi(level)} coordinates at level {level}, got {len(coords)}"
             )
-        den, nums = _cleared(coords)
+        den, (nums,) = _cleared([[(q.numerator, q.denominator) for q in coords]])
         _store(self, level, den, nums)
 
     @classmethod
@@ -778,25 +778,27 @@ class ExactPolynomial:
 # rational polynomial helpers (shared by the Bernoulli, period and trace modules)
 
 
-def _bucket_sum(values: Sequence[Fraction], order: int) -> ExactNumber:
-    """sum_e values[e] * zeta_order**e, for one rational per exponent class."""
-    den, nums = _cleared(values)
+def _bucket_sum(nums: Sequence[int], order: int, den: int = 1) -> ExactNumber:
+    """sum_e nums[e]/den * zeta_order**e, for one integer per exponent class
+    over one common denominator: the only division."""
     return ExactNumber._make(order, den, _fold(nums, order))
 
 
-def _bucket_poly(buckets: Sequence[Sequence[Fraction]], order: int) -> ExactPolynomial:
-    """sum_e buckets[e](x) * zeta_order**e, each coefficient the _bucket_sum
-    of the ascending rational polynomials of the exponent classes."""
+def _bucket_poly(buckets: Sequence[Sequence[int]], order: int, den: int = 1) -> ExactPolynomial:
+    """sum_e buckets[e](x)/den * zeta_order**e, each coefficient the
+    _bucket_sum of the ascending integer polynomials of the exponent classes."""
     top = max((len(b) for b in buckets), default=0)
     return ExactPolynomial(
-        _bucket_sum([b[i] if i < len(b) else 0 for b in buckets], order) for i in range(top)
+        _bucket_sum([b[i] if i < len(b) else 0 for b in buckets], order, den) for i in range(top)
     )
 
 
-def _cleared(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """One common denominator of rationals, and their integer numerators over it."""
-    den = math.lcm(*(q.denominator for q in values))
-    return den, [q.numerator * (den // q.denominator) for q in values]
+def _cleared(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, list[list[int]]]:
+    """One common denominator of rows of rationals, each an integer pair
+    (numerator, nonzero denominator) in any terms, and their integer
+    numerators over it, row by row."""
+    den = math.lcm(*(q for row in rows for _, q in row))
+    return den, [[p * (den // q) for p, q in row] for row in rows]
 
 
 def _add_into(bucket: list, coeffs: Sequence) -> None:

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Optional
 
-from .bernoulli import _weighted_coordinates, bernoulli_number, bernoulli_shifted_coeffs
+from .bernoulli import _bernoulli_row, _weighted_coordinates, bernoulli_number
 from .characters import (
     DirichletCharacter,
     bezout_pair,
@@ -38,11 +38,10 @@ from .cyclotomic import (
     ExactPolynomial,
     _add_into,
     _bucket_poly,
+    _cleared,
     _poly_mul,
     factorize,
 )
-
-_ZERO = Fraction(0)
 
 
 class ContextError(ValueError):
@@ -149,32 +148,37 @@ def _binomial_power(p: int, q: int, n: int) -> list[int]:
     return [math.comb(n, i) * p**i * q ** (n - i) for i in range(n + 1)]
 
 
-def _quadruple_buckets(ctx: PeriodContext) -> list[list[Fraction]]:
-    """Rational polynomial attached to each conj(chi) value exponent in G_n.
-
-    Each term is summed as D^w * term = (aD*X + ell)^n (-cD*X + k)^(w-n),
-    in integers; every bucket coefficient is divided by D^w once at the end.
-    """
-    chibar = ctx.chi.conjugate()
-    d = ctx.modulus
-    buckets: list[list[int]] = [[] for _ in range(chibar.order)]
-    for a, c, k, ell in enumerate_quadruples(ctx.level, d):
+@lru_cache(maxsize=_MEMO_SIZE)
+def _quadruple_walk(level: int, chibar: DirichletCharacter) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The quadruples (a, c, k, ell) of (N, D) on which conj(chi)(a,c,k,ell)
+    is nonzero, each with that value's exponent: the closed form's walk, read
+    by G_n at every n and by the trace's double sum at every (n, m)."""
+    walk = []
+    for a, c, k, ell in enumerate_quadruples(level, chibar.modulus):
         e = chi_four_tuple_exponent(chibar, a, c, k, ell)
-        if e is None:
-            continue
+        if e is not None:
+            walk.append((a, c, k, ell, e))
+    return tuple(walk)
+
+
+def _quadruple_buckets(ctx: PeriodContext) -> list[list[int]]:
+    """D^w times the polynomial attached to each conj(chi) value exponent in
+    G_n, in integers: D^w * term = (aD*X + ell)^n (-cD*X + k)^(w-n)."""
+    d = ctx.modulus
+    buckets: list[list[int]] = [[] for _ in range(ctx.chi.order)]
+    for a, c, k, ell, e in _quadruple_walk(ctx.level, ctx.chi.conjugate()):
         term = _poly_mul(
             _binomial_power(a * d, ell, ctx.n),
             _binomial_power(-c * d, k, ctx.n_tilde),
         )
         _add_into(buckets[e], term)
-    scale = d**ctx.w
-    return [[Fraction(x, scale) for x in bucket] for bucket in buckets]
+    return buckets
 
 
 def quadruple_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     """G_n(X): the finite sum over quadruples of
     conj(chi)(a,c,k,ell) * (a*X + ell/D)^n * (-c*X + k/D)^(w-n)."""
-    return _bucket_poly(_quadruple_buckets(ctx), ctx.chi.order)
+    return _bucket_poly(_quadruple_buckets(ctx), ctx.chi.order, ctx.modulus**ctx.w)
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +200,9 @@ def _prefactor(chibar: DirichletCharacter, w: int) -> ExactNumber:
 def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     """P_n(X) by the closed form (production path).
 
-    Everything is added as rationals per power of zeta_R (R = ord chi) and
-    enters the field once, at the prefactor: chi(-N) and chi(-1) rotate the
+    Everything is added as integers per power of zeta_R (R = ord chi) over
+    one context denominator, divided once per bucket coefficient, and enters
+    the field once, at the prefactor: chi(-N) and chi(-1) rotate the
     exponent of a Bernoulli term's coordinates.
     """
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
@@ -206,13 +211,6 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     chibar = chi.conjugate()
     order = chi.order
     eps = ctx.epsilons()
-
-    # G_n(X) + gsign*G_n(-X): coefficient i picks up 1 + gsign*(-1)^i
-    gsign = (-1) ** (n - 1) * chi.sign_at_minus_one()
-    buckets = _quadruple_buckets(ctx)
-    for bucket in buckets:
-        for i, c in enumerate(bucket):
-            bucket[i] = c * (1 + gsign * (-1) ** i)
 
     # (character, index k, scalar, exponent of the chi value in front, alpha,
     # reversed): scalar * B_{k,psi}(alpha*X), or scalar * X^w * B_{k,psi}(alpha/X)
@@ -226,14 +224,29 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     if eps.eps3:
         terms.append((chi, n + 1, Fraction(d**nt, n + 1), chi.value_exponent(-1), Fraction(-1, d), True))
 
-    for psi, k, scalar, shift, alpha, reverse in terms:
-        for j, coeffs in enumerate(_weighted_coordinates(k, psi)):
-            scaled = [c * scalar * alpha**i for i, c in enumerate(coeffs)]
+    # the coordinates of B_{k,psi} are integers over their own denominator;
+    # one context denominator clears those, the scalars, alpha^i and G_n's D^w
+    weighted = [_weighted_coordinates(k, psi) for psi, k, *_ in terms]
+    den, (quadruple_factor, *factors) = _cleared(
+        [[(1, d**w)]]
+        + [[(scalar.numerator * alpha.numerator**i, scalar.denominator * alpha.denominator**i * coord_den)
+            for i in range(k + 1)]
+           for (_, k, scalar, _, alpha, _), (coord_den, _) in zip(terms, weighted)]
+    )
+
+    # G_n(X) + gsign*G_n(-X): coefficient i picks up 1 + gsign*(-1)^i
+    gsign = (-1) ** (n - 1) * chi.sign_at_minus_one()
+    symmetrizer = [quadruple_factor[0] * (1 + gsign * (-1) ** i) for i in range(w + 1)]
+    buckets = [[c * s for c, s in zip(bucket, symmetrizer)] for bucket in _quadruple_buckets(ctx)]
+
+    for (_, _, _, shift, _, reverse), (_, coords), multipliers in zip(terms, weighted, factors):
+        for j, coeffs in enumerate(coords):
+            scaled = [c * m for c, m in zip(coeffs, multipliers)]
             if reverse:
                 scaled = [0] * (w + 1 - len(scaled)) + scaled[::-1]
             _add_into(buckets[(j + shift) % order], scaled)
 
-    return _bucket_poly(buckets, order).scale(_prefactor(chibar, w))
+    return _bucket_poly(buckets, order, den).scale(_prefactor(chibar, w))
 
 
 # ---------------------------------------------------------------------------
@@ -247,77 +260,56 @@ def _prime_ratio_product(level: int, s: int, w: int) -> Fraction:
     return out
 
 
-def _case_rational(j: int, h: int, level: int, w: int, n: int, d: int) -> list[Fraction]:
-    """Ascending coefficients of the case-j residue contribution divided by
-    the common (2i)^(w+1) factor, for j in 1..4 and 6 (case 5 comes from
-    _case_five_rows).  Gated cases return []."""
-    nt = w - n
-    h %= d
-    if j == 1:
-        if level != 1:
-            return []
-        coeffs = bernoulli_shifted_coeffs(nt + 1, Fraction(h, d))
-        sign = Fraction((-1) ** n, nt + 1)
-        return [sign * c for c in coeffs]
-    if j == 2:
-        coeffs = bernoulli_shifted_coeffs(n + 1, Fraction(h, d))
-        return [-c / (n + 1) for c in coeffs]
-    if j == 3:
-        if math.gcd(level, d) != 1:
-            return []
-        hbar = pow(h, -1, d)
-        nbar = pow(level % d, -1, d)
-        alpha = Fraction((-nbar * hbar) % d, d)
-        return _reversed_bernoulli(
-            nt + 1, alpha, Fraction(-1, d * d * level), w,
-            Fraction((-1) ** (n - 1) * level**nt * d**w, nt + 1),
-        )
-    if j == 4:
-        if d % level != 0:
-            return []
-        hbar = pow(h, -1, d)
-        beta = Fraction((-hbar) % d, d)
-        return _reversed_bernoulli(
-            n + 1, beta, Fraction(-1, d * d), w, Fraction(d**w, n + 1)
-        )
-    if j == 6:
-        bw = bernoulli_number(w + 2)
-        scalar = (
-            Fraction((-1) ** n * (w + 2))
-            / bw
-            * bernoulli_number(n + 1)
-            / (n + 1)
-            * bernoulli_number(nt + 1)
-            / (nt + 1)
-        )
-        if scalar == 0:
-            return []
-        out = [_ZERO] * (w + 1)
-        out[0] = -scalar * Fraction(1, level ** (n + 1)) * _prime_ratio_product(level, nt + 1, w)
-        out[w] = scalar * Fraction(d**w, level) * _prime_ratio_product(level, n + 1, w)
-        return out
-    raise ValueError(f"case index must be 1..6, got {j}")
+def _case_specs(ctx: PeriodContext) -> dict[int, tuple[int, Fraction, Fraction, int, bool]]:
+    """Cases 1-4 that the context admits (1 needs N=1, 3 needs gcd(N,D)=1,
+    4 needs N|D), as case -> (k, scalar, ratio, unit, reversed).  At residue
+    h the case adds scalar * C(k,i) * ratio^i * B_{k-i}(r/D) to the
+    coefficient of X^i with r = unit*h, or, reversed, to that of X^(w-i) with
+    r = unit*conj(h), conj(h) the inverse of h mod D.  All carry the common
+    (2i)^(w+1) factor divided out."""
+    w, n, nt = ctx.w, ctx.n, ctx.n_tilde
+    d, level = ctx.modulus, ctx.level
+    specs = {}
+    if level == 1:
+        specs[1] = (nt + 1, Fraction((-1) ** n, nt + 1), Fraction(1), 1, False)
+    specs[2] = (n + 1, Fraction(-1, n + 1), Fraction(1), 1, False)
+    if math.gcd(level, d) == 1:
+        scalar = Fraction((-1) ** (n - 1) * level**nt * d**w, nt + 1)
+        specs[3] = (nt + 1, scalar, Fraction(-1, d * d * level), -pow(level, -1, d), True)
+    if d % level == 0:
+        specs[4] = (n + 1, Fraction(d**w, n + 1), Fraction(-1, d * d), -1, True)
+    return specs
 
 
-def _reversed_bernoulli(k: int, shift: Fraction, c: Fraction, w: int, scalar: Fraction) -> list[Fraction]:
-    """scalar * X^w * B_k(shift + c/X) as ascending coefficients (k <= w)."""
-    shifted = bernoulli_shifted_coeffs(k, shift)  # B_k(shift + y), ascending in y
-    out = [_ZERO] * (w + 1)
-    power = Fraction(1)
-    for i, coeff in enumerate(shifted):
-        out[w - i] = scalar * coeff * power
-        power *= c
-    return out
+def _case_six(ctx: PeriodContext) -> list[Fraction]:
+    """The coefficients of X^0 and X^w of case 6, which does not depend on
+    the residue; empty when they vanish."""
+    w, n, nt = ctx.w, ctx.n, ctx.n_tilde
+    level = ctx.level
+    scalar = (
+        Fraction((-1) ** n * (w + 2))
+        / bernoulli_number(w + 2)
+        * bernoulli_number(n + 1)
+        / (n + 1)
+        * bernoulli_number(nt + 1)
+        / (nt + 1)
+    )
+    if scalar == 0:
+        return []
+    return [
+        -scalar * Fraction(1, level ** (n + 1)) * _prime_ratio_product(level, nt + 1, w),
+        scalar * Fraction(ctx.modulus**w, level) * _prime_ratio_product(level, n + 1, w),
+    ]
 
 
-def _case_five_rows(ctx: PeriodContext, residue: Optional[int] = None) -> list[list[Fraction]]:
-    """Case 5 at every residue, from one walk over the quadruples: row h is
-    summed in integers scaled by D^w and divided by D^w once (empty when no
-    quadruple reaches h).  A quadruple with Bezout residue e adds its sign
-    class a, c > 0 at -e and its class c < 0 at +e; in each class exactly
-    one matrix realizes the residue.  Given a residue, quadruples that reach
-    neither it nor its negative are skipped, so only that row (and its
-    negative's) is complete.  Rows of non-units are never read."""
+def _case_five_rows(ctx: PeriodContext, residue: Optional[int] = None) -> list[list[int]]:
+    """D^w times case 5 at every residue, from one walk over the quadruples:
+    row h is summed in integers (empty when no quadruple reaches h).  A
+    quadruple with Bezout residue e adds its sign class a, c > 0 at -e and
+    its class c < 0 at +e; in each class exactly one matrix realizes the
+    residue.  Given a residue, quadruples that reach neither it nor its
+    negative are skipped, so only that row (and its negative's) is complete.
+    Rows of non-units are never read."""
     d, n, nt = ctx.modulus, ctx.n, ctx.n_tilde
     rows: list[list[int]] = [[] for _ in range(d)]
     for a, c, k, ell in enumerate_quadruples(ctx.level, d):
@@ -330,8 +322,47 @@ def _case_five_rows(ctx: PeriodContext, residue: Optional[int] = None) -> list[l
         term = _poly_mul(_binomial_power(a * d, ell, n), _binomial_power(-c * d, k, nt))
         _add_into(rows[e], term)
         _add_into(rows[-e % d], [-t if (n + i) % 2 == 0 else t for i, t in enumerate(term)])
-    scale = d**ctx.w
-    return [[Fraction(x, scale) for x in row] for row in rows]
+    return rows
+
+
+def _case_buckets(
+    ctx: PeriodContext, classes: list[list[int]], cases: Iterable[int], fives: Optional[list[list[int]]]
+) -> tuple[int, list[list[int]]]:
+    """The given cases among 1-4 and 6, plus the case-5 rows `fives` when
+    given, summed over each class of unit residues: ascending integer
+    polynomials over one context denominator, with the (2i)^(w+1) factor
+    divided out.  Cases 1-4 read integer Bernoulli rows and are scaled once
+    per class by one integer per (case, i); case 6 counts the residues."""
+    d, w = ctx.modulus, ctx.w
+    specs = [spec for j, spec in _case_specs(ctx).items() if j in cases]
+    six = _case_six(ctx) if 6 in cases else []
+    # table row k-i states its denominator D^(k-i) * L_(k-i)
+    den, (five_factor, six_values, *factors) = _cleared(
+        [[(1, d**w)], [(q.numerator, q.denominator) for q in six]]
+        + [[(scalar.numerator * math.comb(k, i) * ratio.numerator**i,
+             scalar.denominator * ratio.denominator**i * _bernoulli_row(k - i, d)[0])
+            for i in range(k + 1)]
+           for k, scalar, ratio, _, _ in specs]
+    )
+    buckets = []
+    for residues in classes:
+        bucket = [0] * (w + 1)
+        inverses = [pow(h, -1, d) for h in residues]
+        for (k, _, _, unit, reverse), multipliers in zip(specs, factors):
+            rs = [unit * h % d for h in (inverses if reverse else residues)]
+            for i, multiplier in enumerate(multipliers):
+                row = _bernoulli_row(k - i, d)[1]
+                bucket[w - i if reverse else i] += multiplier * sum(row[r] for r in rs)
+        if fives is not None:
+            five: list[int] = []
+            for h in residues:
+                _add_into(five, fives[h])
+            _add_into(bucket, [x * five_factor[0] for x in five])
+        if six_values:
+            bucket[0] += len(residues) * six_values[0]
+            bucket[w] += len(residues) * six_values[1]
+        buckets.append(bucket)
+    return den, buckets
 
 
 def case_contribution(j: int, h: int, ctx: PeriodContext) -> ExactPolynomial:
@@ -341,20 +372,22 @@ def case_contribution(j: int, h: int, ctx: PeriodContext) -> ExactPolynomial:
     4 needs N|D) and return the zero polynomial when inapplicable; case 6
     does not depend on h.
     """
+    if j not in range(1, 7):
+        raise ValueError(f"case index must be 1..6, got {j}")
     return _residue_polynomial(ctx, h, (j,))
 
 
 def _residue_polynomial(ctx: PeriodContext, h: int, cases: Iterable[int]) -> ExactPolynomial:
-    """(2i)^(w+1) times the rational sum of the given cases at residue h."""
+    """(2i)^(w+1) times the sum of the given cases at residue h."""
     d = ctx.modulus
     if math.gcd(h, d) != 1:
         raise ContextError(f"residue {h} is not coprime to {d}")
-    coeffs: list[Fraction] = []
-    for j in cases:
-        row = _case_five_rows(ctx, h)[h % d] if j == 5 else _case_rational(j, h, ctx.level, ctx.w, ctx.n, d)
-        _add_into(coeffs, row)
+    h %= d
+    cases = tuple(cases)
+    fives = _case_five_rows(ctx, h) if 5 in cases else None
+    den, (coeffs,) = _case_buckets(ctx, [[h]], cases, fives)
     factor = _two_i_power(ctx.w + 1)
-    return ExactPolynomial([factor * c for c in coeffs])
+    return ExactPolynomial([factor * Fraction(c, den) for c in coeffs])
 
 
 def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
@@ -363,19 +396,14 @@ def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     This is the independent oracle: it must equal closed_form_polynomial
     exactly on every valid context.
     """
-    d = ctx.modulus
     chibar = ctx.chi.conjugate()
-    buckets: list[list[Fraction]] = [[] for _ in range(chibar.order)]
-    fives = _case_five_rows(ctx)
-    for h in range(1, d):
+    classes: list[list[int]] = [[] for _ in range(chibar.order)]
+    for h in range(1, ctx.modulus):
         e = chibar.value_exponent(h)
-        if e is None:
-            continue
-        _add_into(buckets[e], fives[h])
-        for j in (1, 2, 3, 4, 6):
-            _add_into(buckets[e], _case_rational(j, h, ctx.level, ctx.w, ctx.n, d))
-    assembled = _bucket_poly(buckets, chibar.order)
-    return assembled.scale(_prefactor(chibar, ctx.w))
+        if e is not None:
+            classes[e].append(h)
+    den, buckets = _case_buckets(ctx, classes, range(1, 7), _case_five_rows(ctx))
+    return _bucket_poly(buckets, chibar.order, den).scale(_prefactor(chibar, ctx.w))
 
 
 # ---------------------------------------------------------------------------

@@ -26,14 +26,14 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bernoulli import _weighted_coordinates
-from .characters import DirichletCharacter, chi_four_tuple_exponent
-from .cyclotomic import _MEMO_SIZE, ExactNumber, _bucket_sum, sqrt_positive_integer
+from .characters import DirichletCharacter
+from .cyclotomic import _MEMO_SIZE, ExactNumber, _bucket_sum, _cleared, sqrt_positive_integer
 from .periods import (
     ContextError,
     ParityError,
     PeriodContext,
     _prefactor,
-    enumerate_quadruples,
+    _quadruple_walk,
     twisted_period,
 )
 
@@ -62,9 +62,9 @@ class TraceQuery:
 def trace_closed_form(query: TraceQuery) -> ExactNumber:
     """The trace by direct evaluation of the closed form.
 
-    The double sum and the four Bernoulli numbers are added as rationals per
-    power of zeta_R (R = ord chi); chi(-N) and chi(-1) rotate the exponent.
-    The field is entered once, at the prefactor.
+    The double sum and the four Bernoulli numbers are added as integers per
+    power of zeta_R (R = ord chi) over one denominator; chi(-N) and chi(-1)
+    rotate the exponent.  The field is entered once, at the prefactor.
     """
     ctx, m = query.ctx, query.m
     w, n, nt, mt = ctx.w, ctx.n, ctx.n_tilde, query.m_tilde
@@ -86,17 +86,20 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
     if eps.eps3:
         terms.append((math.comb(n, m), n - m + 1, chi, (-1) ** (m + 1) * d**nt, chi.value_exponent(-1)))
 
-    buckets = _double_sum(ctx, m)
-    for binomial, k, psi, scale, shift in terms:
-        if binomial == 0:
-            # the vanishing-binomial convention: the term is 0, B_{k,psi} unread
-            continue
-        factor = Fraction(binomial * scale, k)
-        for j, coeffs in enumerate(_weighted_coordinates(k, psi)):
-            buckets[(j + shift) % order] += coeffs[0] * factor
+    # the vanishing-binomial convention: such a term is 0, B_{k,psi} unread
+    terms = [term for term in terms if term[0]]
+    weighted = [_weighted_coordinates(k, psi) for _, k, psi, _, _ in terms]
+    den, factors = _cleared(
+        [[(binomial * scale.numerator, scale.denominator * k * coord_den)]
+         for (binomial, k, _, scale, _), (coord_den, _) in zip(terms, weighted)]
+    )
 
-    outer = Fraction(d, 2 * math.comb(w, m))
-    total = _bucket_sum([b * outer for b in buckets], order)
+    buckets = [b * den for b in _double_sum(ctx, m)]
+    for (*_, shift), (_, coords), (factor,) in zip(terms, weighted, factors):
+        for j, coeffs in enumerate(coords):
+            buckets[(j + shift) % order] += coeffs[0] * factor
+    # everything times D / (2 C(w, m)), in the one division
+    total = _bucket_sum([b * d for b in buckets], order, den * 2 * math.comb(w, m))
     return _trace_prefactor(chibar, w, level, m + n + 2) * total
 
 
@@ -119,14 +122,10 @@ def _double_sum(ctx: PeriodContext, m: int) -> list[int]:
     binomial-weighted power sum, as one integer per conj(chi)(a,c,k,ell)
     value exponent."""
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
-    d = ctx.modulus
     mt = w - m
     chibar = ctx.chi.conjugate()
     buckets = [0] * chibar.order
-    for a, c, k, ell in enumerate_quadruples(ctx.level, d):
-        e = chi_four_tuple_exponent(chibar, a, c, k, ell)
-        if e is None:
-            continue
+    for a, c, k, ell, e in _quadruple_walk(ctx.level, chibar):
         acc = 0
         for r in range(0, mt + 1):
             if r > n or mt - r > nt:

@@ -379,3 +379,10 @@ def test_criterion_10_wider_moduli():
         contexts, trace_checks = wide_moduli_oracle((31, 37))
         assert contexts == 26
         print(f"  wider moduli: {contexts} contexts, {trace_checks} trace queries", flush=True)
+
+
+def test_criterion_11_widest_moduli():
+    with criterion(11, "case-sum oracle and trace cross-path at moduli 41, 43 and 47", 60.0):
+        contexts, trace_checks = wide_moduli_oracle((41, 43, 47))
+        assert contexts == 28
+        print(f"  widest moduli: {contexts} contexts, {trace_checks} trace queries", flush=True)

@@ -6,7 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from heckeperiods import bernoulli
 from heckeperiods.bernoulli import (
+    BernoulliSelfCheckError,
+    _bernoulli_row,
+    _weighted_coordinates,
     bernoulli_frac,
     bernoulli_number,
     bernoulli_poly,
@@ -15,7 +19,10 @@ from heckeperiods.bernoulli import (
     generalized_bernoulli_poly,
 )
 from heckeperiods.characters import enumerate_primitive_characters
-from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial
+from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, euler_phi, factorize
+
+TABLE_MODULI = (1, 2, 3, 12, 65)
+TABLE_INDICES = range(41)
 
 
 def _at(poly, x):
@@ -149,3 +156,68 @@ def test_derivative_relation(chi5):
             [poly.coefficient(j + 1) * (j + 1) for j in range(poly.degree())]
         )
         assert derived == lower.scale(k)
+
+
+def _addition_formula(j, x):
+    """B_j(x) = sum_i C(j,i) B_(j-i) x^i, in rationals."""
+    return sum(math.comb(j, i) * bernoulli_number(j - i) * x**i for i in range(j + 1))
+
+
+def test_bernoulli_rows_match_the_addition_formula():
+    for d in TABLE_MODULI:
+        for j in TABLE_INDICES:
+            den, numerators = _bernoulli_row(j, d)
+            assert len(numerators) == d and all(type(v) is int for v in numerators)
+            for r, v in enumerate(numerators):
+                assert Fraction(v, den) == _addition_formula(j, Fraction(r, d)), (j, d, r)
+
+
+def test_bernoulli_row_denominator_is_the_lcm_of_the_number_denominators():
+    for d in TABLE_MODULI:
+        for j in TABLE_INDICES:
+            lcm = math.lcm(*(bernoulli_number(i).denominator for i in range(j + 1)))
+            assert _bernoulli_row(j, d)[0] == d**j * lcm, (j, d)
+            # von Staudt-Clausen: the product of the primes p <= j + 1
+            assert lcm == math.prod(p for p in range(2, j + 2) if factorize(p) == {p: 1})
+
+
+def test_weighted_coordinates_at_the_lowest_indices():
+    for d in (3, 4, 5, 7, 12):
+        for chi in enumerate_primitive_characters(d):
+            phi = euler_phi(chi.order)
+            assert _weighted_coordinates(-1, chi) == (1, ((),) * phi)
+            den, coords = _weighted_coordinates(0, chi)
+            assert len(coords) == phi and all(c == (0,) for c in coords)
+            assert generalized_bernoulli_poly(0, chi).is_zero()
+            # B_(1,chi)(x) = sum_h chi(h) ((h + x)/D - 1/2) = sum_h chi(h) h/D
+            den, coords = _weighted_coordinates(1, chi)
+            assert den == 2 * d and len(coords) == phi and all(len(c) == 2 for c in coords)
+            expected = ExactNumber.zero()
+            for h in range(1, d):
+                if math.gcd(h, d) == 1:
+                    expected = expected + chi.value(h) * Fraction(h, d)
+            assert generalized_bernoulli_poly(1, chi) == ExactPolynomial([expected])
+
+
+def test_self_check_runs_on_every_miss(monkeypatch, chi5):
+    checks = []
+    binomial = bernoulli._via_binomial
+
+    def counting(k, chi):
+        checks.append(k)
+        return binomial(k, chi)
+
+    monkeypatch.setattr(bernoulli, "_via_binomial", counting)
+    _weighted_coordinates.cache_clear()
+    for k in range(6):
+        generalized_bernoulli_poly(k, chi5)
+        generalized_bernoulli_poly(k, chi5)
+    assert checks == list(range(6))
+
+    def perturbed(k, chi):
+        den_rows = binomial(k, chi)
+        return ((den_rows[0][0] + 1, *den_rows[0][1:]), *den_rows[1:])
+
+    monkeypatch.setattr(bernoulli, "_via_binomial", perturbed)
+    with pytest.raises(BernoulliSelfCheckError):
+        generalized_bernoulli_poly(6, chi5)

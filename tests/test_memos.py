@@ -19,8 +19,8 @@ THREADS = 8
 # every memo of the package: one is added or dropped only on purpose, when a
 # workload reuses its entries
 MEMOS = {
-    "bernoulli._bernoulli_at",
     "bernoulli._bernoulli_numbers",
+    "bernoulli._bernoulli_row",
     "bernoulli._weighted_coordinates",
     "bernoulli._weighted_number_direct",
     "characters._conjugate",
@@ -29,6 +29,7 @@ MEMOS = {
     "cyclotomic.sqrt_integer",
     "numeric.tau_coefficients",
     "periods._prefactor",
+    "periods._quadruple_walk",
     "periods.closed_form_polynomial",
     "traces._i_sqrt_level_power",
     "traces._trace_prefactor",
