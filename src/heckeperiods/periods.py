@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, NamedTuple
 
 from .bernoulli import _bernoulli_row, _weighted_coordinates, bernoulli_number
 from .characters import (
@@ -302,38 +302,17 @@ def _case_six(ctx: PeriodContext) -> list[Fraction]:
     ]
 
 
-def _case_five_rows(ctx: PeriodContext, residue: Optional[int] = None) -> list[list[int]]:
-    """D^w times case 5 at every residue, from one walk over the quadruples:
-    row h is summed in integers (empty when no quadruple reaches h).  A
-    quadruple with Bezout residue e adds its sign class a, c > 0 at -e and
-    its class c < 0 at +e; in each class exactly one matrix realizes the
-    residue.  Given a residue, quadruples that reach neither it nor its
-    negative are skipped, so only that row (and its negative's) is complete.
-    Rows of non-units are never read."""
-    d, n, nt = ctx.modulus, ctx.n, ctx.n_tilde
-    rows: list[list[int]] = [[] for _ in range(d)]
-    for a, c, k, ell in enumerate_quadruples(ctx.level, d):
-        b0, d0 = bezout_pair(a, c)
-        e = (k * b0 + ell * d0) % d
-        if residue is not None and residue % d not in (e, -e % d):
-            continue
-        # class c < 0: (aD*X + ell)^n (-cD*X + k)^(w-n); class a, c > 0:
-        # -(aD*X - ell)^n (cD*X + k)^(w-n), which is (-1)^(n+1) times the first at -X
-        term = _poly_mul(_binomial_power(a * d, ell, n), _binomial_power(-c * d, k, nt))
-        _add_into(rows[e], term)
-        _add_into(rows[-e % d], [-t if (n + i) % 2 == 0 else t for i, t in enumerate(term)])
-    return rows
-
-
-def _case_buckets(
-    ctx: PeriodContext, classes: list[list[int]], cases: Iterable[int], fives: Optional[list[list[int]]]
-) -> tuple[int, list[list[int]]]:
-    """The given cases among 1-4 and 6, plus the case-5 rows `fives` when
-    given, summed over each class of unit residues: ascending integer
-    polynomials over one context denominator, with the (2i)^(w+1) factor
-    divided out.  Cases 1-4 read integer Bernoulli rows and are scaled once
-    per class by one integer per (case, i); case 6 counts the residues."""
-    d, w = ctx.modulus, ctx.w
+def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[int]) -> tuple[int, list[list[int]]]:
+    """The given cases summed over each class of unit residues: ascending
+    integer polynomials over one context denominator, with the (2i)^(w+1)
+    factor divided out.  Cases 1-4 read integer Bernoulli rows and are
+    scaled once per class by one integer per (case, i); case 6 counts the
+    residues.  Case 5 walks the quadruples once and sums each class over
+    D^w: a quadruple with Bezout residue e adds its sign class c < 0 to the
+    class of e and its class a, c > 0 to that of -e (each sign class has
+    exactly one matrix at a residue); one that reaches no class is skipped
+    before its product."""
+    d, w, n, nt = ctx.modulus, ctx.w, ctx.n, ctx.n_tilde
     specs = [spec for j, spec in _case_specs(ctx).items() if j in cases]
     six = _case_six(ctx) if 6 in cases else []
     # table row k-i states its denominator D^(k-i) * L_(k-i)
@@ -344,8 +323,24 @@ def _case_buckets(
             for i in range(k + 1)]
            for k, scalar, ratio, _, _ in specs]
     )
+    fives: list[list[int]] = [[] for _ in classes]
+    if 5 in cases:
+        class_of = {h: i for i, residues in enumerate(classes) for h in residues}
+        for a, c, k, ell in enumerate_quadruples(ctx.level, d):
+            b0, d0 = bezout_pair(a, c)
+            e = (k * b0 + ell * d0) % d
+            plus, minus = class_of.get(e), class_of.get(-e % d)
+            if plus is None and minus is None:
+                continue
+            # class c < 0: (aD*X + ell)^n (-cD*X + k)^(w-n); class a, c > 0:
+            # -(aD*X - ell)^n (cD*X + k)^(w-n), which is (-1)^(n+1) times the first at -X
+            term = _poly_mul(_binomial_power(a * d, ell, n), _binomial_power(-c * d, k, nt))
+            if plus is not None:
+                _add_into(fives[plus], term)
+            if minus is not None:
+                _add_into(fives[minus], [-t if (n + i) % 2 == 0 else t for i, t in enumerate(term)])
     buckets = []
-    for residues in classes:
+    for residues, five in zip(classes, fives):
         bucket = [0] * (w + 1)
         inverses = [pow(h, -1, d) for h in residues]
         for (k, _, _, unit, reverse), multipliers in zip(specs, factors):
@@ -353,11 +348,7 @@ def _case_buckets(
             for i, multiplier in enumerate(multipliers):
                 row = _bernoulli_row(k - i, d)[1]
                 bucket[w - i if reverse else i] += multiplier * sum(row[r] for r in rs)
-        if fives is not None:
-            five: list[int] = []
-            for h in residues:
-                _add_into(five, fives[h])
-            _add_into(bucket, [x * five_factor[0] for x in five])
+        _add_into(bucket, [x * five_factor[0] for x in five])
         if six_values:
             bucket[0] += len(residues) * six_values[0]
             bucket[w] += len(residues) * six_values[1]
@@ -373,19 +364,17 @@ def case_contribution(j: int, h: int, ctx: PeriodContext) -> ExactPolynomial:
     does not depend on h.
     """
     if j not in range(1, 7):
-        raise ValueError(f"case index must be 1..6, got {j}")
+        raise ContextError(f"case index must be 1..6, got {j}")
     return _residue_polynomial(ctx, h, (j,))
 
 
 def _residue_polynomial(ctx: PeriodContext, h: int, cases: Iterable[int]) -> ExactPolynomial:
-    """(2i)^(w+1) times the sum of the given cases at residue h."""
+    """(2i)^(w+1) times the sum of the given cases at residue h: the one
+    class [h]."""
     d = ctx.modulus
     if math.gcd(h, d) != 1:
         raise ContextError(f"residue {h} is not coprime to {d}")
-    h %= d
-    cases = tuple(cases)
-    fives = _case_five_rows(ctx, h) if 5 in cases else None
-    den, (coeffs,) = _case_buckets(ctx, [[h]], cases, fives)
+    den, (coeffs,) = _case_buckets(ctx, [[h % d]], cases)
     factor = _two_i_power(ctx.w + 1)
     return ExactPolynomial([factor * Fraction(c, den) for c in coeffs])
 
@@ -402,7 +391,7 @@ def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
         e = chibar.value_exponent(h)
         if e is not None:
             classes[e].append(h)
-    den, buckets = _case_buckets(ctx, classes, range(1, 7), _case_five_rows(ctx))
+    den, buckets = _case_buckets(ctx, classes, range(1, 7))
     return _bucket_poly(buckets, chibar.order, den).scale(_prefactor(chibar, ctx.w))
 
 

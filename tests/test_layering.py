@@ -1,5 +1,6 @@
 """Only the cyclotomic layer reads the coordinates of a field element: every
-other module hands it rational lists and gets numbers or polynomials back."""
+other module hands it rational lists and gets numbers or polynomials back.
+And no module keeps a private helper that nothing in the package reads."""
 
 import ast
 from pathlib import Path
@@ -29,3 +30,33 @@ def test_only_cyclotomic_reads_coords():
             if isinstance(node, ast.Attribute) and node.attr in INTERNALS
         ]
     assert not found, f"field-element internals read outside cyclotomic.py: {', '.join(found)}"
+
+
+def _defined_names(stmt: ast.stmt) -> set[str]:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return set()
+    return {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+
+
+def test_every_private_module_name_is_read():
+    # a module-level private function, class or constant must be loaded, by
+    # name or as an attribute, by some statement of the package other than
+    # the one that defines it: a refactor must not leave a helper behind
+    defined: dict[str, str] = {}
+    loaded: set[str] = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+            own = _defined_names(stmt)
+            defined.update({name: path.name for name in own if name.startswith("_") and not name.startswith("__")})
+            reads = {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+            reads |= {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            loaded |= reads - own
+    assert defined
+    unread = sorted(f"{module}:{name}" for name, module in defined.items() if name not in loaded)
+    assert not unread, f"private module names nothing in the package reads: {', '.join(unread)}"

@@ -236,6 +236,9 @@ def test_case_contribution_rejects_noncoprime(chi3):
     ctx = PeriodContext(1, 10, 1, chi3)
     with pytest.raises(ContextError):
         case_contribution(2, 3, ctx)
+    for j in (0, 7):
+        with pytest.raises(ContextError):
+            case_contribution(j, 1, ctx)
 
 
 def test_twisted_period_values(chi3):
@@ -249,17 +252,25 @@ def test_twisted_period_values(chi3):
     assert poly.coefficient(10) == twisted_period(ctx2, 0) * 2
 
 
-def test_assembly_identity(chi3):
-    # summing conj(chi)(h) * rho(m, n, h) over h and dividing by the Gauss
-    # sum recovers the twisted period
-    ctx = PeriodContext(1, 10, 1, chi3)
-    chibar = chi3.conjugate()
+@pytest.mark.parametrize("modulus, level", [(3, 1), (4, 2), (5, 3), (8, 4), (12, 2)])
+def test_assembly_identity(modulus, level):
+    # summing conj(chi)(h) * rho(m, n, h) over the units h and dividing by the
+    # Gauss sum recovers the twisted period: the one-residue sums against the
+    # closed form, at N > 1 and at moduli where a Bezout residue can be a
+    # non-unit (D = 4, 8, 12)
+    chi = max(enumerate_primitive_characters(modulus), key=lambda c: c.order)
+    chibar = chi.conjugate()
     tau_inv = gauss_sum(chibar).inverse()
-    for m in (1, 3, 5, 9):
-        total = ExactNumber.zero()
-        for h in (1, 2):
-            total = total + chibar.value(h) * residue_period(ctx, m, h)
-        assert total * tau_inv * Fraction(1, 2) == twisted_period(ctx, m)
+    units = [h for h in range(1, modulus) if math.gcd(h, modulus) == 1]
+    for n in (1, 2):
+        ctx = PeriodContext(level, 10, n, chi)
+        admissible = [m for m in range(11) if ctx.parity_holds(m)]
+        assert admissible
+        for m in admissible:
+            total = ExactNumber.zero()
+            for h in units:
+                total = total + chibar.value(h) * residue_period(ctx, m, h)
+            assert total * tau_inv * Fraction(1, 2) == twisted_period(ctx, m), (ctx, m)
 
 
 def test_duality_sample(chi5):
