@@ -225,6 +225,12 @@ def _context_from_args(args) -> PeriodContext:
 def cmd_theorem1(args) -> int:
     ctx = _context_from_args(args)
     poly = closed_form_polynomial(ctx)
+    # each output reads the coefficients once: reading one multiplies the
+    # polynomial's constant factor in
+    if args.format != "json":
+        render, term = (exact_number_latex, _latex_term) if args.format == "latex" else (exact_number_text, _text_term)
+        print(polynomial_to_text(poly, render, term))
+        return 0
     payload = {
         "level": ctx.level,
         "weight": ctx.weight,
@@ -232,10 +238,7 @@ def cmd_theorem1(args) -> int:
         "character": character_spec_string(ctx.chi),
         "polynomial": poly.to_json(),
     }
-    if args.format == "latex":
-        print(polynomial_to_text(poly, exact_number_latex, _latex_term))
-        return 0
-    _emit(args, payload, lambda: polynomial_to_text(poly, exact_number_text))
+    print(json.dumps(payload, indent=1))
     return 0
 
 

@@ -719,26 +719,45 @@ class ExactPolynomial:
     period and Bernoulli routes; it has no ring arithmetic, only a scalar
     product.
 
-    Internally ascending; the public `coefficients` view is degree-descending
-    with a nonzero leading coefficient (empty for the zero polynomial).
+    Internally ascending coefficients times one nonzero constant factor,
+    kept apart (None for 1): the period routes hold their coefficients in
+    Q(zeta_R) and the shared constant at its own, much larger level.  Every
+    public view multiplies the factor in as it reads a coefficient; the
+    `coefficients` view is degree-descending with a nonzero leading
+    coefficient (empty for the zero polynomial).
     """
 
-    __slots__ = ("_asc",)
+    __slots__ = ("_asc", "_factor")
 
     def __init__(self, ascending: Iterable):
         coeffs = [c if isinstance(c, ExactNumber) else ExactNumber.from_rational(c) for c in ascending]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         object.__setattr__(self, "_asc", tuple(coeffs))
+        object.__setattr__(self, "_factor", None)
+
+    @classmethod
+    def _make(cls, ascending: Iterable, factor: ExactNumber) -> "ExactPolynomial":
+        """factor * sum_k ascending[k] * x**k, for a nonzero factor, which is
+        kept apart."""
+        self = cls(ascending)
+        object.__setattr__(self, "_factor", factor)
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactPolynomial is immutable")
 
     # -- views
 
+    def _expanded(self) -> tuple:
+        """The ascending coefficients with the factor multiplied in."""
+        if self._factor is None:
+            return self._asc
+        return tuple(c * self._factor for c in self._asc)
+
     @property
     def coefficients(self) -> tuple:
-        return tuple(reversed(self._asc))
+        return tuple(reversed(self._expanded()))
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -749,19 +768,37 @@ class ExactPolynomial:
 
     def coefficient(self, k: int) -> ExactNumber:
         """Coefficient of x**k."""
+        if 0 <= k < len(self._asc) and self._factor is not None:
+            return self._asc[k] * self._factor
+        return self.unscaled_coefficient(k)
+
+    def unscaled_coefficient(self, k: int) -> ExactNumber:
+        """Coefficient of x**k before the constant factor: what a caller
+        that already holds a multiple of that factor multiplies by."""
         if 0 <= k < len(self._asc):
             return self._asc[k]
         return ExactNumber.zero()
 
     def scale(self, factor) -> "ExactPolynomial":
-        return ExactPolynomial([c * factor for c in self._asc])
+        """The polynomial times a rational or ExactNumber: one product, into
+        the constant factor."""
+        if _is_zero(factor):
+            return ExactPolynomial([])
+        kept = ExactNumber.one() if self._factor is None else self._factor
+        return ExactPolynomial._make(self._asc, kept * factor)
 
     def __eq__(self, other):
+        """Equal factors (as numbers) compare the coefficients before the
+        factor, so two routes that share a constant compare below its level;
+        anything else compares expanded coefficients."""
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
         if len(self._asc) != len(other._asc):
             return False
-        return all(a == b for a, b in zip(self._asc, other._asc))
+        f, g = self._factor, other._factor
+        if f is g or (f is not None and g is not None and f == g):
+            return self._asc == other._asc
+        return self._expanded() == other._expanded()
 
     __hash__ = None
 
@@ -784,13 +821,15 @@ def _bucket_sum(nums: Sequence[int], order: int, den: int = 1) -> ExactNumber:
     return ExactNumber._make(order, den, _fold(nums, order))
 
 
-def _bucket_poly(buckets: Sequence[Sequence[int]], order: int, den: int = 1) -> ExactPolynomial:
-    """sum_e buckets[e](x)/den * zeta_order**e, each coefficient the
-    _bucket_sum of the ascending integer polynomials of the exponent classes."""
+def _bucket_poly(
+    buckets: Sequence[Sequence[int]], order: int, den: int = 1, factor: Optional[ExactNumber] = None
+) -> ExactPolynomial:
+    """factor * sum_e buckets[e](x)/den * zeta_order**e, each coefficient the
+    _bucket_sum of the ascending integer polynomials of the exponent classes,
+    and a nonzero factor kept apart, not multiplied in."""
     top = max((len(b) for b in buckets), default=0)
-    return ExactPolynomial(
-        _bucket_sum([b[i] if i < len(b) else 0 for b in buckets], order, den) for i in range(top)
-    )
+    coeffs = [_bucket_sum([b[i] if i < len(b) else 0 for b in buckets], order, den) for i in range(top)]
+    return ExactPolynomial(coeffs) if factor is None else ExactPolynomial._make(coeffs, factor)
 
 
 def _cleared(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, list[list[int]]]:

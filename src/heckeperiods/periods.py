@@ -13,8 +13,11 @@ Two independent routes are implemented for the polynomial
   of a, c and the translated row entries), weighted by conj(chi)(h)/tau.
 
 The two must agree exactly on every valid context; that equality is the
-module's central oracle.  Individual twisted periods are recovered from
-polynomial coefficients when the parity (-1)^(m+n+1)chi(-1) = 1 admits them.
+module's central oracle.  Both keep the common prefactor as a constant
+factor of the polynomial, and since it is nonzero and shared, the equality
+is decided on their coefficients in Q(zeta_R), R = ord chi.  Individual
+twisted periods are recovered from polynomial coefficients when the parity
+(-1)^(m+n+1)chi(-1) = 1 admits them.
 """
 
 from __future__ import annotations
@@ -201,9 +204,10 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     """P_n(X) by the closed form (production path).
 
     Everything is added as integers per power of zeta_R (R = ord chi) over
-    one context denominator, divided once per bucket coefficient, and enters
-    the field once, at the prefactor: chi(-N) and chi(-1) rotate the
-    exponent of a Bernoulli term's coordinates.
+    one context denominator and divided once per bucket coefficient: chi(-N)
+    and chi(-1) rotate the exponent of a Bernoulli term's coordinates.  The
+    prefactor stays the polynomial's constant factor, so the coefficients
+    live in Q(zeta_R) until they are read.
     """
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d, level = ctx.modulus, ctx.level
@@ -246,7 +250,7 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
                 scaled = [0] * (w + 1 - len(scaled)) + scaled[::-1]
             _add_into(buckets[(j + shift) % order], scaled)
 
-    return _bucket_poly(buckets, order, den).scale(_prefactor(chibar, w))
+    return _bucket_poly(buckets, order, den, _prefactor(chibar, w))
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +387,8 @@ def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     """P_n(X) assembled from the six case contributions over all residues.
 
     This is the independent oracle: it must equal closed_form_polynomial
-    exactly on every valid context.
+    exactly on every valid context.  Both keep the same prefactor apart, so
+    that equality is decided in Q(zeta_R).
     """
     chibar = ctx.chi.conjugate()
     classes: list[list[int]] = [[] for _ in range(chibar.order)]
@@ -392,7 +397,7 @@ def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
         if e is not None:
             classes[e].append(h)
     den, buckets = _case_buckets(ctx, classes, range(1, 7))
-    return _bucket_poly(buckets, chibar.order, den).scale(_prefactor(chibar, ctx.w))
+    return _bucket_poly(buckets, chibar.order, den, _prefactor(chibar, ctx.w))
 
 
 # ---------------------------------------------------------------------------

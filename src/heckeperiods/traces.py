@@ -34,7 +34,7 @@ from .periods import (
     PeriodContext,
     _prefactor,
     _quadruple_walk,
-    twisted_period,
+    closed_form_polynomial,
 )
 
 
@@ -124,28 +124,26 @@ def _double_sum(ctx: PeriodContext, m: int) -> list[int]:
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     mt = w - m
     chibar = ctx.chi.conjugate()
+    # (-1)^r C(n, r) C(nt, mt - r) with the four exponents, for the r at
+    # which both binomials are nonzero
+    weights = [
+        ((-1) ** r * math.comb(n, r) * math.comb(nt, mt - r), r, mt - r, n - r, nt - mt + r)
+        for r in range(max(0, mt - nt), min(n, mt) + 1)
+    ]
     buckets = [0] * chibar.order
     for a, c, k, ell, e in _quadruple_walk(ctx.level, chibar):
-        acc = 0
-        for r in range(0, mt + 1):
-            if r > n or mt - r > nt:
-                continue
-            acc += (
-                (-1) ** r
-                * math.comb(n, r)
-                * math.comb(nt, mt - r)
-                * a**r
-                * c ** (mt - r)
-                * ell ** (n - r)
-                * k ** (nt - mt + r)
-            )
-        buckets[e] += acc
+        buckets[e] += sum(x * a**i * c**j * ell**s * k**t for x, i, j, s, t in weights)
     return [2 * (-1) ** (m + 1) * b for b in buckets]
 
 
 def trace_from_periods(query: TraceQuery) -> ExactNumber:
     """The trace as (-D)^(m+1) (i sqrt N)^(m+n+2) r_{m,chi}(R_n); must equal
-    trace_closed_form exactly."""
+    trace_closed_form exactly.  The period is the X^(w-m) coefficient of the
+    closed-form polynomial over 2(-1)^m C(w, m); that polynomial keeps
+    _prefactor(conj chi, w) as its constant factor, and _trace_prefactor is
+    that factor times (i sqrt N)^(m+n+2), so the coefficient in Q(zeta_R)
+    meets the large level in one product."""
     ctx, m = query.ctx, query.m
-    period = twisted_period(ctx, m) * Fraction((-ctx.modulus) ** (m + 1))
-    return period * _i_sqrt_level_power(ctx.level, m + ctx.n + 2)
+    coeff = closed_form_polynomial(ctx).unscaled_coefficient(ctx.w - m)
+    scale = Fraction((-ctx.modulus) ** (m + 1), 2 * (-1) ** m * math.comb(ctx.w, m))
+    return coeff * scale * _trace_prefactor(ctx.chi.conjugate(), ctx.w, ctx.level, m + ctx.n + 2)

@@ -386,3 +386,12 @@ def test_criterion_11_widest_moduli():
         contexts, trace_checks = wide_moduli_oracle((41, 43, 47))
         assert contexts == 28
         print(f"  widest moduli: {contexts} contexts, {trace_checks} trace queries", flush=True)
+
+
+def test_criterion_12_order_66_family():
+    with criterion(12, "case-sum oracle on the D = 67, order-66, N = 1, w = 22 family", 10.0):
+        chi = next(chi for chi in enumerate_primitive_characters(67) if chi.order == 66)
+        for n in range(1, 22):
+            ctx = PeriodContext(1, 22, n, chi)
+            assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx), n
+        print("  order-66 family: 21 contexts", flush=True)

@@ -435,3 +435,32 @@ def test_polynomial_json_degree_descending():
     assert data["degree"] == 2
     assert data["coefficients"][0] == {"level": 1, "coords": ["3"]}
     assert data["coefficients"][2] == {"level": 1, "coords": ["1/2"]}
+
+
+def test_polynomial_scale_by_zero_is_the_zero_polynomial():
+    p = ExactPolynomial([Fraction(1, 2), ExactNumber.zeta(5), 3])
+    for zero in (0, Fraction(0), ExactNumber.zero(7)):
+        assert p.scale(zero).degree() == -1
+        assert p.scale(zero).is_zero() and p.scale(zero) == ExactPolynomial([])
+
+
+def test_polynomial_scale_is_the_coefficient_wise_product():
+    rng = random.Random(11)
+    ascending = [rand_element(rng, 5), ExactNumber.zero(), rand_element(rng, 5)]
+    p = ExactPolynomial(ascending)
+    unit = rand_element(rng, 12)
+    for factor in (3, Fraction(-5, 7), unit):
+        expected = ExactPolynomial([c * factor for c in ascending])
+        scaled = p.scale(factor)
+        assert scaled == expected and expected == scaled
+        assert [c.to_json() for c in scaled.coefficients] == [c.to_json() for c in expected.coefficients]
+        assert scaled.coefficient(1).to_json() == expected.coefficient(1).to_json()
+        assert scaled.coefficient(5).is_zero()
+        assert scaled.to_json() == expected.to_json()
+    # a second scale multiplies the kept factor
+    assert p.scale(unit).scale(Fraction(-5, 7)) == ExactPolynomial([c * unit * Fraction(-5, 7) for c in ascending])
+    # equal factors compare the coefficients before the factor
+    assert p.scale(unit) == ExactPolynomial(list(ascending)).scale(unit)
+    assert p.scale(unit) != ExactPolynomial(ascending[:2] + [ascending[2] * 2]).scale(unit)
+    with pytest.raises(TypeError):
+        p.scale(1.5)

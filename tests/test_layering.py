@@ -1,18 +1,23 @@
-"""Only the cyclotomic layer reads the coordinates of a field element: every
-other module hands it rational lists and gets numbers or polynomials back.
+"""Only the cyclotomic layer reads the coordinates of a field element or the
+factored form of a polynomial: every other module hands it rational lists
+and gets numbers or polynomials back.
 And no module keeps a private helper that nothing in the package reads."""
 
 import ast
 from pathlib import Path
 
-from heckeperiods.cyclotomic import ExactNumber
+from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heckeperiods"
 
 # the coordinate view, the integer fields behind it and every private method
-# of ExactNumber, whatever they are named
-INTERNALS = {"coords", *ExactNumber.__slots__} - {"level"} | {
-    name for name in vars(ExactNumber) if name.startswith("_") and not name.endswith("__")
+# of ExactNumber, and the factored representation of ExactPolynomial (its
+# fields and private methods), whatever they are named
+INTERNALS = {"coords", *ExactNumber.__slots__, *ExactPolynomial.__slots__} - {"level"} | {
+    name
+    for cls in (ExactNumber, ExactPolynomial)
+    for name in vars(cls)
+    if name.startswith("_") and not name.endswith("__")
 }
 
 
@@ -29,7 +34,7 @@ def test_only_cyclotomic_reads_coords():
             for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and node.attr in INTERNALS
         ]
-    assert not found, f"field-element internals read outside cyclotomic.py: {', '.join(found)}"
+    assert not found, f"field-element or polynomial internals read outside cyclotomic.py: {', '.join(found)}"
 
 
 def _defined_names(stmt: ast.stmt) -> set[str]:

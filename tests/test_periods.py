@@ -203,6 +203,45 @@ def test_oracle_equality_sample():
                         assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx)
 
 
+def test_closed_form_equals_its_expanded_coefficients():
+    # the route keeps its prefactor apart; a polynomial of the expanded
+    # coefficients (as read from JSON) is the same polynomial, both ways round
+    quartic = next(chi for chi in enumerate_primitive_characters(5) if chi.order == 4)
+    for ctx in (PeriodContext(1, 10, 1, kronecker_character(-3)), PeriodContext(2, 12, 5, quartic)):
+        poly = closed_form_polynomial(ctx)
+        expanded = ExactPolynomial(list(reversed(poly.coefficients)))
+        assert poly == expanded and expanded == poly
+        assert case_sum_polynomial(ctx) == expanded and expanded == case_sum_polynomial(ctx)
+        k = poly.degree()
+        assert poly.coefficient(k) == poly.unscaled_coefficient(k) * periods._prefactor(ctx.chi.conjugate(), ctx.w)
+        changed = ExactPolynomial([*reversed(poly.coefficients[1:]), poly.coefficients[0] * 2])
+        assert poly != changed and changed != poly
+
+
+def test_routes_compare_below_the_prefactor_level(monkeypatch):
+    # closed form == case sum is decided in Q(zeta_R): on a fresh context no
+    # product reaches the prefactor's level lcm(4, R, D)
+    chi = next(chi for chi in enumerate_primitive_characters(23) if chi.order == 22)
+    periods._prefactor(chi.conjugate(), 10)  # the shared constant, built once
+    closed_form_polynomial.cache_clear()
+    ctx = PeriodContext(1, 10, 3, chi)
+    top = math.lcm(4, 22, 23)
+    levels = []
+    mul = ExactNumber.__mul__
+
+    def counting(self, other):
+        levels.append(math.lcm(self.level, getattr(other, "level", 1)))
+        return mul(self, other)
+
+    monkeypatch.setattr(ExactNumber, "__mul__", counting)
+    monkeypatch.setattr(ExactNumber, "__rmul__", counting)
+    assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx)
+    assert top not in levels
+    # reading a coefficient multiplies the prefactor in, at that level
+    closed_form_polynomial(ctx).coefficient(1)
+    assert levels[-1] == top
+
+
 def test_case_gating(chi3):
     ctx = PeriodContext(2, 10, 1, chi3)  # eps = (0, 1, 0)
     assert case_contribution(1, 1, ctx).is_zero()
