@@ -309,6 +309,13 @@ def kronecker_character(d: int) -> DirichletCharacter:
 @lru_cache(maxsize=_MEMO_SIZE)
 def gauss_sum(chi: DirichletCharacter) -> ExactNumber:
     """tau(chi) = sum_h chi(h) zeta_D**h, exactly."""
+    level, counts = _gauss_counts(chi)
+    return _bucket_sum(counts, level)
+
+
+def _gauss_counts(chi: DirichletCharacter) -> tuple[int, list[int]]:
+    """tau(chi) before reduction: the level L = lcm(ord chi, D) and, for each
+    t < L, the number of h with chi(h) zeta_D**h = zeta_L**t."""
     d = chi.modulus
     level = math.lcm(chi.order, d)
     counts = [0] * level
@@ -316,7 +323,7 @@ def gauss_sum(chi: DirichletCharacter) -> ExactNumber:
         e = chi.exponents[h]
         if e is not None:
             counts[(e * (level // chi.order) + h * (level // d)) % level] += 1
-    return _bucket_sum(counts, level)
+    return level, counts
 
 
 def chi_four_tuple(chi: DirichletCharacter, a: int, c: int, k: int, ell: int) -> ExactNumber:

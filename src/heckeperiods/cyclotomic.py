@@ -691,7 +691,7 @@ def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
     """Write x as a + b*sqrt(d) if possible, searching d over squarefree
     divisors of the level; None when x is not a quadratic surd."""
     if x.is_rational():
-        return QuadSurd(x.coords[0], 0, 1)
+        return QuadSurd(x.rational_value(), 0, 1)
     for d in squarefree_divisors(x.level):
         if d == 1:
             continue
@@ -699,12 +699,13 @@ def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
         level = math.lcm(x.level, root.level)
         xs = x.lift_to(level)
         rs = root.lift_to(level)
-        x_coords, r_coords = xs.coords, rs.coords
-        pivot = next((j for j in range(1, len(r_coords)) if r_coords[j]), None)
+        # two coordinates of each, read from the integer numerators: index 0
+        # and the pivot, the first other power of zeta in sqrt(d)
+        pivot = next((j for j, r in enumerate(rs._nums) if j and r), None)
         if pivot is None:
             continue
-        b = x_coords[pivot] / r_coords[pivot]
-        a = x_coords[0] - b * r_coords[0]
+        b = Fraction(xs._nums[pivot] * rs._den, xs._den * rs._nums[pivot])
+        a = Fraction(xs._nums[0], xs._den) - b * Fraction(rs._nums[0], rs._den)
         if b and xs == ExactNumber.from_rational(a, level) + rs * b:
             return QuadSurd(a, b, d)
     return None
@@ -819,6 +820,31 @@ def _bucket_sum(nums: Sequence[int], order: int, den: int = 1) -> ExactNumber:
     """sum_e nums[e]/den * zeta_order**e, for one integer per exponent class
     over one common denominator: the only division."""
     return ExactNumber._make(order, den, _fold(nums, order))
+
+
+def _monomial_product(
+    terms: Iterable[tuple[int, int]], order: int, num: int, den: int, monomials: Sequence[tuple[int, int]], level: int
+) -> ExactNumber:
+    """num/den * sum_(j, x) x * zeta_order**j times sum_(t, c) c * zeta_level**t,
+    for integer terms and monomials, order | level and 0 <= t < level: every
+    product of a term and a monomial adds into one integer list per power of
+    zeta_level, which is folded once.  A sparse constant (a Gauss sum before
+    reduction) meets a number of Q(zeta_order) with no dense product."""
+    step = level // order
+    out = [0] * level
+    for j, x in terms:
+        if x:
+            x *= num
+            base = j * step
+            for t, c in monomials:
+                out[(base + t) % level] += x * c
+    return ExactNumber._make(level, den, _fold(out, level))
+
+
+def _monomials(x: ExactNumber) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """x as integer monomials over one denominator: (den, ((j, numerator), ...))
+    with x = sum numerator/den * zeta_level**j over its nonzero coordinates."""
+    return x._den, tuple((j, n) for j, n in enumerate(x._nums) if n)
 
 
 def _bucket_poly(

@@ -10,6 +10,13 @@ has a closed form, evaluated here in exact cyclotomic arithmetic
 (-D)^(m+1) (i sqrt N)^(m+n+2) r_{m,chi}(R_n), which ``trace_from_periods``
 computes through the period-polynomial route; the two must agree exactly.
 
+Both routes end on the same constant (2i)^(w+1) (i sqrt N)^(m+n+2) / tau(conj chi).
+By tau(chi) tau(conj chi) = chi(-1) D it is a rational times
+i^k tau(chi) sqrt(N)^(0 or 1): the phi(D) roots of unity of tau(chi), times
+the few coordinates of sqrt N, kept as monomials (``_trace_monomials``).
+Each route multiplies them into its Q(zeta_R) number in one fold: no
+inverse, no dense product at the constant's level.
+
 Degenerate indices are handled by the convention that a term with a
 vanishing binomial factor is exactly 0: whenever one of the four
 Bernoulli-term denominators would vanish, its binomial factor vanishes
@@ -24,18 +31,20 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Iterable
 
 from .bernoulli import _weighted_coordinates
-from .characters import DirichletCharacter
-from .cyclotomic import _MEMO_SIZE, ExactNumber, _bucket_sum, _cleared, sqrt_positive_integer
-from .periods import (
-    ContextError,
-    ParityError,
-    PeriodContext,
-    _prefactor,
-    _quadruple_walk,
-    closed_form_polynomial,
+from .characters import DirichletCharacter, _gauss_counts
+from .cyclotomic import (
+    _MEMO_SIZE,
+    ExactNumber,
+    _cleared,
+    _fold,
+    _monomial_product,
+    _monomials,
+    sqrt_positive_integer,
 )
+from .periods import ContextError, ParityError, PeriodContext, _quadruple_walk, closed_form_polynomial
 
 
 @dataclass(frozen=True)
@@ -64,7 +73,9 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
 
     The double sum and the four Bernoulli numbers are added as integers per
     power of zeta_R (R = ord chi) over one denominator; chi(-N) and chi(-1)
-    rotate the exponent.  The field is entered once, at the prefactor.
+    rotate the exponent.  The buckets are reduced mod Phi_R in integers and
+    meet the trace constant's monomials directly: the field is entered once,
+    at the constant's level, with one division.
     """
     ctx, m = query.ctx, query.m
     w, n, nt, mt = ctx.w, ctx.n, ctx.n_tilde, query.m_tilde
@@ -99,22 +110,46 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
         for j, coeffs in enumerate(coords):
             buckets[(j + shift) % order] += coeffs[0] * factor
     # everything times D / (2 C(w, m)), in the one division
-    total = _bucket_sum([b * d for b in buckets], order, den * 2 * math.comb(w, m))
-    return _trace_prefactor(chibar, w, level, m + n + 2) * total
+    return _times_trace_constant(ctx, m, enumerate(_fold(buckets, order)), order, d, den * 2 * math.comb(w, m))
+
+
+def _times_trace_constant(
+    ctx: PeriodContext, m: int, terms: Iterable[tuple[int, int]], order: int, num: int, den: int
+) -> ExactNumber:
+    """num/den * sum_(j, x) x * zeta_order**j times the trace constant
+    (2i)^(w+1) (i sqrt N)^e / tau(conj chi), e = m + n + 2: the rational
+    2^(w+1) N^(e // 2) joins the one division, the rest are the monomials
+    of _trace_monomials."""
+    w, level = ctx.w, ctx.level
+    e = m + ctx.n + 2
+    top, monomials, constant_den = _trace_monomials(ctx.chi, level, (w + 1 + e) % 4, e % 2)
+    return _monomial_product(terms, order, num * 2 ** (w + 1) * level ** (e // 2), den * constant_den, monomials, top)
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _trace_prefactor(chibar: DirichletCharacter, w: int, level: int, e: int) -> ExactNumber:
-    """(2i)^(w+1) (i sqrt N)^e / tau(conj chi) with e = m + n + 2."""
-    return _prefactor(chibar, w) * _i_sqrt_level_power(level, e)
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def _i_sqrt_level_power(level: int, e: int) -> ExactNumber:
-    """(i sqrt N)^e = i^e N^(e // 2) sqrt(N)^(e mod 2); for odd e (m + n odd,
-    even characters) this brings in sqrt(N), and only N is factored."""
-    root = sqrt_positive_integer(level) if e % 2 else 1
-    return ExactNumber.zeta(4, e % 4) * root * level ** (e // 2)
+def _trace_monomials(
+    chi: DirichletCharacter, level: int, quarter: int, odd: int
+) -> tuple[int, tuple[tuple[int, int], ...], int]:
+    """i^quarter chi(-1) tau(chi) sqrt(N)^odd / D as integer monomials over
+    one denominator, (L, ((t, c), ...), den), at L = lcm(4, ord chi, D), or
+    lcm(4, ord chi, D, 4f) when sqrt(N) with squarefree part f > 1 enters.
+    Since tau(chi) tau(conj chi) = chi(-1) D for primitive chi,
+    1 / tau(conj chi) = chi(-1) tau(chi) / D: the trace constant needs no
+    inverse, and tau(chi) is its phi(D) monomials, never reduced.  Only N is
+    factored."""
+    tau_level, counts = _gauss_counts(chi)
+    root = sqrt_positive_integer(level) if odd else ExactNumber.one()
+    root_den, root_terms = _monomials(root)
+    top = math.lcm(4, tau_level, root.level)
+    tau_step, root_step = top // tau_level, top // root.level
+    rotation = quarter * (top // 4)
+    sign = chi.sign_at_minus_one()
+    out = [0] * top
+    for t, count in enumerate(counts):
+        if count:
+            for j, r in root_terms:
+                out[(t * tau_step + j * root_step + rotation) % top] += sign * count * r
+    return top, tuple((t, c) for t, c in enumerate(out) if c), chi.modulus * root_den
 
 
 def _double_sum(ctx: PeriodContext, m: int) -> list[int]:
@@ -139,11 +174,15 @@ def _double_sum(ctx: PeriodContext, m: int) -> list[int]:
 def trace_from_periods(query: TraceQuery) -> ExactNumber:
     """The trace as (-D)^(m+1) (i sqrt N)^(m+n+2) r_{m,chi}(R_n); must equal
     trace_closed_form exactly.  The period is the X^(w-m) coefficient of the
-    closed-form polynomial over 2(-1)^m C(w, m); that polynomial keeps
-    _prefactor(conj chi, w) as its constant factor, and _trace_prefactor is
-    that factor times (i sqrt N)^(m+n+2), so the coefficient in Q(zeta_R)
-    meets the large level in one product."""
+    closed-form polynomial over 2(-1)^m C(w, m).  That polynomial keeps
+    (2i)^(w+1) / tau(conj chi) apart as its constant factor (periods._prefactor,
+    which still inverts the Gauss sum), so the coefficient is read in
+    Q(zeta_R) before it, and the trace constant, tau(chi) monomials with the
+    rational scale in their one division, is multiplied in as in
+    trace_closed_form."""
     ctx, m = query.ctx, query.m
     coeff = closed_form_polynomial(ctx).unscaled_coefficient(ctx.w - m)
-    scale = Fraction((-ctx.modulus) ** (m + 1), 2 * (-1) ** m * math.comb(ctx.w, m))
-    return coeff * scale * _trace_prefactor(ctx.chi.conjugate(), ctx.w, ctx.level, m + ctx.n + 2)
+    coeff_den, terms = _monomials(coeff)
+    # (-D)^(m+1) / (2 (-1)^m C(w, m)) = -D^(m+1) / (2 C(w, m))
+    num, den = -(ctx.modulus ** (m + 1)), coeff_den * 2 * math.comb(ctx.w, m)
+    return _times_trace_constant(ctx, m, terms, coeff.level, num, den)

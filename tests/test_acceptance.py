@@ -395,3 +395,19 @@ def test_criterion_12_order_66_family():
             ctx = PeriodContext(1, 22, n, chi)
             assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx), n
         print("  order-66 family: 21 contexts", flush=True)
+
+
+def test_criterion_13_order_66_traces():
+    with criterion(13, "both trace routes on the D = 67, order-66, N = 1, w = 22 family", 10.0):
+        chi = next(chi for chi in enumerate_primitive_characters(67) if chi.order == 66)
+        trace_checks = 0
+        for n in range(1, 22):
+            ctx = PeriodContext(1, 22, n, chi)
+            for m in range(23):
+                if not ctx.parity_holds(m):
+                    continue
+                query = TraceQuery(ctx, m)
+                assert trace_closed_form(query) == trace_from_periods(query), (n, m)
+                trace_checks += 1
+        assert trace_checks == 241
+        print(f"  order-66 family: {trace_checks} trace queries", flush=True)

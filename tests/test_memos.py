@@ -31,8 +31,7 @@ MEMOS = {
     "periods._prefactor",
     "periods._quadruple_walk",
     "periods.closed_form_polynomial",
-    "traces._i_sqrt_level_power",
-    "traces._trace_prefactor",
+    "traces._trace_monomials",
 }
 
 
@@ -78,8 +77,8 @@ def test_the_package_memos_are_pinned():
 def test_memos_are_bounded():
     memos = package_memos()
     assert closed_form_polynomial in memos and bernoulli._weighted_coordinates in memos
-    assert gauss_sum in memos and traces._trace_prefactor in memos
-    assert characters._conjugate in memos and traces._i_sqrt_level_power in memos
+    assert gauss_sum in memos and traces._trace_monomials in memos
+    assert characters._conjugate in memos
     assert cyclotomic.sqrt_integer in memos and tau_coefficients in memos
     for memo in memos:
         assert memo.cache_info().maxsize is not None, memo.__qualname__

@@ -1,13 +1,23 @@
 """The exact L-value trace: closed form against the period route."""
 
+import math
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
-from heckeperiods.characters import enumerate_primitive_characters
-from heckeperiods.cyclotomic import recognize_surd, sqrt_integer
-from heckeperiods.periods import ContextError, ParityError, PeriodContext
+from heckeperiods import periods, traces
+from heckeperiods.characters import enumerate_primitive_characters, gauss_sum
+from heckeperiods.cyclotomic import (
+    ExactNumber,
+    _monomials,
+    euler_phi,
+    recognize_surd,
+    sqrt_integer,
+    sqrt_positive_integer,
+)
+from heckeperiods.periods import ContextError, ParityError, PeriodContext, closed_form_polynomial
 from heckeperiods.traces import TraceQuery, trace_closed_form, trace_from_periods
 
 
@@ -104,3 +114,93 @@ def test_routes_agree_at_a_ten_digit_prime_level(chi3):
         q = TraceQuery(PeriodContext(10**9 + 7, 10, n, chi3), m)
         assert trace_closed_form(q) == trace_from_periods(q), (n, m)
     assert time.monotonic() - start < 2.0
+
+
+def _dense_trace_constant(inverse_gauss_sum, level, w, e):
+    """(2i)^(w+1) (i sqrt N)^e / tau(conj chi) by plain field arithmetic, with
+    (i sqrt N)^e = i^e N^(e // 2) sqrt(N)^(e mod 2): sqrt N enters at odd e."""
+    two_i = ExactNumber.zeta(4) * 2
+    root = sqrt_positive_integer(level) if e % 2 else 1
+    i_sqrt = ExactNumber.zeta(4) ** e * level ** (e // 2) * root
+    return two_i ** (w + 1) * i_sqrt * inverse_gauss_sum
+
+
+def test_sparse_trace_constant_equals_its_dense_definition():
+    # the tau(chi) monomials of the trace constant, against the constant
+    # built with the Gauss-sum inverse, for zero, rational and dense numbers
+    # of Q(zeta_R); odd e brings in sqrt 2, sqrt 3, sqrt 5 and sqrt 6
+    rng = random.Random(20211)
+    w = 10
+    checked = 0
+    for d in range(3, 14):
+        for chi in enumerate_primitive_characters(d):
+            order = chi.order
+            inverse = gauss_sum(chi.conjugate()).inverse()
+            constants = {}
+            for level in (1, 2, 3, 5, 6):
+                for n in range(1, w):
+                    ctx = PeriodContext(level, w, n, chi)
+                    for m in range(w + 1):
+                        if not ctx.parity_holds(m):
+                            continue
+                        e = m + n + 2
+                        if e not in constants:
+                            constants[e] = _dense_trace_constant(inverse, level, w, e)
+                        kind = checked % 3
+                        if kind == 0:
+                            x = ExactNumber.zero(order)
+                        elif kind == 1:
+                            x = ExactNumber.from_rational(Fraction(rng.randint(-99, 99), rng.randint(1, 99)), order)
+                        else:
+                            coords = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(euler_phi(order))]
+                            x = ExactNumber(order, coords)
+                        den, terms = _monomials(x)
+                        sparse = traces._times_trace_constant(ctx, m, terms, order, 1, den)
+                        dense = x * constants[e]
+                        # at one level, == compares the lowest-terms integer
+                        # fields that to_json prints; print the dense ones
+                        assert sparse.level == dense.level and sparse == dense, (d, level, n, m)
+                        if kind == 2:
+                            assert sparse.to_json() == dense.to_json(), (d, level, n, m)
+                        checked += 1
+                constants.clear()
+    assert checked == 9145
+
+
+def test_prefactor_is_the_gauss_sum_over_the_modulus():
+    # 1/tau(conj chi) = chi(-1) tau(chi)/D: the polynomial's kept-apart factor
+    # (the inverse form) and the trace constant (the tau(chi) form) agree
+    w = 10
+    two_i = (ExactNumber.zeta(4) * 2) ** (w + 1)
+    for d in range(3, 31):
+        for chi in enumerate_primitive_characters(d):
+            expected = two_i * gauss_sum(chi) * Fraction(chi.sign_at_minus_one(), d)
+            assert periods._prefactor(chi.conjugate(), w) == expected, (d, chi.order)
+
+
+def test_trace_routes_make_no_product_at_the_constant_level(monkeypatch):
+    # both trace routes enter the field once, through the tau(chi) monomials
+    # of the trace constant: on a fresh context no ExactNumber product
+    # reaches its level lcm(4, R, D)
+    chi = next(chi for chi in enumerate_primitive_characters(23) if chi.order == 22)
+    periods._prefactor(chi.conjugate(), 10)  # the polynomial's factor, built once
+    closed_form_polynomial.cache_clear()
+    traces._trace_monomials.cache_clear()
+    ctx = PeriodContext(1, 10, 3, chi)
+    top = math.lcm(4, 22, 23)
+    levels = []
+    mul = ExactNumber.__mul__
+
+    def counting(self, other):
+        levels.append(math.lcm(self.level, getattr(other, "level", 1)))
+        return mul(self, other)
+
+    monkeypatch.setattr(ExactNumber, "__mul__", counting)
+    monkeypatch.setattr(ExactNumber, "__rmul__", counting)
+    values = []
+    for m in range(11):
+        if ctx.parity_holds(m):
+            q = TraceQuery(ctx, m)
+            values.append((trace_closed_form(q), trace_from_periods(q)))
+    assert values and all(a == b and a.level == top for a, b in values)
+    assert top not in levels
