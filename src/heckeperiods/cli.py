@@ -32,7 +32,16 @@ from .characters import (
     enumerate_primitive_characters,
     kronecker_character,
 )
-from .cyclotomic import ExactNumber, ExactPolynomial, QuadSurd, _surd_text, factorize, recognize_surd
+from .cyclotomic import (
+    ExactNumber,
+    ExactPolynomial,
+    QuadSurd,
+    _monomial_product,
+    _monomials,
+    _surd_text,
+    factorize,
+    recognize_surd,
+)
 from .eigenforms import (
     FixtureError,
     char_poly,
@@ -155,7 +164,10 @@ def _surd_or_json(x: ExactNumber, render: Callable[[QuadSurd], str], times_i: st
     surd = recognize_surd(x)
     if surd is not None:
         return render(surd)
-    surd = recognize_surd(x * ExactNumber.zeta(4, 3))
+    # -i*x = x * zeta_level^(3*level/4): a rotation of x's monomials, one fold
+    level = math.lcm(4, x.level)
+    den, terms = _monomials(x)
+    surd = recognize_surd(_monomial_product(terms, x.level, 1, den, ((3 * level // 4, 1),), level))
     if surd is not None:
         return times_i.format(render(surd))
     return json.dumps(x.to_json())

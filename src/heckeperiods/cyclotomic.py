@@ -4,7 +4,9 @@ Numbers are stored as dense coordinate vectors on the power basis
 1, zeta_M, ..., zeta_M^(phi(M)-1), reduced modulo the M-th cyclotomic
 polynomial: integer numerators over one common denominator.  A product
 multiplies integer vectors (by Kronecker substitution when they are long)
-and folds the high powers back with the reduction table.  Binary operations
+and folds the high powers back with the reduction table.  Packed integers,
+here and in the period routes' quadruple sums, are read back by one digit
+reader, ``_signed_digits``.  Binary operations
 lift both operands to the least common cyclotomic level, so values born at
 different levels (rationals, character values, Gauss sums, i) mix freely.
 
@@ -20,6 +22,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 # the bound of every memo in the package
@@ -148,9 +151,10 @@ _KRONECKER_LENGTH = 16
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two ascending integer coefficient lists by Kronecker
     substitution: each list becomes one integer in base 2**(8 * width), the
-    two integers are multiplied once, and the product's digits are read
-    back.  Every digit is shifted by half the base, so signed coefficients
-    pack and unpack as fixed-width unsigned bytes in linear time."""
+    two integers are multiplied once, and _signed_digits reads the product's
+    digits back.  Every digit is shifted by half the base, so signed
+    coefficients pack and unpack as fixed-width unsigned bytes in linear
+    time."""
     size = len(a) + len(b) - 1
     top_a, top_b = max(map(abs, a)), max(map(abs, b))
     if not top_a or not top_b:
@@ -159,14 +163,25 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     width = (min(len(a), len(b)) * top_a * top_b).bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
     product = _kronecker_pack(a, width, half) * _kronecker_pack(b, width, half)
-    data = (product + _half_digits(width, size)).to_bytes(width * size, "little")
-    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * size, width)]
+    return _signed_digits(product, width, size)
 
 
 def _kronecker_pack(values: Sequence[int], width: int, half: int) -> int:
     """sum_i values[i] * 2**(8 * width * i), for |values[i]| < half."""
     shifted = int.from_bytes(b"".join((v + half).to_bytes(width, "little") for v in values), "little")
     return shifted - _half_digits(width, len(values))
+
+
+def _signed_digits(value: int, width: int, count: int) -> list[int]:
+    """The count balanced digits d_i of value in base 2**(8 * width), lowest
+    first: value = sum_i d_i * 2**(8 * width * i) with -half <= d_i < half,
+    half = 2**(8 * width - 1).  The one digit reader of packed integers.
+    It is exact only when value has such digits, all below half in absolute
+    value: a digit that outgrew its width carries silently into the next, so
+    every caller sizes the width from a stated bound."""
+    half = 1 << (8 * width - 1)
+    data = (value + _half_digits(width, count)).to_bytes(width * count, "little")
+    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, width * count, width)]
 
 
 def _half_digits(width: int, count: int) -> int:
@@ -689,9 +704,21 @@ def parse_quad_surd(text: str) -> QuadSurd:
 
 def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
     """Write x as a + b*sqrt(d) if possible, searching d over squarefree
-    divisors of the level; None when x is not a quadratic surd."""
+    divisors of the level; None when x is not a quadratic surd.
+
+    A rational surd has at most two Galois conjugates, so three distinct
+    images sigma_a(x) among the first few units a of x's own level answer
+    None before any lift to lcm(level, 4d)."""
     if x.is_rational():
         return QuadSurd(x.rational_value(), 0, 1)
+    images = [x]
+    units = (a for a in range(-1, x.level) if a != 1 and math.gcd(a, x.level) == 1)
+    for a in islice(units, 3):
+        image = x.galois(a)
+        if image not in images:
+            images.append(image)
+            if len(images) == 3:
+                return None
     for d in squarefree_divisors(x.level):
         if d == 1:
             continue

@@ -18,6 +18,12 @@ factor of the polynomial, and since it is nonzero and shared, the equality
 is decided on their coefficients in Q(zeta_R), R = ord chi.  Individual
 twisted periods are recovered from polynomial coefficients when the parity
 (-1)^(m+n+1)chi(-1) = 1 admits them.
+
+Both routes expand quadruple terms, each with its own walk and its own
+terms, by packed sums: a term is one big integer at X = 2**(8 * width)
+(Kronecker substitution), a class adds its terms, and
+``cyclotomic._signed_digits`` unpacks each class sum into its w + 1
+coefficients once, at a width sized from a bound the route states.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from .cyclotomic import (
     _add_into,
     _bucket_poly,
     _cleared,
-    _poly_mul,
+    _signed_digits,
     factorize,
 )
 
@@ -146,11 +152,6 @@ def enumerate_quadruples(level: int, modulus: int) -> list[FareyQuadruple]:
     return out
 
 
-def _binomial_power(p: int, q: int, n: int) -> list[int]:
-    """Ascending coefficients of (p*x + q)**n."""
-    return [math.comb(n, i) * p**i * q ** (n - i) for i in range(n + 1)]
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _quadruple_walk(level: int, chibar: DirichletCharacter) -> tuple[tuple[int, int, int, int, int], ...]:
     """The quadruples (a, c, k, ell) of (N, D) on which conj(chi)(a,c,k,ell)
@@ -166,16 +167,23 @@ def _quadruple_walk(level: int, chibar: DirichletCharacter) -> tuple[tuple[int, 
 
 def _quadruple_buckets(ctx: PeriodContext) -> list[list[int]]:
     """D^w times the polynomial attached to each conj(chi) value exponent in
-    G_n, in integers: D^w * term = (aD*X + ell)^n (-cD*X + k)^(w-n)."""
-    d = ctx.modulus
-    buckets: list[list[int]] = [[] for _ in range(ctx.chi.order)]
-    for a, c, k, ell, e in _quadruple_walk(ctx.level, ctx.chi.conjugate()):
-        term = _poly_mul(
-            _binomial_power(a * d, ell, ctx.n),
-            _binomial_power(-c * d, k, ctx.n_tilde),
-        )
-        _add_into(buckets[e], term)
-    return buckets
+    G_n, in integers: D^w * term = (aD*X + ell)^n (k - cD*X)^(w-n).
+
+    Each term is evaluated at X = 2**(8 * width) (Kronecker substitution),
+    so a class adds one big integer per quadruple and is unpacked into its
+    w + 1 signed coefficients once.  Since a, c, k, ell < D, the absolute
+    coefficients of a term sum to (aD + ell)^n (cD + k)^(w-n) <= (D^2 + D)^w,
+    so a class's coefficients lie below (number of quadruples) * (D^2 + D)^w;
+    the width keeps that below half the base, and no digit carries into the
+    next."""
+    d, n, nt = ctx.modulus, ctx.n, ctx.n_tilde
+    walk = _quadruple_walk(ctx.level, ctx.chi.conjugate())
+    width = (len(walk) * (d * d + d) ** ctx.w).bit_length() // 8 + 1
+    dx = d << (8 * width)
+    sums = [0] * ctx.chi.order
+    for a, c, k, ell, e in walk:
+        sums[e] += (a * dx + ell) ** n * (k - c * dx) ** nt
+    return [_signed_digits(total, width, ctx.w + 1) for total in sums]
 
 
 def quadruple_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
@@ -315,7 +323,13 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     D^w: a quadruple with Bezout residue e adds its sign class c < 0 to the
     class of e and its class a, c > 0 to that of -e (each sign class has
     exactly one matrix at a residue); one that reaches no class is skipped
-    before its product."""
+    before its term is expanded.  A quadruple's term is expanded once, as
+    one big integer at X = 2**(8 * width); each class adds the terms of its
+    c < 0 matrices into one sum and those of its a, c > 0 matrices into
+    another, and unpacks both once.  The absolute coefficients of a term
+    sum to (aD + ell)^n (cD + k)^(w-n) <= (D^2 + D)^w, and a sum takes at
+    most one term per quadruple, so its coefficients lie below (number of
+    quadruples) * (D^2 + D)^w, which the width keeps below half the base."""
     d, w, n, nt = ctx.modulus, ctx.w, ctx.n, ctx.n_tilde
     specs = [spec for j, spec in _case_specs(ctx).items() if j in cases]
     six = _case_six(ctx) if 6 in cases else []
@@ -330,19 +344,29 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     fives: list[list[int]] = [[] for _ in classes]
     if 5 in cases:
         class_of = {h: i for i, residues in enumerate(classes) for h in residues}
-        for a, c, k, ell in enumerate_quadruples(ctx.level, d):
+        quadruples = enumerate_quadruples(ctx.level, d)
+        width = (len(quadruples) * (d * d + d) ** w).bit_length() // 8 + 1
+        dx = d << (8 * width)
+        pluses, minuses = [0] * len(classes), [0] * len(classes)
+        for a, c, k, ell in quadruples:
             b0, d0 = bezout_pair(a, c)
             e = (k * b0 + ell * d0) % d
             plus, minus = class_of.get(e), class_of.get(-e % d)
             if plus is None and minus is None:
                 continue
-            # class c < 0: (aD*X + ell)^n (-cD*X + k)^(w-n); class a, c > 0:
-            # -(aD*X - ell)^n (cD*X + k)^(w-n), which is (-1)^(n+1) times the first at -X
-            term = _poly_mul(_binomial_power(a * d, ell, n), _binomial_power(-c * d, k, nt))
+            # class c < 0: (aD*X + ell)^n (k - cD*X)^(w-n)
+            term = (a * dx + ell) ** n * (k - c * dx) ** nt
             if plus is not None:
-                _add_into(fives[plus], term)
+                pluses[plus] += term
             if minus is not None:
-                _add_into(fives[minus], [-t if (n + i) % 2 == 0 else t for i, t in enumerate(term)])
+                minuses[minus] += term
+        # class a, c > 0: -(aD*X - ell)^n (cD*X + k)^(w-n), which is
+        # (-1)^(n+1) times the first at -X
+        signs = [(-1) ** (n + i + 1) for i in range(w + 1)]
+        fives = [
+            [p + s * m for p, m, s in zip(_signed_digits(plus, width, w + 1), _signed_digits(minus, width, w + 1), signs)]
+            for plus, minus in zip(pluses, minuses)
+        ]
     buckets = []
     for residues, five in zip(classes, fives):
         bucket = [0] * (w + 1)

@@ -1,5 +1,6 @@
 """Exact cyclotomic arithmetic: ring axioms, roots, surds, serialization."""
 
+import itertools
 import math
 import random
 import re
@@ -15,6 +16,7 @@ from heckeperiods.cyclotomic import (
     _add_into,
     _kronecker_mul,
     _poly_mul,
+    _signed_digits,
     cyclotomic_polynomial,
     euler_phi,
     parse_quad_surd,
@@ -239,6 +241,28 @@ def test_kronecker_product_matches_the_term_by_term_product():
             assert _kronecker_mul(a, b) == _poly_mul(a, b)
 
 
+def test_signed_digits_read_back_every_balanced_digit():
+    # the packer is written here: sum_i digits[i] * 2**(8 * width * i)
+    def pack(digits, width):
+        return sum(d << (8 * width * i) for i, d in enumerate(digits))
+
+    for width in (1, 2, 5):
+        half = 1 << (8 * width - 1)
+        for count in (1, 2, 5):
+            # -half, +-(half - 1) and 0 at every position
+            for digits in itertools.product((-half, -(half - 1), 0, half - 1), repeat=count):
+                value = pack(digits, width)
+                assert _signed_digits(value, width, count) == list(digits)
+                # a count beyond the value's length reads zeros
+                assert _signed_digits(value, width, count + 3) == list(digits) + [0, 0, 0]
+    rng = random.Random(22)
+    for _ in range(200):
+        width, count = rng.randint(1, 40), rng.randint(1, 30)
+        half = 1 << (8 * width - 1)
+        digits = [rng.randrange(-half, half) for _ in range(count)]
+        assert _signed_digits(pack(digits, width), width, count) == digits
+
+
 def test_power():
     z = ExactNumber.zeta(5, 1)
     assert z**5 == ExactNumber.one()
@@ -295,6 +319,24 @@ def test_recognize_surd_rational_and_absent():
         Fraction(7, 2), 0, 1
     )
     assert recognize_surd(ExactNumber.zeta(5, 1)) is None
+
+
+def test_recognize_surd_answers_none_at_its_own_level(monkeypatch):
+    # three distinct Galois images rule out a surd before any lift to
+    # lcm(level, 4d): level 8844 = 4 * 3 * 11 * 67 has 15 squarefree d > 1
+    x = rand_element(random.Random(8844), 8844)
+    rotated = x * ExactNumber.zeta(4, 3)
+    levels = []
+    table = cyclotomic._power_table
+
+    def recording(level):
+        levels.append(level)
+        return table(level)
+
+    monkeypatch.setattr(cyclotomic, "_power_table", recording)
+    assert recognize_surd(x) is None
+    assert recognize_surd(rotated) is None
+    assert set(levels) == {8844}
 
 
 def test_recognize_surd_with_rational_part():

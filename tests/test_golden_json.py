@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 
+from heckeperiods import periods
 from heckeperiods.bernoulli import generalized_bernoulli_number, generalized_bernoulli_poly
 from heckeperiods.characters import enumerate_primitive_characters, gauss_sum
 from heckeperiods.cyclotomic import sqrt_integer
@@ -73,6 +74,27 @@ def high_level_values():
                     yield trace_from_periods(TraceQuery(ctx, m))
 
 
+# sha256 of wide_values(), the same way: the highest-order character at
+# D = 41, 43, 47 and 67, w = 22, where the quadruple sums pack the widest
+# digits.  Both routes keep the shared constant _prefactor(conj chi, w) apart,
+# so it is hashed once per character and each polynomial by its coefficients
+# before it (unscaled_coefficient; positions past the degree read a level-1
+# zero, so the degree is hashed too): the same information as their to_json(),
+# without expanding 48 polynomials at levels up to 8844
+WIDE_SHA256 = "34c0de640f29524672bea8b98882caf5fd7b980789c5a490d7815f8f9ed8c528"
+
+
+def wide_values():
+    for d in (41, 43, 47, 67):
+        chi = max(enumerate_primitive_characters(d), key=lambda c: c.order)
+        yield periods._prefactor(chi.conjugate(), 22)
+        for level in (1, 2):
+            for n in (1, 11, 21):
+                ctx = PeriodContext(level, 22, n, chi)
+                for poly in (closed_form_polynomial(ctx), case_sum_polynomial(ctx)):
+                    yield from (poly.unscaled_coefficient(k) for k in range(23))
+
+
 def golden_digest(values=golden_values) -> str:
     digest = hashlib.sha256()
     for value in values():
@@ -86,3 +108,7 @@ def test_outputs_match_the_golden_json():
 
 def test_high_level_outputs_match_the_golden_json():
     assert golden_digest(high_level_values) == HIGH_LEVEL_SHA256
+
+
+def test_wide_quadruple_sums_match_the_golden_json():
+    assert golden_digest(wide_values) == WIDE_SHA256

@@ -123,11 +123,11 @@ def fraction_quadruple_sum(ctx):
         e = chi_four_tuple_exponent(chibar, a, c, k, ell)
         if e is None:
             continue
-        for i in range(n + 1):
-            left = math.comb(n, i) * Fraction(a) ** i * Fraction(ell, d) ** (n - i)
-            for j in range(nt + 1):
-                right = math.comb(nt, j) * Fraction(-c) ** j * Fraction(k, d) ** (nt - j)
-                buckets[e][i + j] += left * right
+        left = [math.comb(n, i) * Fraction(a) ** i * Fraction(ell, d) ** (n - i) for i in range(n + 1)]
+        right = [math.comb(nt, j) * Fraction(-c) ** j * Fraction(k, d) ** (nt - j) for j in range(nt + 1)]
+        for i, x in enumerate(left):
+            for j, y in enumerate(right):
+                buckets[e][i + j] += x * y
     zetas = [ExactNumber.zeta(chibar.order, e) for e in range(chibar.order)]
     return ExactPolynomial(
         sum((zetas[e] * bucket[i] for e, bucket in enumerate(buckets)), ExactNumber.zero())
@@ -135,11 +135,19 @@ def fraction_quadruple_sum(ctx):
     )
 
 
+def widest_contexts():
+    """The D = 67, order-66, w = 22 contexts: the widest packed digits the
+    tests reach (1064 quadruples at N = 1, each term below (67^2 + 67)^22)."""
+    chi67 = next(chi for chi in enumerate_primitive_characters(67) if chi.order == 66)
+    return [PeriodContext(level, 22, n, chi67) for level in (1, 2) for n in (1, 11, 21)]
+
+
 def test_quadruple_sum_matches_the_fraction_expansion():
     # G_n is summed in integers scaled by D^w; at D = 37, w = 14 that scale is 37^14
     chi37 = next(chi for chi in enumerate_primitive_characters(37) if chi.order == 36)
     contexts = [PeriodContext(level, 14, n, chi37) for level in (1, 2) for n in (1, 7, 13)]
     contexts.append(PeriodContext(1, 10, 3, kronecker_character(-4)))
+    contexts += widest_contexts()
     for ctx in contexts:
         g = quadruple_sum_polynomial(ctx)
         assert not g.is_zero()
@@ -374,8 +382,10 @@ def test_case_five_matches_the_per_residue_walk():
     contexts = [PeriodContext(level, 14, n, chi37) for level in (1, 2) for n in (1, 7, 13)]
     chi4 = kronecker_character(-4)
     contexts += [PeriodContext(level, 10, n, chi4) for level in (1, 2) for n in (1, 2)]
+    contexts += widest_contexts()
+    residues_of = {37: (1, 2, 6, 31, 36), 4: (1, 3), 67: (1, 2, 66)}
     for ctx in contexts:
-        residues = (1, 2, 6, 31, 36) if ctx.modulus == 37 else (1, 3)
+        residues = residues_of[ctx.modulus]
         for h in residues:
             assert case_contribution(5, h, ctx) == case_five_reference(ctx, h), (ctx, h)
     # D = 4 has the quadruple (1, 1, 2, 2), whose residue 2 is no unit: it must
@@ -384,9 +394,34 @@ def test_case_five_matches_the_per_residue_walk():
     assert not case_contribution(5, 1, PeriodContext(1, 10, 1, chi4)).is_zero()
 
 
+class CountedEll(int):
+    """An ell that counts the case-5 terms it enters.  The Bezout residue
+    only multiplies ell; expanding a term adds ell to, or subtracts it from,
+    a packed integer."""
+
+    def __new__(cls, value, uses):
+        self = super().__new__(cls, value)
+        self.uses = uses
+        return self
+
+    def __add__(self, other):
+        self.uses.append(int(self))
+        return int(self) + other
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        self.uses.append(int(self))
+        return int(self) - other
+
+    def __rsub__(self, other):
+        self.uses.append(int(self))
+        return other - int(self)
+
+
 def test_per_residue_case_five_multiplies_only_its_quadruples(monkeypatch):
-    # a single residue's case-5 row multiplies out only the quadruples whose
-    # Bezout residue is h or -h, not every quadruple of the context
+    # a single residue's case-5 row expands only the quadruples whose Bezout
+    # residue is h or -h, not every quadruple of the context
     chi37 = next(chi for chi in enumerate_primitive_characters(37) if chi.order == 36)
     ctx = PeriodContext(1, 14, 7, chi37)
     h = 2
@@ -397,14 +432,12 @@ def test_per_residue_case_five_multiplies_only_its_quadruples(monkeypatch):
         if (k * (a * dd - 1) // c + ell * dd) % 37 in (h, 37 - h):
             reaching += 1
     assert 0 < reaching < len(quadruples)
-    calls = 0
-    poly_mul = periods._poly_mul
-
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return poly_mul(*args)
-
-    monkeypatch.setattr(periods, "_poly_mul", counting)
-    case_contribution(5, h, ctx)
-    assert calls == reaching
+    expected = case_contribution(5, h, ctx)
+    uses = []
+    monkeypatch.setattr(
+        periods,
+        "enumerate_quadruples",
+        lambda level, d: [FareyQuadruple(a, c, k, CountedEll(ell, uses)) for a, c, k, ell in quadruples],
+    )
+    assert case_contribution(5, h, ctx) == expected
+    assert len(uses) == reaching
