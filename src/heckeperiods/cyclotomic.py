@@ -3,10 +3,10 @@
 Numbers are stored as dense coordinate vectors on the power basis
 1, zeta_M, ..., zeta_M^(phi(M)-1), reduced modulo the M-th cyclotomic
 polynomial: integer numerators over one common denominator.  A product
-multiplies integer vectors (by Kronecker substitution when they are long)
-and folds the high powers back with the reduction table.  Packed integers,
-here and in the period routes' quadruple sums, are read back by one digit
-reader, ``_signed_digits``.  Binary operations
+multiplies integer vectors by Kronecker substitution and folds the high
+powers back with the reduction table.  Packed integers, here and in the
+period routes' quadruple sums, are read back by one digit reader,
+``_signed_digits``.  Binary operations
 lift both operands to the least common cyclotomic level, so values born at
 different levels (rationals, character values, Gauss sums, i) mix freely.
 
@@ -112,9 +112,8 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 @lru_cache(maxsize=_MEMO_SIZE)
 def _power_table(level: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
     """phi(level) and the coordinates of zeta_level**e on the power basis, as
-    sparse (index, integer) pairs, for every exponent a product, lift or
-    Galois image asks for: 0 <= e < max(level, 2*phi - 1).  Built whole,
-    never extended."""
+    sparse (index, integer) pairs, for every exponent _fold reads:
+    0 <= e < max(level, 2*phi - 1).  Built whole, never extended."""
     cyclo = cyclotomic_polynomial(level)
     phi = len(cyclo) - 1
     # x^phi = -(lower part of Phi) since Phi is monic
@@ -132,7 +131,8 @@ def _power_table(level: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ..
 def _fold(values: Sequence, level: int) -> list:
     """Coordinates of sum_e values[e] * zeta_level**e, for len(values) within
     the power table of the level.  Integer values fold to integers: the
-    padding is int 0."""
+    padding is int 0.  The one reduction mod Phi_level and the only reader
+    of the table."""
     phi, rows = _power_table(level)
     out = list(values[:phi]) + [0] * (phi - len(values))
     for e in range(phi, len(values)):
@@ -141,11 +141,6 @@ def _fold(values: Sequence, level: int) -> list:
             for t, r in rows[e]:
                 out[t] += q * r
     return out
-
-
-# Kronecker substitution packs this many or more coefficients per operand;
-# shorter products are cheaper term by term
-_KRONECKER_LENGTH = 16
 
 
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
@@ -230,15 +225,11 @@ class ExactNumber:
     @classmethod
     def from_rational(cls, q, level: int = 1) -> "ExactNumber":
         q = Fraction(q)
-        return cls._make(level, q.denominator, [q.numerator] + [0] * (_power_table(level)[0] - 1))
+        return cls._make(level, q.denominator, [q.numerator] + [0] * (euler_phi(level) - 1))
 
     @classmethod
     def zeta(cls, level: int, k: int = 1) -> "ExactNumber":
-        phi, rows = _power_table(level)
-        nums = [0] * phi
-        for t, r in rows[k % level]:
-            nums[t] = r
-        return cls._make(level, 1, nums)
+        return _bucket_sum([0] * (k % level) + [1], level)
 
     @classmethod
     def zero(cls, level: int = 1) -> "ExactNumber":
@@ -268,13 +259,10 @@ class ExactNumber:
 
     def _map_exponents(self, level: int, k: int) -> "ExactNumber":
         """sum_j coords[j] * zeta_level**(j*k mod level), at the given level."""
-        phi, rows = _power_table(level)
-        out = [0] * phi
+        out = [0] * level
         for j, c in enumerate(self._nums):
-            if c:
-                for t, r in rows[j * k % level]:
-                    out[t] += c * r
-        return ExactNumber._make(level, self._den, out)
+            out[j * k % level] = c
+        return _bucket_sum(out, level, self._den)
 
     def lift_to(self, level: int) -> "ExactNumber":
         if level == self.level:
@@ -351,8 +339,7 @@ class ExactNumber:
         if b.is_rational():
             return a._scale(b._nums[0], b._den)
         # both operands have phi(level) coordinates
-        product = (_poly_mul if len(a._nums) < _KRONECKER_LENGTH else _kronecker_mul)(a._nums, b._nums)
-        return ExactNumber._make(a.level, a._den * b._den, _fold(product, a.level))
+        return _bucket_sum(_kronecker_mul(a._nums, b._nums), a.level, a._den * b._den)
 
     __rmul__ = __mul__
 
@@ -865,7 +852,7 @@ def _monomial_product(
             base = j * step
             for t, c in monomials:
                 out[(base + t) % level] += x * c
-    return ExactNumber._make(level, den, _fold(out, level))
+    return _bucket_sum(out, level, den)
 
 
 def _monomials(x: ExactNumber) -> tuple[int, tuple[tuple[int, int], ...]]:
@@ -900,17 +887,6 @@ def _add_into(bucket: list, coeffs: Sequence) -> None:
         bucket.extend([0] * (len(coeffs) - len(bucket)))
     for i, c in enumerate(coeffs):
         bucket[i] += c
-
-
-def _poly_mul(a: Sequence, b: Sequence) -> list:
-    """Product of two ascending coefficient lists of ints or Fractions."""
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return out
 
 
 def _fmt_rational(q: Fraction) -> str:

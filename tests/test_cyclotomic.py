@@ -15,7 +15,6 @@ from heckeperiods.cyclotomic import (
     QuadSurd,
     _add_into,
     _kronecker_mul,
-    _poly_mul,
     _signed_digits,
     cyclotomic_polynomial,
     euler_phi,
@@ -34,6 +33,36 @@ def rand_element(rng, level, size=6):
         Fraction(rng.randint(-size, size), rng.randint(1, size)) for _ in range(phi)
     ]
     return ExactNumber(level, coords)
+
+
+def schoolbook(a, b):
+    """The reference product of two ascending coefficient lists, term by term."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def reduced(poly, level):
+    """The coordinates of sum_e poly[e] * zeta_level**e on the power basis:
+    the remainder of poly by long division by Phi_level."""
+    cyclo = cyclotomic_polynomial(level)
+    phi = len(cyclo) - 1
+    rem = list(poly) + [0] * phi
+    for e in range(len(rem) - 1, phi - 1, -1):
+        q = rem[e]
+        for t, c in enumerate(cyclo):
+            rem[e - phi + t] -= q * c
+    return tuple(Fraction(c) for c in rem[:phi])
+
+
+def scattered(coords, exponent, level):
+    """sum_j coords[j] * x**exponent(j), as an ascending list below level."""
+    poly = [0] * level
+    for j, c in enumerate(coords):
+        poly[exponent(j)] += c
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +99,7 @@ def test_cyclotomic_polynomials_multiply_to_x_m_minus_1():
         product = [1]
         for d in range(1, m + 1):
             if m % d == 0:
-                product = _poly_mul(product, cyclotomic_polynomial(d))
+                product = schoolbook(product, cyclotomic_polynomial(d))
         assert product == [-1] + [0] * (m - 1) + [1], m
     # the first cyclotomic polynomial with a coefficient outside {-1, 0, 1}
     phi_105 = cyclotomic_polynomial(105)
@@ -211,6 +240,51 @@ def test_results_are_in_lowest_terms():
         assert_lowest_terms(x)
 
 
+def test_every_way_into_the_field_matches_long_division():
+    # zeta, lift, Galois image and product all enter Q(zeta_L) through one
+    # reduction; here each is checked against the remainder by Phi_L
+    rng = random.Random(64)
+    for level in range(1, 65):
+        phi = euler_phi(level)
+        for k in range(2 * level):
+            z = ExactNumber.zeta(level, k)
+            assert (z.level, z.coords) == (level, reduced([0] * (k % level) + [1], level)), (level, k)
+        for d in (d for d in range(1, level + 1) if level % d == 0):
+            x = rand_element(rng, d)
+            lifted = x.lift_to(level)
+            expected = reduced(scattered(x.coords, lambda j: j * (level // d), level), level)
+            assert (lifted.level, lifted.coords) == (level, expected), (d, level)
+        x = rand_element(rng, level)
+        for a in (a for a in range(1, level + 1) if math.gcd(a, level) == 1):
+            image = x.galois(a)
+            assert image.coords == reduced(scattered(x.coords, lambda j: j * a % level, level), level), (level, a)
+        if 2 <= phi < 16:
+            for _ in range(3):
+                x, y = rand_element(rng, level, size=10**9), rand_element(rng, level, size=10**9)
+                assert (x * y).coords == reduced(schoolbook(x.coords, y.coords), level), level
+
+
+def test_rationals_build_no_reduction_table(monkeypatch):
+    # a rational needs only phi of its level, not the table of x**e mod Phi
+    levels = []
+    table = cyclotomic._power_table
+
+    def recording(level):
+        levels.append(level)
+        return table(level)
+
+    monkeypatch.setattr(cyclotomic, "_power_table", recording)
+    phi = euler_phi(17030)
+    for number, value in [
+        (ExactNumber.from_rational(Fraction(-7, 3), 17030), Fraction(-7, 3)),
+        (ExactNumber.zero(17030), 0),
+        (ExactNumber.one(17030), 1),
+    ]:
+        assert number.level == 17030 and len(number._nums) == phi
+        assert number.rational_value() == value
+    assert levels == []
+
+
 def test_common_factors_cancel():
     zeta = ExactNumber.zeta(12)
     third = zeta * Fraction(1, 3)
@@ -228,17 +302,17 @@ def test_kronecker_product_matches_the_term_by_term_product():
     vector = lambda length, bits: [rng.randint(-(2**bits), 2**bits) for _ in range(length)]
     for length in range(1, 217):  # 216 = phi(684), the longest product in use
         a, b = vector(length, sizes[length % 4]), vector(length, sizes[length // 4 % 4])
-        assert _kronecker_mul(a, b) == _poly_mul(a, b)
+        assert _kronecker_mul(a, b) == schoolbook(a, b)
     for bits in sizes:
         for la, lb in [(1, 216), (216, 1), (7, 108), (108, 215), (3, 4)]:
             a, b = vector(la, bits), vector(lb, bits)
-            assert _kronecker_mul(a, b) == _poly_mul(a, b)
+            assert _kronecker_mul(a, b) == schoolbook(a, b)
             assert _kronecker_mul(a, [0] * lb) == [0] * (la + lb - 1)
             assert _kronecker_mul([0] * la, [0] * lb) == [0] * (la + lb - 1)
         # every coefficient at the bound: all negative, mixed, alternating
         top = 2**bits
         for a, b in [([-top] * 216, [-top] * 216), ([top] * 216, [-top] * 216), ([top, -top] * 108, [-top, top] * 108)]:
-            assert _kronecker_mul(a, b) == _poly_mul(a, b)
+            assert _kronecker_mul(a, b) == schoolbook(a, b)
 
 
 def test_signed_digits_read_back_every_balanced_digit():
@@ -452,11 +526,10 @@ def test_list_helpers_keep_integer_coefficients():
     # the quadruple sums rely on this: a Fraction zero in the padding would
     # turn every integer bucket back into Fraction arithmetic
     bucket = []
-    _add_into(bucket, _poly_mul([1, 2], [3, 0, 4]))
+    _add_into(bucket, [3, 6, 4, 8])
     _add_into(bucket, [1])
     assert bucket == [4, 6, 4, 8]
     assert all(type(x) is int for x in bucket)
-    assert _poly_mul([Fraction(1, 2)], [2, 4]) == [1, 2]
 
 
 def test_polynomial_basics():

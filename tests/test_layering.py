@@ -65,3 +65,31 @@ def test_every_private_module_name_is_read():
     assert defined
     unread = sorted(f"{module}:{name}" for name, module in defined.items() if name not in loaded)
     assert not unread, f"private module names nothing in the package reads: {', '.join(unread)}"
+
+
+def _loaders(name: str) -> list[str]:
+    """module:function for every load of name, by name or as an attribute,
+    in the package, under the innermost function or class around it."""
+    found = []
+
+    def visit(node: ast.AST, path: Path, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path, f"{owner}.{child.name}" if owner else child.name)
+                continue
+            loaded = (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            )
+            if loaded and isinstance(child.ctx, ast.Load):
+                found.append(f"{path.name}:{owner or '<module>'}")
+            visit(child, path, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path, "")
+    return found
+
+
+def test_only_fold_reads_the_reduction_table():
+    # every way into Q(zeta_L) (product, zeta, lift, Galois image, bucket
+    # sum) reduces through _fold, so a new reduction replaces one function
+    assert sorted(set(_loaders("_power_table"))) == ["cyclotomic.py:_fold"]
