@@ -26,7 +26,7 @@ print("Lambda(Delta, 2) =", lambda_delta(2))
 print("Lambda(Delta, 6) =", lambda_delta(6))
 
 # Petersson norm the cheap way: invert the zeta-ratio identity.
-print("1/||Delta||^2 =", petersson_delta_inverse(10**4))
+print("1/||Delta||^2 =", petersson_delta_inverse())
 
 # Twisted completed L-values assembled from residue path integrals.
 chi = kronecker_character(-3)

@@ -8,9 +8,7 @@ case-sum oracle cross-checking every closed form.
 """
 
 from .bernoulli import (
-    bernoulli_frac,
     bernoulli_number,
-    bernoulli_poly,
     generalized_bernoulli_number,
     generalized_bernoulli_poly,
 )
@@ -84,9 +82,7 @@ __all__ = [
     "RnCombination",
     "SurdPair",
     "TraceQuery",
-    "bernoulli_frac",
     "bernoulli_number",
-    "bernoulli_poly",
     "case_contribution",
     "case_sum_polynomial",
     "char_poly",

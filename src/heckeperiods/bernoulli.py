@@ -87,34 +87,16 @@ def _bernoulli_row(j: int, d: int) -> tuple[int, tuple[int, ...]]:
     return den, tuple(values)
 
 
-def bernoulli_poly(k: int) -> ExactPolynomial:
-    """B_k(x) as an exact polynomial; the zero polynomial for k < 0."""
-    return ExactPolynomial(bernoulli_shifted_coeffs(k, _ZERO))
-
-
 def bernoulli_shifted_coeffs(k: int, a: Fraction) -> list[Fraction]:
     """Ascending coefficients of B_k(a + x) via the addition formula."""
     if k < 0:
         return []
-    return [math.comb(k, j) * _bernoulli_at(j, a) for j in range(k, -1, -1)]
-
-
-def _bernoulli_at(k: int, a) -> Fraction:
-    """B_k(a) for a rational a."""
     a = Fraction(a)
-    den, (num,) = _numerators(k, a.denominator, (a.numerator,))
-    return Fraction(num, den)
-
-
-def bernoulli_frac(k: int, x) -> Fraction:
-    """B_k({x}) with {x} the fractional part; 0 when k = 1 and x is integral."""
-    if k < 1:
-        raise ValueError("bernoulli_frac needs k >= 1")
-    x = Fraction(x)
-    frac = x - math.floor(x)
-    if k == 1 and frac == 0:
-        return _ZERO
-    return _bernoulli_at(k, frac)
+    coeffs = []
+    for j in range(k, -1, -1):
+        den, (num,) = _numerators(j, a.denominator, (a.numerator,))
+        coeffs.append(math.comb(k, j) * Fraction(num, den))
+    return coeffs
 
 
 # ---------------------------------------------------------------------------

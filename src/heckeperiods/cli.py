@@ -50,7 +50,6 @@ from .eigenforms import (
     twisted_lambda_ratio,
 )
 from .numeric import (
-    TRUNCATION,
     _float_json,
     _split_lambda,
     assembled_twisted_lambda,
@@ -390,16 +389,19 @@ def cmd_ratio(args) -> int:
 
 
 def cmd_verify_numeric(args) -> int:
+    if args.check != "trace" and (args.level, args.weight) != (1, 12):
+        # the trace check refuses other spaces in verify_trace_numeric
+        raise ContextError(f"the {args.check} check covers level 1, weight 12 (Delta) only")
     if args.check == "lambda":
         s = args.m + 1
-        computed = lambda_delta(s, args.truncation)
+        computed = lambda_delta(s)
         expected = _LAMBDA_REFERENCE.get(s, None)
         if expected is None:
             # the same value from a second split of the Mellin integral
-            expected = _split_lambda(s, args.truncation, 0.5)
+            expected = _split_lambda(s, 0.5)
         tol = 1e-12
     elif args.check == "petersson":
-        computed = petersson_delta_inverse(args.truncation)
+        computed = petersson_delta_inverse()
         expected = _PETERSSON_REFERENCE
         tol = 1e-6 * abs(expected)
     elif args.check == "twisted":
@@ -413,13 +415,13 @@ def cmd_verify_numeric(args) -> int:
             raise ContextError(
                 "twisted reference values exist for kronecker:-3 at m in {1,3,5}"
             )
-        computed = assembled_twisted_lambda(args.m, chi, args.truncation).real
+        computed = assembled_twisted_lambda(args.m, chi).real
         expected = _TWISTED_REFERENCE[args.m]
         tol = 1e-8
     elif args.check == "trace":
         chi = parse_character(args.character)
         ctx = PeriodContext(args.level, args.weight - 2, args.n, chi)
-        report = verify_trace_numeric(TraceQuery(ctx, args.m), args.truncation)
+        report = verify_trace_numeric(TraceQuery(ctx, args.m))
         _emit(args, report.to_json(), lambda: json.dumps(report.to_json(), indent=1))
         return 0 if report.passed else 1
     else:
@@ -519,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--character", default="kronecker:-3")
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--truncation", type=int, default=TRUNCATION)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("fixtures", help="list or dump the bundled fixtures")

@@ -258,8 +258,11 @@ class ExactNumber:
         return Fraction(self._nums[0], self._den)
 
     def _map_exponents(self, level: int, k: int) -> "ExactNumber":
-        """sum_j coords[j] * zeta_level**(j*k mod level), at the given level."""
-        out = [0] * level
+        """sum_j coords[j] * zeta_level**(j*k mod level), at the given level.
+        When no exponent wraps (a lift), the list ends at the largest one,
+        so _fold walks no zeros above it."""
+        k %= level
+        out = [0] * min(level, (len(self._nums) - 1) * k + 1)
         for j, c in enumerate(self._nums):
             out[j * k % level] = c
         return _bucket_sum(out, level, self._den)

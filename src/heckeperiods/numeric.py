@@ -1,10 +1,11 @@
 """Floating-point reproduction of the level-one numeric checks.
 
-Everything here is double precision with conservative truncation: the
-periods of the discriminant form as one path integral split at a height
-(its completed L-values are the periods at the cusp 0/1), and its Petersson
-norm via the zeta-ratio formula.  These are sanity anchors for the
-exact machinery, not high-precision evaluators.
+Everything here is double precision, and every q-expansion sum reads at
+most the fixed TRUNCATION terms: the periods of the discriminant form as
+one path integral split at a height (its completed L-values are the
+periods at the cusp 0/1), and its Petersson norm via the zeta-ratio
+formula.  These are sanity anchors for the exact machinery, not
+high-precision evaluators.
 """
 
 from __future__ import annotations
@@ -23,10 +24,8 @@ from .traces import TraceQuery, trace_closed_form
 _ZETA_TERMS = 100000
 # relative error below which verify_trace_numeric passes
 _TRACE_TOLERANCE = 1e-5
-# fewest q-expansion terms a numeric sum accepts: a shorter sum is no check
-_MIN_TERMS = 100
-# q-expansion terms every numeric sum takes by default; the lambda values
-# and 1/||Delta||^2 are bit-identical from here to 10^4 terms
+# q-expansion terms every numeric sum reads; the lambda values and
+# 1/||Delta||^2 are bit-identical from here to 10^4 terms
 TRUNCATION = 300
 
 
@@ -91,11 +90,6 @@ def tau_coefficients(m: int) -> QExpansion:
     return QExpansion(tuple(g), weight=12, level=1)
 
 
-def _check_terms(truncation: int) -> None:
-    if truncation < _MIN_TERMS:
-        raise ContextError(f"need at least {_MIN_TERMS} terms, got {truncation}")
-
-
 # ---------------------------------------------------------------------------
 # completed L-values of the discriminant form
 
@@ -113,18 +107,17 @@ def incomplete_gamma_integer(k: int, x: float) -> float:
     return math.factorial(k - 1) * math.exp(-x) * acc
 
 
-def _split_lambda(s: int, truncation: int, height: float) -> float:
+def _split_lambda(s: int, height: float) -> float:
     """Completed L-value of the discriminant form, Lambda(Delta, s) =
     (-i)^s r_{s-1}: the untwisted period at the cusp 0/1 split at the height."""
-    return ((-1j) ** s * _split_period(s - 1, 0, 1, truncation, height)).real
+    return ((-1j) ** s * _split_period(s - 1, 0, 1, height)).real
 
 
-def lambda_delta(s: int, truncation: int = TRUNCATION) -> float:
+def lambda_delta(s: int) -> float:
     """Completed L-value of the discriminant form at integer s in 1..11."""
     if not 1 <= s <= 11:
         raise ContextError("s must lie in 1..11")
-    _check_terms(truncation)
-    return _split_lambda(s, truncation, 1.0)
+    return _split_lambda(s, 1.0)
 
 
 def zeta_value(s: int) -> float:
@@ -143,13 +136,12 @@ def zeta_value(s: int) -> float:
     return total
 
 
-def petersson_delta_inverse(truncation: int = TRUNCATION) -> float:
+def petersson_delta_inverse() -> float:
     """1 / ||Delta||^2 by inverting the zeta-ratio identity for the
     weighted sum of squared tau values."""
-    _check_terms(truncation)
-    tau = tau_coefficients(truncation)
+    tau = tau_coefficients(TRUNCATION)
     weighted = 0.0
-    for n in range(1, truncation + 1):
+    for n in range(1, TRUNCATION + 1):
         weighted += float(tau.a(n)) ** 2 / float(n) ** 20
     constant = (
         2.0 / 245.0 * 4.0**20 * math.pi**29 / math.factorial(20)
@@ -162,17 +154,18 @@ def petersson_delta_inverse(truncation: int = TRUNCATION) -> float:
 # periods as path integrals
 
 
-def _split_period(m: int, h: int, d: int, truncation: int, height: float) -> complex:
+def _split_period(m: int, h: int, d: int, height: float) -> complex:
     """r_{m, h/d} of the discriminant form: the path integral from h/d to
     i*infinity split at the given height above h/d, the lower piece mapped
     above 1/(d^2 height) through the cusp matrix.  The value does not depend
     on the height, the terms do: they fall like exp(-2 pi n y) for the
-    smaller of the two heights y."""
-    tau = tau_coefficients(truncation)
+    smaller of the two heights y, and the sum stops once a term pair drops
+    below 1e-20 (before TRUNCATION for d <= 23 at height 1/d)."""
+    tau = tau_coefficients(TRUNCATION)
     h_inv = pow(h, -1, d)
     low_height = 1.0 / (d * d * height)
     upper = lower = 0j
-    for n in range(1, truncation + 1):
+    for n in range(1, TRUNCATION + 1):
         x = 2 * math.pi * n
         up = (
             tau.a(n)
@@ -193,17 +186,16 @@ def _split_period(m: int, h: int, d: int, truncation: int, height: float) -> com
     return 1j ** (m + 1) * upper + (-1) ** (m + 1) * 1j ** (11 - m) * float(d) ** (10 - 2 * m) * lower
 
 
-def numeric_twisted_period(m: int, h: int, d: int, truncation: int = TRUNCATION) -> complex:
+def numeric_twisted_period(m: int, h: int, d: int) -> complex:
     """r_{m, h/d} of the discriminant form, the path integral split at height 1/d."""
     if math.gcd(h, d) != 1:
         raise ValueError(f"residue {h} not coprime to {d}")
     if not 0 <= m <= 10:
         raise ValueError("m must lie in 0..10")
-    _check_terms(truncation)
-    return _split_period(m, h, d, truncation, 1.0 / d)
+    return _split_period(m, h, d, 1.0 / d)
 
 
-def assembled_twisted_lambda(m: int, chi: DirichletCharacter, truncation: int = TRUNCATION) -> complex:
+def assembled_twisted_lambda(m: int, chi: DirichletCharacter) -> complex:
     """Lambda(Delta, chi, m+1) numerically: (-D i)^(m+1) / tau(conj chi)
     times the conj(chi)-weighted sum of residue periods."""
     d = chi.modulus
@@ -212,7 +204,7 @@ def assembled_twisted_lambda(m: int, chi: DirichletCharacter, truncation: int = 
     for h in range(1, d):
         if math.gcd(h, d) != 1:
             continue
-        total += chibar.value(h).numeric() * numeric_twisted_period(m, h, d, truncation)
+        total += chibar.value(h).numeric() * numeric_twisted_period(m, h, d)
     total /= gauss_sum(chibar).numeric()
     return (-d * 1j) ** (m + 1) * total
 
@@ -244,7 +236,7 @@ class NumericCheck:
         }
 
 
-def verify_trace_numeric(query: TraceQuery, truncation: int = TRUNCATION) -> NumericCheck:
+def verify_trace_numeric(query: TraceQuery) -> NumericCheck:
     """Compare the exact trace (evaluated as a float) against the numeric
     product Lambda(Delta, chi, m+1) * Lambda(Delta, n+1) / ||Delta||^2.
 
@@ -255,9 +247,9 @@ def verify_trace_numeric(query: TraceQuery, truncation: int = TRUNCATION) -> Num
         raise ContextError("numeric verification covers level 1, weight 12 only")
     exact = trace_closed_form(query).numeric()
     numeric = (
-        assembled_twisted_lambda(query.m, ctx.chi, truncation)
-        * lambda_delta(ctx.n + 1, truncation)
-        * petersson_delta_inverse(truncation)
+        assembled_twisted_lambda(query.m, ctx.chi)
+        * lambda_delta(ctx.n + 1)
+        * petersson_delta_inverse()
     )
     abs_err = abs(exact - numeric)
     scale = max(abs(exact), abs(numeric), 1.0)

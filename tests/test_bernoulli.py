@@ -11,9 +11,7 @@ from heckeperiods.bernoulli import (
     BernoulliSelfCheckError,
     _bernoulli_row,
     _weighted_coordinates,
-    bernoulli_frac,
     bernoulli_number,
-    bernoulli_poly,
     bernoulli_shifted_coeffs,
     generalized_bernoulli_number,
     generalized_bernoulli_poly,
@@ -25,11 +23,22 @@ TABLE_MODULI = (1, 2, 3, 12, 65)
 TABLE_INDICES = range(41)
 
 
-def _at(poly, x):
-    """poly(x) for a polynomial with rational coefficients, by Horner's rule."""
+def _bernoulli_reference(k):
+    """Ascending Fraction coefficients of B_k(x) from the recurrence B_0 = 1,
+    B_j' = j*B_(j-1) with the integral of B_j over [0, 1] zero: no library
+    Bernoulli number enters, and the constant term B_k(0) is B_k."""
+    poly = [Fraction(1)]
+    for j in range(1, k + 1):
+        rising = [j * c / (i + 1) for i, c in enumerate(poly)]
+        poly = [-sum(c / (i + 2) for i, c in enumerate(rising))] + rising
+    return poly
+
+
+def _at(coeffs, x):
+    """sum_i coeffs[i] * x^i by Horner's rule."""
     value = Fraction(0)
-    for c in poly.coefficients:
-        value = value * x + c.rational_value()
+    for c in reversed(coeffs):
+        value = value * x + c
     return value
 
 
@@ -44,23 +53,18 @@ def test_bernoulli_numbers():
 
 
 def test_bernoulli_poly_classical():
-    assert bernoulli_poly(2) == ExactPolynomial([Fraction(1, 6), -1, 1])
-    assert bernoulli_poly(-1).is_zero()
-    assert bernoulli_poly(0) == ExactPolynomial([1])
+    assert _bernoulli_reference(2) == [Fraction(1, 6), -1, 1]
+    assert bernoulli_shifted_coeffs(2, 0) == [Fraction(1, 6), -1, 1]
+    assert bernoulli_shifted_coeffs(-1, 0) == []
+    assert bernoulli_shifted_coeffs(0, 0) == [1]
     # B_k(0) = B_k and B_k(1) = (-1)^k B_k
     for k in range(13):
-        poly = bernoulli_poly(k)
-        assert _at(poly, 0) == bernoulli_number(k)
-        assert _at(poly, 1) == (-1) ** k * bernoulli_number(k)
-
-
-def test_bernoulli_frac():
-    assert bernoulli_frac(1, Fraction(7, 3)) == Fraction(-1, 6)
-    assert bernoulli_frac(1, 5) == 0
-    assert bernoulli_frac(2, Fraction(-1, 3)) == Fraction(-1, 18)
-    assert bernoulli_frac(2, Fraction(5, 3)) == bernoulli_frac(2, Fraction(2, 3))
-    with pytest.raises(ValueError):
-        bernoulli_frac(0, Fraction(1, 2))
+        poly = bernoulli_shifted_coeffs(k, 0)
+        assert poly == _bernoulli_reference(k), k
+        number = _bernoulli_reference(k)[0]
+        assert bernoulli_number(k) == number
+        assert _at(poly, 0) == number
+        assert _at(poly, 1) == (-1) ** k * number
 
 
 def test_addition_formula_random_rationals():
@@ -70,14 +74,14 @@ def test_addition_formula_random_rationals():
         a = Fraction(rng.randint(-12, 12), rng.randint(1, 9))
         shifted = bernoulli_shifted_coeffs(k, a)
         expected = [
-            math.comb(k, j) * _at(bernoulli_poly(j), a)
+            math.comb(k, j) * _at(_bernoulli_reference(j), a)
             for j in range(k, -1, -1)
         ]
         assert shifted == expected
         # evaluate both sides at a random x
         x = Fraction(rng.randint(-6, 6), rng.randint(1, 6))
-        direct = _at(bernoulli_poly(k), a + x)
-        via_sum = sum(c * x**i for i, c in enumerate(shifted))
+        direct = _at(_bernoulli_reference(k), a + x)
+        via_sum = _at(shifted, x)
         assert direct == via_sum
 
 

@@ -360,10 +360,12 @@ def test_validation_error_exit_code(capsys):
          "--character", "table:3:0,zeta[0]^0,zeta[2]^1"),
         ("verify-numeric", "--check", "trace", "--weight", "14"),
         ("verify-numeric", "--check", "lambda", "--m", "11"),
-        ("verify-numeric", "--check", "petersson", "--truncation", "50"),
-        ("verify-numeric", "--check", "lambda", "--m", "3", "--truncation", "0"),
-        ("verify-numeric", "--check", "trace", "--m", "5", "--truncation", "0"),
-        ("verify-numeric", "--check", "twisted", "--m", "3", "--truncation", "50"),
+        ("verify-numeric", "--check", "petersson", "--weight", "24"),
+        ("verify-numeric", "--check", "petersson", "--level", "2"),
+        ("verify-numeric", "--check", "lambda", "--m", "3", "--weight", "16"),
+        ("verify-numeric", "--check", "lambda", "--m", "3", "--level", "3"),
+        ("verify-numeric", "--check", "twisted", "--m", "3", "--weight", "18"),
+        ("verify-numeric", "--check", "twisted", "--m", "3", "--level", "4"),
         ("verify-numeric", "--check", "twisted", "--m", "3",
          "--character", "table:3:0,zeta[1]^0,zeta[1]^0"),
         ("trace", "--level", "1", "--weight", "12", "--character", "kronecker:3",

@@ -285,6 +285,26 @@ def test_rationals_build_no_reduction_table(monkeypatch):
     assert levels == []
 
 
+def test_a_low_lift_folds_no_zeros_above_its_largest_exponent(monkeypatch):
+    # lifting a phi = 6 number from level 18 to 342 maps zeta_18**j to
+    # zeta_342**(19 j), j < 6: the largest exponent, 95, lies below
+    # phi(342) = 108, so _fold gets 96 entries and no reduction walk
+    lengths = []
+    fold = cyclotomic._fold
+
+    def recording(values, level):
+        lengths.append((len(values), level))
+        return fold(values, level)
+
+    x = ExactNumber._make(18, 7, [3, -1, 4, 1, -5, 9])
+    monkeypatch.setattr(cyclotomic, "_fold", recording)
+    lifted = x.lift_to(342)
+    assert lengths == [(96, 342)] and euler_phi(342) == 108
+    expected = [Fraction(0)] * 108
+    expected[::19] = x.coords
+    assert lifted.coords == tuple(expected)
+
+
 def test_common_factors_cancel():
     zeta = ExactNumber.zeta(12)
     third = zeta * Fraction(1, 3)
