@@ -1,7 +1,9 @@
 """Bernoulli numbers and polynomials, plain and character-weighted.
 
 Conventions follow the generating function t*e^(x*t)/(e^t - 1), so B_1 is
--1/2, and B_k(x) is the zero polynomial for negative k.
+-1/2, and B_k(x) is the zero polynomial for negative k.  The numbers B_k
+come from the tangent numbers, built in integers by the recurrence of
+Brent and Harvey (2013), with one division per number.
 
 Sums of Bernoulli values over residues run in integers.  Let L_j be the
 least common multiple of the denominators of B_0..B_j (by von
@@ -20,7 +22,9 @@ coordinates over D * L_k.  They share the rows and the fold to power-basis
 coordinates and nothing else: the residue sum adds one integer polynomial
 per residue, the binomial expansion adds one integer number per index and
 spreads it with binomial coefficients.  The rows themselves are checked
-against a rational reference in the tests.
+against a rational reference in the tests.  At x^0 both expressions are the
+weighted number of ``_weighted_number_direct``, so the trace, which reads
+only constant terms, reads that number and builds no polynomial.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from .cyclotomic import _MEMO_SIZE, ExactNumber, ExactPolynomial, _bucket_poly, 
 
 _ZERO = Fraction(0)
 # Bernoulli numbers are memoized in rows of this length: a short row wastes
-# little on a cold start, and the recursion over rows stays shallow
+# little on a cold start, and a context reads at most a few rows
 _ROW = 8
 
 
@@ -47,11 +51,20 @@ def bernoulli_number(k: int) -> Fraction:
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _bernoulli_numbers(row: int) -> tuple[Fraction, ...]:
-    """B_0..B_m for m = _ROW*(row + 1) - 1: the numbers of the rows below,
-    extended by the recurrence sum_{j <= m} C(m+1, j) B_j = 0."""
-    numbers = list(_bernoulli_numbers(row - 1)) if row else [Fraction(1)]
-    for m in range(len(numbers), _ROW * (row + 1)):
-        numbers.append(-sum(math.comb(m + 1, j) * b for j, b in enumerate(numbers)) / (m + 1))
+    """B_0..B_m for m = _ROW*(row + 1) - 1, from the tangent numbers
+    T_1..T_n, n = m // 2, by the integer recurrence of Brent and Harvey:
+    B_2k = (-1)^(k-1) 2k T_k / (4^k (4^k - 1)), B_1 = -1/2 and the odd B_k
+    with k >= 3 vanish.  One Fraction per number, no Fraction sum."""
+    n = (_ROW * (row + 1) - 1) // 2
+    tangent = [0, 1] + [0] * (n - 1)
+    for j in range(2, n + 1):
+        tangent[j] = (j - 1) * tangent[j - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            tangent[j] = (j - k) * tangent[j - 1] + (j - k + 2) * tangent[j]
+    numbers = [Fraction(1), Fraction(-1, 2)]
+    for k in range(1, n + 1):
+        numbers += [Fraction((-1) ** (k - 1) * 2 * k * tangent[k], 4**k * (4**k - 1)), _ZERO]
     return tuple(numbers)
 
 

@@ -388,10 +388,25 @@ def cmd_ratio(args) -> int:
     return 0
 
 
+# the flags each numeric check reads, with their defaults
+_NUMERIC_FLAGS = {
+    "lambda": ("m",),
+    "petersson": (),
+    "twisted": ("character", "m"),
+    "trace": ("character", "n", "m"),
+}
+_NUMERIC_DEFAULTS = {"character": "kronecker:-3", "n": 1, "m": 1}
+
+
 def cmd_verify_numeric(args) -> int:
     if args.check != "trace" and (args.level, args.weight) != (1, 12):
         # the trace check refuses other spaces in verify_trace_numeric
         raise ContextError(f"the {args.check} check covers level 1, weight 12 (Delta) only")
+    for flag, default in _NUMERIC_DEFAULTS.items():
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        elif flag not in _NUMERIC_FLAGS[args.check]:
+            raise ContextError(f"the {args.check} check does not read --{flag}")
     if args.check == "lambda":
         s = args.m + 1
         computed = lambda_delta(s)
@@ -518,9 +533,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--check", required=True, choices=("lambda", "petersson", "twisted", "trace"))
     p.add_argument("--level", type=int, default=1)
     p.add_argument("--weight", type=int, default=12)
-    p.add_argument("--character", default="kronecker:-3")
-    p.add_argument("--n", type=int, default=1)
-    p.add_argument("--m", type=int, default=1)
+    # no defaults here: a check refuses a flag it does not read
+    p.add_argument("--character")
+    p.add_argument("--n", type=int)
+    p.add_argument("--m", type=int)
     p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("fixtures", help="list or dump the bundled fixtures")

@@ -771,7 +771,21 @@ class ExactPolynomial:
         """The ascending coefficients with the factor multiplied in."""
         if self._factor is None:
             return self._asc
-        return tuple(c * self._factor for c in self._asc)
+        factor = _monomials(self._factor)
+        return tuple(self._times_factor(c, factor) for c in self._asc)
+
+    def _times_factor(self, c: ExactNumber, factor: tuple[int, tuple[tuple[int, int], ...]]) -> ExactNumber:
+        """c times the factor at their common level, as c * factor: c's
+        nonzero terms meet the factor's monomials (_monomials of the factor)
+        in one fold, with no lift of c and no dense product at the factor's
+        level."""
+        den, monomials = factor
+        level = math.lcm(c.level, self._factor.level)
+        step = level // self._factor.level
+        if step > 1:
+            monomials = [(t * step, x) for t, x in monomials]
+        c_den, terms = _monomials(c)
+        return _monomial_product(terms, c.level, 1, c_den * den, monomials, level)
 
     @property
     def coefficients(self) -> tuple:
@@ -787,7 +801,7 @@ class ExactPolynomial:
     def coefficient(self, k: int) -> ExactNumber:
         """Coefficient of x**k."""
         if 0 <= k < len(self._asc) and self._factor is not None:
-            return self._asc[k] * self._factor
+            return self._times_factor(self._asc[k], _monomials(self._factor))
         return self.unscaled_coefficient(k)
 
     def unscaled_coefficient(self, k: int) -> ExactNumber:

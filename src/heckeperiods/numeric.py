@@ -1,11 +1,13 @@
 """Floating-point reproduction of the level-one numeric checks.
 
-Everything here is double precision, and every q-expansion sum reads at
-most the fixed TRUNCATION terms: the periods of the discriminant form as
-one path integral split at a height (its completed L-values are the
+Everything here is double precision: the periods of the discriminant form
+as one path integral split at a height (its completed L-values are the
 periods at the cusp 0/1), and its Petersson norm via the zeta-ratio
-formula.  These are sanity anchors for the exact machinery, not
-high-precision evaluators.
+formula.  The Petersson sum reads the fixed TRUNCATION terms.  A split sum
+at the cusp h/d stops at its own 1e-20 test and reads at most a length
+proportional to d, never below TRUNCATION: at height 1/d its terms fall
+like exp(-2 pi n / d), so a fixed length fails at large d.  These are
+sanity anchors for the exact machinery, not high-precision evaluators.
 """
 
 from __future__ import annotations
@@ -24,9 +26,13 @@ from .traces import TraceQuery, trace_closed_form
 _ZETA_TERMS = 100000
 # relative error below which verify_trace_numeric passes
 _TRACE_TOLERANCE = 1e-5
-# q-expansion terms every numeric sum reads; the lambda values and
+# q-expansion terms every numeric sum reads at least; the lambda values and
 # 1/||Delta||^2 are bit-identical from here to 10^4 terms
 TRUNCATION = 300
+# terms per unit of d a split sum at the cusp h/d may read: at height 1/d
+# its terms fall like exp(-2 pi n / d), and its own 1e-20 test stops it
+# between 10 d and 13 d for every d up to 1003
+_TERMS_PER_MODULUS = 16
 
 
 @dataclass(frozen=True)
@@ -160,12 +166,14 @@ def _split_period(m: int, h: int, d: int, height: float) -> complex:
     above 1/(d^2 height) through the cusp matrix.  The value does not depend
     on the height, the terms do: they fall like exp(-2 pi n y) for the
     smaller of the two heights y, and the sum stops once a term pair drops
-    below 1e-20 (before TRUNCATION for d <= 23 at height 1/d)."""
-    tau = tau_coefficients(TRUNCATION)
+    below 1e-20, at the latest after max(TRUNCATION, 16 d) terms (before
+    TRUNCATION for d <= 23 at height 1/d)."""
+    length = max(TRUNCATION, _TERMS_PER_MODULUS * d)
+    tau = tau_coefficients(length)
     h_inv = pow(h, -1, d)
     low_height = 1.0 / (d * d * height)
     upper = lower = 0j
-    for n in range(1, TRUNCATION + 1):
+    for n in range(1, length + 1):
         x = 2 * math.pi * n
         up = (
             tau.a(n)

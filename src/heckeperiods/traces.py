@@ -20,9 +20,9 @@ inverse, no dense product at the constant's level.
 Degenerate indices are handled by the convention that a term with a
 vanishing binomial factor is exactly 0: whenever one of the four
 Bernoulli-term denominators would vanish, its binomial factor vanishes
-first (e.g. nt - mt + 1 = 0 forces C(nt, mt) = C(nt, nt+1) = 0), and
-negative weighted-Bernoulli indices give the zero polynomial, so the
-closed form is total on the parity domain.
+first (e.g. nt - mt + 1 = 0 forces C(nt, mt) = C(nt, nt+1) = 0), and so
+does every term whose weighted-Bernoulli index would be negative, so the
+closed form is total on the parity domain and reads B_{k,psi} at k >= 1 only.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .bernoulli import _weighted_coordinates
+from .bernoulli import _bernoulli_row, _weighted_number_direct
 from .characters import DirichletCharacter, _gauss_counts
 from .cyclotomic import (
     _MEMO_SIZE,
@@ -73,7 +73,11 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
 
     The double sum and the four Bernoulli numbers are added as integers per
     power of zeta_R (R = ord chi) over one denominator; chi(-N) and chi(-1)
-    rotate the exponent.  The buckets are reduced mod Phi_R in integers and
+    rotate the exponent.  Each B_{k,psi} is the weighted number itself, the
+    integers of bernoulli._weighted_number_direct over D * L_k, not the
+    constant term of a whole polynomial: at x^0 both defining expressions of
+    the polynomial reduce to that number, so their self-check would compare
+    the number with itself.  The buckets are reduced mod Phi_R in integers and
     meet the trace constant's monomials directly: the field is entered once,
     at the constant's level, with one division.
     """
@@ -99,16 +103,16 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
 
     # the vanishing-binomial convention: such a term is 0, B_{k,psi} unread
     terms = [term for term in terms if term[0]]
-    weighted = [_weighted_coordinates(k, psi) for _, k, psi, _, _ in terms]
+    # D * L_k, the denominator of B_{k,psi}, is row k's D^k * L_k over D^(k-1)
     den, factors = _cleared(
-        [[(binomial * scale.numerator, scale.denominator * k * coord_den)]
-         for (binomial, k, _, scale, _), (coord_den, _) in zip(terms, weighted)]
+        [[(binomial * scale.numerator, scale.denominator * k * (_bernoulli_row(k, d)[0] // d ** (k - 1)))]
+         for binomial, k, _, scale, _ in terms]
     )
 
     buckets = [b * den for b in _double_sum(ctx, m)]
-    for (*_, shift), (_, coords), (factor,) in zip(terms, weighted, factors):
-        for j, coeffs in enumerate(coords):
-            buckets[(j + shift) % order] += coeffs[0] * factor
+    for (_, k, psi, _, shift), (factor,) in zip(terms, factors):
+        for j, c in enumerate(_weighted_number_direct(k, psi)):
+            buckets[(j + shift) % order] += c * factor
     # everything times D / (2 C(w, m)), in the one division
     return _times_trace_constant(ctx, m, enumerate(_fold(buckets, order)), order, d, den * 2 * math.comb(w, m))
 

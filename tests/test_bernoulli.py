@@ -10,7 +10,9 @@ from heckeperiods import bernoulli
 from heckeperiods.bernoulli import (
     BernoulliSelfCheckError,
     _bernoulli_row,
+    _denominator_lcms,
     _weighted_coordinates,
+    _weighted_number_direct,
     bernoulli_number,
     bernoulli_shifted_coeffs,
     generalized_bernoulli_number,
@@ -50,6 +52,13 @@ def test_bernoulli_numbers():
     for k in range(3, 20, 2):
         assert bernoulli_number(k) == 0
     assert bernoulli_number(-4) == 0
+
+
+def test_bernoulli_numbers_match_the_reference_recurrence():
+    # the integer tangent-number route against the Fraction recurrence of
+    # the test, across eight rows of the memo
+    for k in range(61):
+        assert bernoulli_number(k) == _bernoulli_reference(k)[0], k
 
 
 def test_bernoulli_poly_classical():
@@ -201,6 +210,17 @@ def test_weighted_coordinates_at_the_lowest_indices():
                 if math.gcd(h, d) == 1:
                     expected = expected + chi.value(h) * Fraction(h, d)
             assert generalized_bernoulli_poly(1, chi) == ExactPolynomial([expected])
+
+
+def test_weighted_number_is_the_constant_term_of_the_polynomial():
+    # the trace closed form reads _weighted_number_direct over D * L_k for
+    # the constant term of the checked polynomial coordinates
+    for d in range(3, 14):
+        for chi in enumerate_primitive_characters(d):
+            for k in range(25):
+                den, coords = _weighted_coordinates(k, chi)
+                assert den == d * _denominator_lcms(k)[-1]
+                assert _weighted_number_direct(k, chi) == tuple(c[0] for c in coords), (d, k)
 
 
 def test_self_check_runs_on_every_miss(monkeypatch, chi5):

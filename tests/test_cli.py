@@ -309,6 +309,15 @@ def test_verify_numeric_twisted(capsys):
     assert json.loads(out)["pass"] is True
 
 
+def test_verify_numeric_trace_at_a_large_modulus(capsys):
+    # at height 1/137 the split sums need more than the 300 terms of the
+    # fixed length: relative error 0.40 there
+    code, out, _ = run(capsys, "verify-numeric", "--check", "trace", "--character", "kronecker:137",
+                       "--m", "5", "--n", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["pass"] is True
+
+
 def test_fixtures_listing_and_dump(capsys, tmp_path):
     code, out, _ = run(capsys, "fixtures", "--format", "json")
     assert code == 0
@@ -371,6 +380,13 @@ def test_validation_error_exit_code(capsys):
         ("trace", "--level", "1", "--weight", "12", "--character", "kronecker:3",
          "--m", "1", "--n", "1"),
         ("fixtures", "--dump", ""),
+        # a flag the check does not read, even at its default
+        ("verify-numeric", "--check", "lambda", "--m", "1", "--character", "kronecker:5"),
+        ("verify-numeric", "--check", "lambda", "--m", "1", "--n", "7"),
+        ("verify-numeric", "--check", "petersson", "--character", "kronecker:-3"),
+        ("verify-numeric", "--check", "petersson", "--n", "1"),
+        ("verify-numeric", "--check", "petersson", "--m", "1"),
+        ("verify-numeric", "--check", "twisted", "--m", "1", "--n", "9"),
     ],
 )
 def test_bad_requests_exit_two(capsys, argv):

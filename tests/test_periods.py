@@ -14,7 +14,7 @@ from heckeperiods.characters import (
     kronecker_character,
 )
 from heckeperiods import periods
-from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, sqrt_integer
+from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, sqrt_integer, sqrt_positive_integer
 from heckeperiods.periods import (
     ContextError,
     FareyQuadruple,
@@ -245,9 +245,32 @@ def test_routes_compare_below_the_prefactor_level(monkeypatch):
     monkeypatch.setattr(ExactNumber, "__rmul__", counting)
     assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx)
     assert top not in levels
-    # reading a coefficient multiplies the prefactor in, at that level
-    closed_form_polynomial(ctx).coefficient(1)
-    assert levels[-1] == top
+    # reading a coefficient multiplies the prefactor in at that level, as
+    # monomials in one fold: no ExactNumber product
+    made = len(levels)
+    assert closed_form_polynomial(ctx).coefficient(1).level == top
+    assert len(levels) == made
+
+
+def test_factor_product_equals_the_dense_product():
+    # a coefficient meets the kept-apart factor as monomials in one fold:
+    # the same number, at the same level, as c * factor; sqrt(N) brings in
+    # the levels 8, 12 and 20, and zeta_4 a factor whose level R does not
+    # divide
+    polys = [ExactPolynomial([ExactNumber.zeta(3), 0, Fraction(2, 3)]).scale(ExactNumber.zeta(4))]
+    for d in (3, 5, 7, 13):
+        for chi in enumerate_primitive_characters(d):
+            for level in (1, 2, 3, 5):
+                for n in (1, 2):
+                    poly = closed_form_polynomial(PeriodContext(level, 10, n, chi))
+                    polys += [poly, poly.scale(sqrt_positive_integer(level))]
+    for poly in polys:
+        factor = poly._factor
+        expanded = poly.coefficients[::-1]
+        for k in range(poly.degree() + 1):
+            dense = poly.unscaled_coefficient(k) * factor
+            for c in (poly.coefficient(k), expanded[k]):
+                assert c == dense and c.to_json() == dense.to_json(), k
 
 
 def test_case_gating(chi3):

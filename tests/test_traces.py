@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from heckeperiods import periods, traces
+from heckeperiods.bernoulli import _weighted_coordinates
 from heckeperiods.characters import enumerate_primitive_characters, gauss_sum
 from heckeperiods.cyclotomic import (
     ExactNumber,
@@ -204,3 +205,15 @@ def test_trace_routes_make_no_product_at_the_constant_level(monkeypatch):
             values.append((trace_closed_form(q), trace_from_periods(q)))
     assert values and all(a == b and a.level == top for a, b in values)
     assert top not in levels
+
+
+def test_trace_closed_form_builds_no_weighted_polynomial():
+    # the closed form reads weighted Bernoulli numbers, not the constant
+    # terms of whole polynomials: with the polynomial memo emptied, a trace
+    # on a context whose closed form is built leaves it empty
+    chi = next(chi for chi in enumerate_primitive_characters(7) if chi.order == 6)
+    ctx = PeriodContext(1, 10, 3, chi)
+    closed_form_polynomial(ctx)
+    _weighted_coordinates.cache_clear()
+    trace_closed_form(TraceQuery(ctx, 5))
+    assert _weighted_coordinates.cache_info().currsize == 0
