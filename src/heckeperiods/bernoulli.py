@@ -23,13 +23,12 @@ coordinates and nothing else: the residue sum adds one integer polynomial
 per residue, the binomial expansion adds one integer number per index and
 spreads it with binomial coefficients.  The rows themselves are checked
 against a rational reference in the tests.  At x^0 both expressions are the
-weighted number of ``_weighted_number_direct``, so the trace, which reads
-only constant terms, reads that number and builds no polynomial.
+weighted number of ``_weighted_number_direct``, over its own denominator
+D * L_k, so the trace, which reads only constant terms, reads that number.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from functools import lru_cache
@@ -68,17 +67,11 @@ def _bernoulli_numbers(row: int) -> tuple[Fraction, ...]:
     return tuple(numbers)
 
 
-def _denominator_lcms(k: int) -> list[int]:
-    """L_0..L_k, with L_j the least common multiple of the denominators of
-    B_0..B_j."""
-    return list(itertools.accumulate((bernoulli_number(j).denominator for j in range(k + 1)), math.lcm))
-
-
 def _numerators(j: int, q: int, ps: Iterable[int]) -> tuple[int, list[int]]:
     """q^j * L_j and the integers q^j * L_j * B_j(p/q) for each p: the
     addition formula B_j(p/q) = sum_i C(j,i) B_(j-i) (p/q)^i, cleared of
     denominators and evaluated by Horner's rule in p."""
-    lcm = _denominator_lcms(j)[-1]
+    lcm = math.lcm(*(bernoulli_number(i).denominator for i in range(j + 1)))
     descending = []
     for i in range(j, -1, -1):
         b = bernoulli_number(j - i)
@@ -151,7 +144,7 @@ def _weighted_coordinates(k: int, chi: DirichletCharacter) -> tuple[int, tuple[t
     via_sum = _via_residue_sum(k, chi)
     if via_sum != _via_binomial(k, chi):
         raise BernoulliSelfCheckError(f"defining expressions disagree at k={k}, chi mod {chi.modulus}")
-    return chi.modulus * _denominator_lcms(k)[-1], via_sum
+    return _weighted_number_direct(k, chi)[0], via_sum
 
 
 def _via_residue_sum(k: int, chi: DirichletCharacter) -> tuple[tuple[int, ...], ...]:
@@ -181,23 +174,24 @@ def _via_residue_sum(k: int, chi: DirichletCharacter) -> tuple[tuple[int, ...], 
 def _via_binomial(k: int, chi: DirichletCharacter) -> tuple[tuple[int, ...], ...]:
     # the coefficient of x^i is C(k, k-i) times the weighted number at k-i,
     # brought from its denominator D * L_(k-i) to D * L_k
-    lcms = _denominator_lcms(k)
-    columns = [
-        [math.comb(k, j) * (lcms[k] // lcms[j]) * c for c in _weighted_number_direct(j, chi)]
-        for j in range(k, -1, -1)
-    ]
+    top = _weighted_number_direct(k, chi)[0]
+    columns = []
+    for j in range(k, -1, -1):
+        den, coords = _weighted_number_direct(j, chi)
+        columns.append([math.comb(k, j) * (top // den) * c for c in coords])
     return tuple(zip(*columns))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _weighted_number_direct(j: int, chi: DirichletCharacter) -> tuple[int, ...]:
-    """Coordinates of the weighted Bernoulli number D^(j-1) * sum_h chi(h)
-    B_j(h/D) at level ord chi, as integers over D * L_j."""
+def _weighted_number_direct(j: int, chi: DirichletCharacter) -> tuple[int, tuple[int, ...]]:
+    """The weighted Bernoulli number D^(j-1) * sum_h chi(h) B_j(h/D) as its
+    denominator D * L_j (row j's D^j * L_j over D^(j-1)) and its integer
+    coordinates over it at level ord chi."""
     d = chi.modulus
     buckets = [0] * chi.order
-    row = _bernoulli_row(j, d)[1]
+    den, row = _bernoulli_row(j, d)
     for h in range(d):
         e = chi.exponents[h]
         if e is not None:
             buckets[e] += row[h]
-    return tuple(_fold(buckets, chi.order))
+    return den * d // d**j, tuple(_fold(buckets, chi.order))

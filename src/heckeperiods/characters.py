@@ -46,12 +46,9 @@ class DirichletCharacter:
         for e in exponents:
             if e is not None:
                 g = math.gcd(g, e % order)
-        if g == 0:
-            g = order
-        reduced = order // g
         exps = tuple(None if e is None else (e % order) // g for e in exponents)
         object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "order", max(reduced, 1))
+        object.__setattr__(self, "order", order // g)
         object.__setattr__(self, "exponents", exps)
         self._validate()
         object.__setattr__(self, "conductor", self._compute_conductor())

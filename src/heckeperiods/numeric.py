@@ -206,15 +206,24 @@ def numeric_twisted_period(m: int, h: int, d: int) -> complex:
 def assembled_twisted_lambda(m: int, chi: DirichletCharacter) -> complex:
     """Lambda(Delta, chi, m+1) numerically: (-D i)^(m+1) / tau(conj chi)
     times the conj(chi)-weighted sum of residue periods."""
+    return _twisted_lambda(m, chi)[0]
+
+
+def _twisted_lambda(m: int, chi: DirichletCharacter) -> tuple[complex, float]:
+    """assembled_twisted_lambda and the magnitude its rounding scales with,
+    D^m sqrt(D) sum_h |r_{m,h/D}|, by |tau(conj chi)| = sqrt(D)."""
     d = chi.modulus
     chibar = chi.conjugate()
     total = 0j
+    magnitude = 0.0
     for h in range(1, d):
         if math.gcd(h, d) != 1:
             continue
-        total += chibar.value(h).numeric() * numeric_twisted_period(m, h, d)
+        period = numeric_twisted_period(m, h, d)
+        total += chibar.value(h).numeric() * period
+        magnitude += abs(period)
     total /= gauss_sum(chibar).numeric()
-    return (-d * 1j) ** (m + 1) * total
+    return (-d * 1j) ** (m + 1) * total, d**m * math.sqrt(d) * magnitude
 
 
 # ---------------------------------------------------------------------------
@@ -248,18 +257,20 @@ def verify_trace_numeric(query: TraceQuery) -> NumericCheck:
     """Compare the exact trace (evaluated as a float) against the numeric
     product Lambda(Delta, chi, m+1) * Lambda(Delta, n+1) / ||Delta||^2.
 
+    The error is relative to max(|exact|, |numeric|, 1), or, for an exact 0,
+    to the magnitude its rounding scales with: that of _twisted_lambda times
+    |Lambda(Delta, n+1)| / ||Delta||^2.
     Only the one-dimensional level-one case is supported (f = Delta).
     """
     ctx = query.ctx
     if ctx.level != 1 or ctx.w != 10:
         raise ContextError("numeric verification covers level 1, weight 12 only")
-    exact = trace_closed_form(query).numeric()
-    numeric = (
-        assembled_twisted_lambda(query.m, ctx.chi)
-        * lambda_delta(ctx.n + 1)
-        * petersson_delta_inverse()
-    )
+    trace = trace_closed_form(query)
+    exact = trace.numeric()
+    twisted, magnitude = _twisted_lambda(query.m, ctx.chi)
+    untwisted, norm_inverse = lambda_delta(ctx.n + 1), petersson_delta_inverse()
+    numeric = twisted * untwisted * norm_inverse
     abs_err = abs(exact - numeric)
-    scale = max(abs(exact), abs(numeric), 1.0)
+    scale = magnitude * abs(untwisted) * norm_inverse if trace.is_zero() else max(abs(exact), abs(numeric), 1.0)
     rel_err = abs_err / scale
     return NumericCheck(exact, numeric, abs_err, rel_err, rel_err < _TRACE_TOLERANCE)

@@ -132,6 +132,15 @@ class PeriodContext:
         return (-1) ** (m + self.n + 1) * self.chi.sign_at_minus_one() == 1
 
 
+def _admit(ctx: PeriodContext, m: int) -> None:
+    """The one gate on m for a period and a trace: m in 0..w, at the parity
+    (-1)^(m+n+1)chi(-1) = 1 that symmetrization keeps and the trace pairs."""
+    if not 0 <= m <= ctx.w:
+        raise ContextError(f"m must lie in 0..{ctx.w}")
+    if not ctx.parity_holds(m):
+        raise ParityError(f"m={m} inadmissible at n={ctx.n}: parity (-1)^(m+n+1)chi(-1) = -1")
+
+
 # ---------------------------------------------------------------------------
 # quadruple enumeration and the finite sum
 
@@ -432,15 +441,9 @@ def twisted_period(ctx: PeriodContext, m: int) -> ExactNumber:
     """r_{m,chi}(R_n), extracted from the closed-form polynomial.
 
     Only the parity class (-1)^(m+n+1)chi(-1) = 1 survives symmetrization;
-    anything else raises ParityError.
+    _admit, the gate TraceQuery shares, refuses any other m.
     """
-    if not 0 <= m <= ctx.w:
-        raise ContextError(f"m must lie in 0..{ctx.w}")
-    if not ctx.parity_holds(m):
-        raise ParityError(
-            f"period m={m} not extractable: symmetrization annihilates parity "
-            f"(-1)^(m+n+1)chi(-1) = -1"
-        )
+    _admit(ctx, m)
     poly = closed_form_polynomial(ctx)
     coeff = poly.coefficient(ctx.w - m)
     denom = Fraction(2 * (-1) ** m * math.comb(ctx.w, m))

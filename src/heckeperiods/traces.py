@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
 
-from .bernoulli import _bernoulli_row, _weighted_number_direct
+from .bernoulli import _weighted_number_direct
 from .characters import DirichletCharacter, _gauss_counts
 from .cyclotomic import (
     _MEMO_SIZE,
@@ -44,7 +44,7 @@ from .cyclotomic import (
     _monomials,
     sqrt_positive_integer,
 )
-from .periods import ContextError, ParityError, PeriodContext, _quadruple_walk, closed_form_polynomial
+from .periods import PeriodContext, _admit, _quadruple_walk, closed_form_polynomial
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,7 @@ class TraceQuery:
     m: int
 
     def __post_init__(self):
-        if not 0 <= self.m <= self.ctx.w:
-            raise ContextError(f"m must lie in 0..{self.ctx.w}")
-        if not self.ctx.parity_holds(self.m):
-            raise ParityError(
-                f"trace undefined at m={self.m}, n={self.ctx.n}: parity "
-                f"(-1)^(m+n+1)chi(-1) = -1"
-            )
+        _admit(self.ctx, self.m)
 
     @property
     def m_tilde(self) -> int:
@@ -74,12 +68,12 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
     The double sum and the four Bernoulli numbers are added as integers per
     power of zeta_R (R = ord chi) over one denominator; chi(-N) and chi(-1)
     rotate the exponent.  Each B_{k,psi} is the weighted number itself, the
-    integers of bernoulli._weighted_number_direct over D * L_k, not the
-    constant term of a whole polynomial: at x^0 both defining expressions of
-    the polynomial reduce to that number, so their self-check would compare
-    the number with itself.  The buckets are reduced mod Phi_R in integers and
-    meet the trace constant's monomials directly: the field is entered once,
-    at the constant's level, with one division.
+    (den, coords) of bernoulli._weighted_number_direct, not the constant term
+    of a whole polynomial: at x^0 both defining expressions of the polynomial
+    reduce to that number, so their self-check would compare the number with
+    itself.  The buckets are reduced mod Phi_R in integers and meet the trace
+    constant's monomials directly: the field is entered once, at the
+    constant's level, with one division.
     """
     ctx, m = query.ctx, query.m
     w, n, nt, mt = ctx.w, ctx.n, ctx.n_tilde, query.m_tilde
@@ -103,15 +97,15 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
 
     # the vanishing-binomial convention: such a term is 0, B_{k,psi} unread
     terms = [term for term in terms if term[0]]
-    # D * L_k, the denominator of B_{k,psi}, is row k's D^k * L_k over D^(k-1)
+    numbers = [_weighted_number_direct(k, psi) for _, k, psi, _, _ in terms]
     den, factors = _cleared(
-        [[(binomial * scale.numerator, scale.denominator * k * (_bernoulli_row(k, d)[0] // d ** (k - 1)))]
-         for binomial, k, _, scale, _ in terms]
+        [[(binomial * scale.numerator, scale.denominator * k * number_den)]
+         for (binomial, k, _, scale, _), (number_den, _) in zip(terms, numbers)]
     )
 
     buckets = [b * den for b in _double_sum(ctx, m)]
-    for (_, k, psi, _, shift), (factor,) in zip(terms, factors):
-        for j, c in enumerate(_weighted_number_direct(k, psi)):
+    for (*_, shift), (_, coords), (factor,) in zip(terms, numbers, factors):
+        for j, c in enumerate(coords):
             buckets[(j + shift) % order] += c * factor
     # everything times D / (2 C(w, m)), in the one division
     return _times_trace_constant(ctx, m, enumerate(_fold(buckets, order)), order, d, den * 2 * math.comb(w, m))

@@ -10,7 +10,6 @@ from heckeperiods import bernoulli
 from heckeperiods.bernoulli import (
     BernoulliSelfCheckError,
     _bernoulli_row,
-    _denominator_lcms,
     _weighted_coordinates,
     _weighted_number_direct,
     bernoulli_number,
@@ -213,14 +212,16 @@ def test_weighted_coordinates_at_the_lowest_indices():
 
 
 def test_weighted_number_is_the_constant_term_of_the_polynomial():
-    # the trace closed form reads _weighted_number_direct over D * L_k for
-    # the constant term of the checked polynomial coordinates
+    # the trace closed form reads _weighted_number_direct, over its own
+    # denominator D * L_k, for the constant term of the checked polynomial
+    # coordinates, and the polynomial states the same denominator
     for d in range(3, 14):
         for chi in enumerate_primitive_characters(d):
             for k in range(25):
+                lcm = math.lcm(*(bernoulli_number(i).denominator for i in range(k + 1)))
                 den, coords = _weighted_coordinates(k, chi)
-                assert den == d * _denominator_lcms(k)[-1]
-                assert _weighted_number_direct(k, chi) == tuple(c[0] for c in coords), (d, k)
+                assert den == d * lcm
+                assert _weighted_number_direct(k, chi) == (den, tuple(c[0] for c in coords)), (d, k)
 
 
 def test_self_check_runs_on_every_miss(monkeypatch, chi5):

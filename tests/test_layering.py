@@ -93,3 +93,10 @@ def test_only_fold_reads_the_reduction_table():
     # every way into Q(zeta_L) (product, zeta, lift, Galois image, bucket
     # sum) reduces through _fold, so a new reduction replaces one function
     assert sorted(set(_loaders("_power_table"))) == ["cyclotomic.py:_fold"]
+
+
+def test_only_bernoulli_and_the_oracle_read_the_rows():
+    # a weighted Bernoulli number carries its own denominator D * L_k, so no
+    # closed form rebuilds it from a row; only the oracle's cases 1-4 read rows
+    outside = {loader for loader in _loaders("_bernoulli_row") if not loader.startswith("bernoulli.py:")}
+    assert outside == {"periods.py:_case_buckets"}

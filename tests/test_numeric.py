@@ -5,6 +5,7 @@ import math
 import pytest
 
 from heckeperiods import numeric
+from heckeperiods.characters import CharacterError, kronecker_character
 from heckeperiods.numeric import (
     NumericCheck,
     QExpansion,
@@ -18,7 +19,7 @@ from heckeperiods.numeric import (
     zeta_value,
 )
 from heckeperiods.periods import ContextError, PeriodContext
-from heckeperiods.traces import TraceQuery
+from heckeperiods.traces import TraceQuery, trace_closed_form
 
 TAU_FIRST_TEN = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920)
 
@@ -197,6 +198,24 @@ def test_verify_trace_central_zero(chi3):
     ctx = PeriodContext(1, 10, 1, chi3)
     report = verify_trace_numeric(TraceQuery(ctx, 5))
     assert report.passed and report.abs_err < 1e-5
+
+
+def test_verify_trace_central_zero_at_every_small_negative_discriminant():
+    # the root number forces Lambda(Delta, chi, 6) = 0 at odd chi; the
+    # rounding of the numeric zero grows with D, so the error is measured
+    # against the magnitude it scales with, not against 1
+    swept = 0
+    for d in range(-3, -80, -1):
+        try:
+            chi = kronecker_character(d)
+        except CharacterError:
+            continue
+        query = TraceQuery(PeriodContext(1, 10, 1, chi), 5)
+        assert trace_closed_form(query).is_zero(), d
+        report = verify_trace_numeric(query)
+        assert report.passed and report.rel_err < 1e-12, (d, report)
+        swept += 1
+    assert swept == 25
 
 
 def test_verify_trace_level_restriction(chi3):

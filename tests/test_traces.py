@@ -18,7 +18,7 @@ from heckeperiods.cyclotomic import (
     sqrt_integer,
     sqrt_positive_integer,
 )
-from heckeperiods.periods import ContextError, ParityError, PeriodContext, closed_form_polynomial
+from heckeperiods.periods import ContextError, ParityError, PeriodContext, closed_form_polynomial, twisted_period
 from heckeperiods.traces import TraceQuery, trace_closed_form, trace_from_periods
 
 
@@ -53,6 +53,28 @@ def test_parity_rejection(chi3, chi5):
     with pytest.raises(ParityError):
         TraceQuery(ctx5, 1)
     TraceQuery(ctx5, 2)  # fine
+
+
+def test_traces_and_periods_admit_m_alike(chi3, chi5):
+    # one gate admits m for a trace and a period: both succeed, or both
+    # raise the same exception with the same message
+    quartic = next(chi for chi in enumerate_primitive_characters(5) if chi.order == 4)
+    seen = set()
+    for chi in (chi3, chi5, quartic):
+        for w in (10, 12):
+            for n in range(1, w):
+                ctx = PeriodContext(1, w, n, chi)
+                for m in range(-1, w + 2):
+                    outcomes = []
+                    for admit in (TraceQuery, twisted_period):
+                        try:
+                            admit(ctx, m)
+                            outcomes.append(None)
+                        except (ContextError, ParityError) as exc:
+                            outcomes.append((type(exc), str(exc)))
+                    assert outcomes[0] == outcomes[1], (chi.modulus, chi.order, w, n, m)
+                    seen.add(outcomes[0] and outcomes[0][0])
+    assert seen == {None, ContextError, ParityError}
 
 
 def test_m_range_validation(chi3):
