@@ -275,27 +275,25 @@ def kronecker_symbol(a: int, n: int) -> int:
 def kronecker_character(d: int) -> DirichletCharacter:
     """The quadratic character (d/.) as a primitive character mod |d|.
 
-    Raises when d is not a fundamental discriminant: when the symbol is
-    induced from a smaller modulus (naming the actual conductor), or when it
-    is not periodic mod |d| (the values of (3/.) on 0..2 are those of (-3/.)).
+    Raises when d is not a fundamental discriminant: when d = 2, 3 mod 4,
+    and when the symbol is induced from a smaller modulus (naming the actual
+    conductor).  For d = 0, 1 mod 4 the symbol is a character mod |d| that
+    vanishes exactly off the units, with (d/-1) the sign of d.
     """
     m = abs(d)
     if m < 2:
         raise CharacterError("need |d| > 1")
+    if d % 4 in (2, 3):
+        raise CharacterError(f"{d} is {d % 4} mod 4: not a fundamental discriminant")
     raw: list[Optional[int]] = []
     for h in range(m):
         v = kronecker_symbol(d, h)
         raw.append(None if v == 0 else (0 if v == 1 else 1))
-    for h in range(m):
-        if (raw[h] is None) != (math.gcd(h, m) > 1):
-            raise CharacterError(f"({d}/.) vanishes off the units of {m}; not a character mod {m}")
     chi = DirichletCharacter(m, 2, raw)
     if not chi.is_primitive:
         raise CharacterError(
             f"({d}/.) is induced from modulus {chi.conductor}; not primitive mod {m}"
         )
-    if chi.sign_at_minus_one() != (1 if d > 0 else -1):
-        raise CharacterError(f"({d}/.) is not periodic mod {m}: {d} is not a fundamental discriminant")
     return chi
 
 

@@ -255,19 +255,17 @@ def cmd_theorem1(args) -> int:
 
 def cmd_trace(args) -> int:
     ctx = _context_from_args(args)
-    query = TraceQuery(ctx, args.m)
-    value = trace_closed_form(query)
+    value = trace_closed_form(TraceQuery(ctx, args.m))
+    if args.format != "json":
+        print(exact_number_text(value))
+        return 0
     surd = recognize_surd(value)
     payload = {
         "exact": value.to_json(),
         "surd": str(surd) if surd is not None else None,
         "float": _float_json(value.numeric()),
     }
-    _emit(
-        args,
-        payload,
-        lambda: factored_surd_str(surd) if surd is not None else json.dumps(value.to_json()),
-    )
+    print(json.dumps(payload, indent=1))
     return 0
 
 
@@ -421,11 +419,6 @@ def cmd_verify_numeric(args) -> int:
         tol = 1e-6 * abs(expected)
     elif args.check == "twisted":
         chi = parse_character(args.character)
-        if not chi.is_primitive:
-            raise ContextError(
-                f"character must be primitive (conductor {chi.conductor} "
-                f"!= modulus {chi.modulus})"
-            )
         if chi.modulus != 3 or args.m not in _TWISTED_REFERENCE:
             raise ContextError(
                 "twisted reference values exist for kronecker:-3 at m in {1,3,5}"

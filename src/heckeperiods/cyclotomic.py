@@ -9,6 +9,8 @@ period routes' quadruple sums, are read back by one digit reader,
 ``_signed_digits``.  Binary operations
 lift both operands to the least common cyclotomic level, so values born at
 different levels (rationals, character values, Gauss sums, i) mix freely.
+A number is read back as a rational surd a + b*sqrt(d) from one Galois
+conjugate at its own level (``recognize_surd``).
 
 Everything here is immutable and pure; the per-level reduction tables are
 built whole on first use and only read afterwards.
@@ -22,7 +24,6 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from typing import Callable, Iterable, Optional, Sequence
 
 # the bound of every memo in the package
@@ -693,39 +694,37 @@ def parse_quad_surd(text: str) -> QuadSurd:
 
 
 def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
-    """Write x as a + b*sqrt(d) if possible, searching d over squarefree
-    divisors of the level; None when x is not a quadratic surd.
+    """Write x as a + b*sqrt(d) with rational a, b and squarefree d if
+    possible; None when x is not such a surd.
 
-    A rational surd has at most two Galois conjugates, so three distinct
-    images sigma_a(x) among the first few units a of x's own level answer
-    None before any lift to lcm(level, 4d)."""
+    One Galois conjugate decides.  Any sigma_c that moves a surd negates
+    sqrt(d), so take the first unit c of x's own level, counting from -1,
+    with sigma_c(x) != x: x is a surd exactly when a = (x + sigma_c x)/2 is
+    rational and q = (x - a)**2 = b**2 d is a positive rational.  Then d is
+    the one squarefree divisor of the level with q*d a rational square
+    (sqrt(d) lies in Q(zeta_level), so d divides the level), found by
+    integer square roots without factoring q.  One exact comparison of
+    x - a with |b| sqrt(d), at lcm(level, 4d), gives the sign of b."""
     if x.is_rational():
         return QuadSurd(x.rational_value(), 0, 1)
-    images = [x]
-    units = (a for a in range(-1, x.level) if a != 1 and math.gcd(a, x.level) == 1)
-    for a in islice(units, 3):
-        image = x.galois(a)
-        if image not in images:
-            images.append(image)
-            if len(images) == 3:
-                return None
-    for d in squarefree_divisors(x.level):
-        if d == 1:
-            continue
-        root = sqrt_integer(d)
-        level = math.lcm(x.level, root.level)
-        xs = x.lift_to(level)
-        rs = root.lift_to(level)
-        # two coordinates of each, read from the integer numerators: index 0
-        # and the pivot, the first other power of zeta in sqrt(d)
-        pivot = next((j for j, r in enumerate(rs._nums) if j and r), None)
-        if pivot is None:
-            continue
-        b = Fraction(xs._nums[pivot] * rs._den, xs._den * rs._nums[pivot])
-        a = Fraction(xs._nums[0], xs._den) - b * Fraction(rs._nums[0], rs._den)
-        if b and xs == ExactNumber.from_rational(a, level) + rs * b:
-            return QuadSurd(a, b, d)
-    return None
+    level = x.level
+    units = (c for c in range(-1, level) if c != 1 and math.gcd(c, level) == 1)
+    image = next(y for c in units if (y := x.galois(c)) != x)
+    half_trace = (x + image) * Fraction(1, 2)
+    if not half_trace.is_rational():
+        return None
+    a = half_trace.rational_value()
+    radical = x - a
+    square = radical * radical
+    q = square.rational_value() if square.is_rational() else 0
+    if q <= 0:
+        return None
+    # q*d is a rational square exactly when the integer n*d is a square;
+    # the least divisor of the level that passes is the squarefree one
+    n = q.numerator * q.denominator
+    d = next(d for d in range(2, level + 1) if level % d == 0 and math.isqrt(n * d) ** 2 == n * d)
+    b = Fraction(math.isqrt(n * d), q.denominator * d)
+    return QuadSurd._make(a, b if radical == sqrt_integer(d) * b else -b, d)
 
 
 # ---------------------------------------------------------------------------

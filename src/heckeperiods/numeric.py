@@ -19,7 +19,7 @@ from functools import lru_cache
 
 from .characters import DirichletCharacter, gauss_sum
 from .cyclotomic import _MEMO_SIZE
-from .periods import ContextError
+from .periods import ContextError, _require_primitive
 from .traces import TraceQuery, trace_closed_form
 
 # terms summed by zeta_value before its Euler-Maclaurin tail correction
@@ -211,7 +211,9 @@ def assembled_twisted_lambda(m: int, chi: DirichletCharacter) -> complex:
 
 def _twisted_lambda(m: int, chi: DirichletCharacter) -> tuple[complex, float]:
     """assembled_twisted_lambda and the magnitude its rounding scales with,
-    D^m sqrt(D) sum_h |r_{m,h/D}|, by |tau(conj chi)| = sqrt(D)."""
+    D^m sqrt(D) sum_h |r_{m,h/D}|, by |tau(conj chi)| = sqrt(D).  The
+    assembly needs a primitive chi."""
+    _require_primitive(chi)
     d = chi.modulus
     chibar = chi.conjugate()
     total = 0j

@@ -104,11 +104,7 @@ class PeriodContext:
             raise ContextError(f"n must satisfy 0 < n < w, got n={self.n}, w={self.w}")
         if self.chi.modulus < 2:
             raise ContextError("character modulus must exceed 1")
-        if not self.chi.is_primitive:
-            raise ContextError(
-                f"character must be primitive (conductor {self.chi.conductor} "
-                f"!= modulus {self.chi.modulus})"
-            )
+        _require_primitive(self.chi)
 
     @property
     def modulus(self) -> int:
@@ -130,6 +126,13 @@ class PeriodContext:
 
     def parity_holds(self, m: int) -> bool:
         return (-1) ** (m + self.n + 1) * self.chi.sign_at_minus_one() == 1
+
+
+def _require_primitive(chi: DirichletCharacter) -> None:
+    """The one refusal of an imprimitive character, for a period context and
+    the numeric twisted L-value alike: both identities need a primitive chi."""
+    if not chi.is_primitive:
+        raise ContextError(f"character must be primitive (conductor {chi.conductor} != modulus {chi.modulus})")
 
 
 def _admit(ctx: PeriodContext, m: int) -> None:

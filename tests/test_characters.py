@@ -76,6 +76,13 @@ def test_kronecker_accepts_exactly_the_fundamental_discriminants():
     assert accepted == {d for d in range(-400, 401) if abs(d) >= 2 and is_fundamental_discriminant(d)}
 
 
+def test_kronecker_refuses_d_2_or_3_mod_4_as_not_fundamental():
+    for d in range(-400, 401):
+        if abs(d) >= 2 and d % 4 in (2, 3):
+            with pytest.raises(CharacterError, match="not a fundamental discriminant"):
+                kronecker_character(d)
+
+
 def test_kronecker_rejects_imprimitive():
     with pytest.raises(CharacterError, match="modulus 1"):
         kronecker_character(9)

@@ -416,7 +416,7 @@ def test_recognize_surd_rational_and_absent():
 
 
 def test_recognize_surd_answers_none_at_its_own_level(monkeypatch):
-    # three distinct Galois images rule out a surd before any lift to
+    # one Galois conjugate rules out a surd before any lift to
     # lcm(level, 4d): level 8844 = 4 * 3 * 11 * 67 has 15 squarefree d > 1
     x = rand_element(random.Random(8844), 8844)
     rotated = x * ExactNumber.zeta(4, 3)
@@ -431,6 +431,41 @@ def test_recognize_surd_answers_none_at_its_own_level(monkeypatch):
     assert recognize_surd(x) is None
     assert recognize_surd(rotated) is None
     assert set(levels) == {8844}
+
+
+def test_recognize_surd_reads_tables_only_at_divisors_of_its_level(monkeypatch):
+    # sqrt(67) lives at level 268, which divides 8844: no radicand search
+    # builds sqrt(2) at level 8 or lifts x to 17688
+    x = (ExactNumber.from_rational(Fraction(-7, 3)) + sqrt_integer(67) * Fraction(5, 11)).lift_to(8844)
+    levels = []
+    table = cyclotomic._power_table
+
+    def recording(level):
+        levels.append(level)
+        return table(level)
+
+    monkeypatch.setattr(cyclotomic, "_power_table", recording)
+    assert recognize_surd(x) == QuadSurd(Fraction(-7, 3), Fraction(5, 11), 67)
+    assert levels and all(8844 % level == 0 for level in levels)
+
+
+@pytest.mark.parametrize("level", [12, 20, 24, 40, 60, 120, 168])
+def test_recognize_surd_returns_every_surd_of_the_field(level):
+    # sqrt(d) lies in Q(zeta_level) when the conductor of Q(sqrt d), d for
+    # d = 1 mod 4 and 4d otherwise, divides the level
+    rng = random.Random(level)
+    radicands = [d for d in squarefree_divisors(level) if d > 1 and level % (d if d % 4 == 1 else 4 * d) == 0]
+    assert radicands
+    i = ExactNumber.zeta(4)
+    for d in radicands:
+        for a in (Fraction(0), Fraction(-7, 3)):
+            for b in (Fraction(5, 11), Fraction(-5, 11)):
+                x = (ExactNumber.from_rational(a) + sqrt_integer(d) * b).lift_to(level)
+                assert recognize_surd(x) == QuadSurd(a, b, d)
+        assert recognize_surd((i * sqrt_integer(d)).lift_to(level)) is None
+    assert recognize_surd(ExactNumber.zeta(level)) is None
+    for _ in range(3):
+        assert recognize_surd(rand_element(rng, level)) is None
 
 
 def test_recognize_surd_with_rational_part():

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from heckeperiods import numeric
-from heckeperiods.characters import CharacterError, kronecker_character
+from heckeperiods.characters import CharacterError, enumerate_characters, kronecker_character
 from heckeperiods.numeric import (
     NumericCheck,
     QExpansion,
@@ -182,6 +182,16 @@ def test_assembled_twisted_lambda_references(chi3):
     assert abs(l4 - (-14.263940029258589)) < 1e-8
     l6 = assembled_twisted_lambda(5, chi3)
     assert abs(l6) < 1e-8
+
+
+def test_assembled_twisted_lambda_refuses_imprimitive_characters():
+    # the assembly's identity needs a primitive chi: the trivial chi mod 3
+    # gave 216.17 and the conductor-3 chi mod 6 gave -223658.6
+    trivial = next(chi for chi in enumerate_characters(3) if chi.order == 1)
+    induced = next(chi for chi in enumerate_characters(6) if chi.conductor == 3)
+    for chi in (trivial, induced):
+        with pytest.raises(ContextError, match="character must be primitive"):
+            assembled_twisted_lambda(1, chi)
 
 
 def test_verify_trace_reference(chi3):
