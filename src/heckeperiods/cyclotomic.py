@@ -12,8 +12,9 @@ different levels (rationals, character values, Gauss sums, i) mix freely.
 A number is read back as a rational surd a + b*sqrt(d) from one Galois
 conjugate at its own level (``recognize_surd``).
 
-Everything here is immutable and pure; the per-level reduction tables are
-built whole on first use and only read afterwards.
+Everything here is immutable and pure; the reduction tables are built
+only at squarefree levels, whole on first use, and only read afterwards:
+a level L shares the table of its radical r, since Phi_L(x) = Phi_r(x^(L/r)).
 """
 
 from __future__ import annotations
@@ -111,46 +112,59 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _power_table(level: int) -> tuple[int, tuple[tuple[tuple[int, int], ...], ...]]:
-    """phi(level) and the coordinates of zeta_level**e on the power basis, as
-    sparse (index, integer) pairs, for every exponent _fold reads:
-    0 <= e < max(level, 2*phi - 1).  Built whole, never extended."""
+def _power_table(level: int) -> tuple[int, int, tuple[tuple[tuple[int, int], ...], ...]]:
+    """(s, phi(r), rows) for the radical r of the level and s = level / r:
+    the coordinates of zeta_r**e on the power basis of Q(zeta_r), as sparse
+    (index, integer) pairs, for 0 <= e < max(r, 2*phi(r)), which covers
+    every residue slice _fold reads.  Rows are built only at a squarefree
+    level, whole, never extended; any other level shares its radical's."""
+    radical = math.prod(factorize(level))
+    if radical != level:
+        _, phi, rows = _power_table(radical)
+        return level // radical, phi, rows
     cyclo = cyclotomic_polynomial(level)
     phi = len(cyclo) - 1
     # x^phi = -(lower part of Phi) since Phi is monic
     x_phi = [(t, -c) for t, c in enumerate(cyclo[:-1]) if c]
     rows = [((j, 1),) for j in range(phi)]
-    while len(rows) < max(level, 2 * phi - 1):
+    while len(rows) < max(level, 2 * phi):
         row: dict[int, int] = {}
         for t, r in rows[-1]:  # times x
             for s, c in x_phi if t + 1 == phi else ((t + 1, 1),):
                 row[s] = row.get(s, 0) + r * c
         rows.append(tuple((t, r) for t, r in row.items() if r))
-    return phi, tuple(rows)
+    return 1, phi, tuple(rows)
 
 
 def _fold(values: Sequence, level: int) -> list:
-    """Coordinates of sum_e values[e] * zeta_level**e, for len(values) within
-    the power table of the level.  Integer values fold to integers: the
-    padding is int 0.  The one reduction mod Phi_level and the only reader
-    of the table."""
-    phi, rows = _power_table(level)
-    out = list(values[:phi]) + [0] * (phi - len(values))
-    for e in range(phi, len(values)):
-        q = values[e]
-        if q:
-            for t, r in rows[e]:
-                out[t] += q * r
+    """Coordinates of sum_e values[e] * zeta_level**e, for
+    len(values) <= max(level, 2*phi(level) - 1).  Integer values fold to
+    integers: the padding is int 0.  The one reduction mod Phi_level and
+    the only reader of the table.  With r the radical and s = level / r,
+    Phi_level(x) = Phi_r(x**s), so the exponents t, t + s, t + 2s, ... form
+    one polynomial in zeta_level**s = zeta_r, reduced by the table at r into
+    the coordinates t, t + s, ..., t + s*(phi(r) - 1)."""
+    step, phi, rows = _power_table(level)
+    out = [0] * (step * phi)
+    for t in range(step):
+        part = values[t::step]
+        coords = list(part[:phi]) + [0] * (phi - len(part))
+        for e in range(phi, len(part)):
+            q = part[e]
+            if q:
+                for j, r in rows[e]:
+                    coords[j] += q * r
+        out[t::step] = coords
     return out
 
 
 def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """Product of two ascending integer coefficient lists by Kronecker
     substitution: each list becomes one integer in base 2**(8 * width), the
-    two integers are multiplied once, and _signed_digits reads the product's
-    digits back.  Every digit is shifted by half the base, so signed
-    coefficients pack and unpack as fixed-width unsigned bytes in linear
-    time."""
+    two integers are multiplied once (a list times itself is packed once
+    and squared), and _signed_digits reads the product's digits back.
+    Every digit is shifted by half the base, so signed coefficients pack
+    and unpack as fixed-width unsigned bytes in linear time."""
     size = len(a) + len(b) - 1
     top_a, top_b = max(map(abs, a)), max(map(abs, b))
     if not top_a or not top_b:
@@ -158,7 +172,8 @@ def _kronecker_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
     # |product coefficient| <= min(len) * top_a * top_b < half
     width = (min(len(a), len(b)) * top_a * top_b).bit_length() // 8 + 1
     half = 1 << (8 * width - 1)
-    product = _kronecker_pack(a, width, half) * _kronecker_pack(b, width, half)
+    packed = _kronecker_pack(a, width, half)
+    product = packed * (packed if b is a else _kronecker_pack(b, width, half))
     return _signed_digits(product, width, size)
 
 

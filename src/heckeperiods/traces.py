@@ -42,6 +42,7 @@ from .cyclotomic import (
     _fold,
     _monomial_product,
     _monomials,
+    _signed_digits,
     sqrt_positive_integer,
 )
 from .periods import PeriodContext, _admit, _quadruple_walk, closed_form_polynomial
@@ -153,20 +154,33 @@ def _trace_monomials(
 def _double_sum(ctx: PeriodContext, m: int) -> list[int]:
     """2(-1)^(m+1) times the sum over quadruples of the finite
     binomial-weighted power sum, as one integer per conj(chi)(a,c,k,ell)
-    value exponent."""
+    value exponent: the X^(w-m) coefficient of that class's polynomial in
+    _double_sum_polynomials."""
+    sign = 2 * (-1) ** (m + 1)
+    return [sign * coeffs[ctx.w - m] for coeffs in _double_sum_polynomials(ctx)]
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _double_sum_polynomials(ctx: PeriodContext) -> tuple[tuple[int, ...], ...]:
+    """For each conj(chi) value exponent, the ascending coefficients of the
+    sum over its quadruples of (ell - aX)^n (k + cX)^(w-n), whose X^(w-m)
+    coefficient is the double sum's r-sum at m:
+    sum_r (-1)^r C(n, r) C(w-n, w-m-r) a^r c^(w-m-r) ell^(n-r) k^(m-n+r).
+    Each term is evaluated at X = 2**(8 * width) (Kronecker substitution),
+    so a class adds one big integer per quadruple and is unpacked into its
+    w + 1 signed coefficients once, for every m.  Since a, c, k, ell < D,
+    the absolute coefficients of a term sum to (ell + a)^n (k + c)^(w-n) <
+    (2D)^w, so a class's coefficients lie below (number of quadruples) *
+    (2D)^w; the width keeps that below half the base, and no digit carries
+    into the next."""
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
-    mt = w - m
-    chibar = ctx.chi.conjugate()
-    # (-1)^r C(n, r) C(nt, mt - r) with the four exponents, for the r at
-    # which both binomials are nonzero
-    weights = [
-        ((-1) ** r * math.comb(n, r) * math.comb(nt, mt - r), r, mt - r, n - r, nt - mt + r)
-        for r in range(max(0, mt - nt), min(n, mt) + 1)
-    ]
-    buckets = [0] * chibar.order
-    for a, c, k, ell, e in _quadruple_walk(ctx.level, chibar):
-        buckets[e] += sum(x * a**i * c**j * ell**s * k**t for x, i, j, s, t in weights)
-    return [2 * (-1) ** (m + 1) * b for b in buckets]
+    walk = _quadruple_walk(ctx.level, ctx.chi.conjugate())
+    width = (len(walk) * (2 * ctx.modulus) ** w).bit_length() // 8 + 1
+    x = 1 << (8 * width)
+    sums = [0] * ctx.chi.order
+    for a, c, k, ell, e in walk:
+        sums[e] += (ell - a * x) ** n * (k + c * x) ** nt
+    return tuple(tuple(_signed_digits(total, width, w + 1)) for total in sums)
 
 
 def trace_from_periods(query: TraceQuery) -> ExactNumber:

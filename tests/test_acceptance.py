@@ -4,11 +4,16 @@ Run as  pytest tests/test_acceptance.py -v -s  to see the PASS lines.
 Every comparison below is exact unless the criterion itself is numeric.
 """
 
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -58,6 +63,25 @@ GRID_MODULI = (3, 4, 5, 7, 8, 12)
 GRID_WS = (10, 12, 14)
 
 D2 = 144169
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# criterion 14, run in a fresh interpreter so that the peak RSS it reports is
+# its own: the order-130 character mod 131 reaches levels 17030 and 34060
+# (ru_maxrss is in KiB on Linux)
+LARGE_MODULUS_CHECK = """
+import json, resource
+from heckeperiods.characters import enumerate_characters
+from heckeperiods.periods import PeriodContext, case_sum_polynomial, closed_form_polynomial
+from heckeperiods.traces import TraceQuery, trace_closed_form, trace_from_periods
+chi = next(chi for chi in enumerate_characters(131) if chi.order == 130)
+ctx = PeriodContext(1, 10, 1, chi)
+query = TraceQuery(ctx, next(m for m in range(11) if ctx.parity_holds(m)))
+routes = closed_form_polynomial(ctx) == case_sum_polynomial(ctx)
+traces = trace_closed_form(query) == trace_from_periods(query)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(json.dumps({"routes_equal": routes, "traces_equal": traces, "peak_rss_mb": peak}))
+"""
 
 
 def _bernoulli_reference(k):
@@ -421,3 +445,14 @@ def test_criterion_13_order_66_traces():
                 trace_checks += 1
         assert trace_checks == 241
         print(f"  order-66 family: {trace_checks} trace queries", flush=True)
+
+
+def test_criterion_14_large_modulus():
+    with criterion(14, "closed form, case sum and one trace pair at D = 131, order 130, under 300 MB", 10.0):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-c", LARGE_MODULUS_CHECK], capture_output=True, text=True, env=env, timeout=60)
+        assert run.returncode == 0, run.stderr
+        report = json.loads(run.stdout)
+        assert report["routes_equal"] is True and report["traces_equal"] is True
+        assert report["peak_rss_mb"] < 300, report
+        print(f"  order-130 mod 131: peak RSS {report['peak_rss_mb']:.0f} MB", flush=True)

@@ -305,6 +305,39 @@ def test_a_low_lift_folds_no_zeros_above_its_largest_exponent(monkeypatch):
     assert lifted.coords == tuple(expected)
 
 
+def test_fold_at_full_length_matches_long_division():
+    # every level that is not its own radical, and the two of the high-order
+    # workload, at the longest input _fold takes: slice t of the exponents
+    # folds through the radical's table into coordinates t, t + s, ...
+    rng = random.Random(684)
+    levels = [level for level in range(1, 301) if square_and_squarefree_part(level)[0] > 1] + [342, 684]
+    for level in levels:
+        length = max(level, 2 * euler_phi(level) - 1)
+        values = [rng.randint(-(10**12), 10**12) for _ in range(length)]
+        folded = cyclotomic._fold(values, level)
+        assert all(type(c) is int for c in folded), level
+        assert tuple(folded) == reduced(values, level), level
+
+
+def test_a_fold_at_684_builds_rows_at_114_only(monkeypatch):
+    # Phi_684(x) = Phi_114(x**6) and Phi_342(x) = Phi_114(x**3): the three
+    # levels share one table, built from Phi_114 alone
+    built = []
+    polynomial = cyclotomic.cyclotomic_polynomial
+
+    def recording(level):
+        built.append(level)
+        return polynomial(level)
+
+    cyclotomic._power_table.cache_clear()
+    monkeypatch.setattr(cyclotomic, "cyclotomic_polynomial", recording)
+    values = list(range(-341, 343))
+    assert tuple(cyclotomic._fold(values, 684)) == reduced(values, 684)
+    assert tuple(cyclotomic._fold(values[:342], 342)) == reduced(values[:342], 342)
+    assert built == [114]
+    assert cyclotomic._power_table(684)[2] is cyclotomic._power_table(114)[2]
+
+
 def test_common_factors_cancel():
     zeta = ExactNumber.zeta(12)
     third = zeta * Fraction(1, 3)
@@ -323,6 +356,8 @@ def test_kronecker_product_matches_the_term_by_term_product():
     for length in range(1, 217):  # 216 = phi(684), the longest product in use
         a, b = vector(length, sizes[length % 4]), vector(length, sizes[length // 4 % 4])
         assert _kronecker_mul(a, b) == schoolbook(a, b)
+        # one list times itself: packed once and squared
+        assert _kronecker_mul(a, a) == schoolbook(a, a)
     for bits in sizes:
         for la, lb in [(1, 216), (216, 1), (7, 108), (108, 215), (3, 4)]:
             a, b = vector(la, bits), vector(lb, bits)
@@ -417,17 +452,19 @@ def test_recognize_surd_rational_and_absent():
 
 def test_recognize_surd_answers_none_at_its_own_level(monkeypatch):
     # one Galois conjugate rules out a surd before any lift to
-    # lcm(level, 4d): level 8844 = 4 * 3 * 11 * 67 has 15 squarefree d > 1
+    # lcm(level, 4d): level 8844 = 4 * 3 * 11 * 67 has 15 squarefree d > 1.
+    # Every way into the field folds, so the fold's levels are the levels
+    # reached (the table itself is built at the radical, 4422)
     x = rand_element(random.Random(8844), 8844)
     rotated = x * ExactNumber.zeta(4, 3)
     levels = []
-    table = cyclotomic._power_table
+    fold = cyclotomic._fold
 
-    def recording(level):
+    def recording(values, level):
         levels.append(level)
-        return table(level)
+        return fold(values, level)
 
-    monkeypatch.setattr(cyclotomic, "_power_table", recording)
+    monkeypatch.setattr(cyclotomic, "_fold", recording)
     assert recognize_surd(x) is None
     assert recognize_surd(rotated) is None
     assert set(levels) == {8844}

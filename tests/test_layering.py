@@ -91,8 +91,20 @@ def _loaders(name: str) -> list[str]:
 
 def test_only_fold_reads_the_reduction_table():
     # every way into Q(zeta_L) (product, zeta, lift, Galois image, bucket
-    # sum) reduces through _fold, so a new reduction replaces one function
-    assert sorted(set(_loaders("_power_table"))) == ["cyclotomic.py:_fold"]
+    # sum) reduces through _fold, so a new reduction replaces one function;
+    # the table's one other reader is its own recursion, which hands a level
+    # the table of its radical
+    assert sorted(set(_loaders("_power_table"))) == ["cyclotomic.py:_fold", "cyclotomic.py:_power_table"]
+
+
+def test_the_trace_double_sum_keeps_its_own_terms():
+    # the trace's closed form walks the quadruples itself: if it read G_n's
+    # classes, both trace routes would rest on the same G_n code
+    assert sorted(set(_loaders("_quadruple_buckets"))) == [
+        "periods.py:closed_form_polynomial",
+        "periods.py:quadruple_sum_polynomial",
+    ]
+    assert "traces.py:_double_sum_polynomials" in _loaders("_quadruple_walk")
 
 
 def test_only_bernoulli_and_the_oracle_read_the_rows():

@@ -239,3 +239,42 @@ def test_trace_closed_form_builds_no_weighted_polynomial():
     _weighted_coordinates.cache_clear()
     trace_closed_form(TraceQuery(ctx, 5))
     assert _weighted_coordinates.cache_info().currsize == 0
+
+
+def _term_by_term_double_sum(ctx, m):
+    """2(-1)^(m+1) times sum over quadruples of
+    sum_r (-1)^r C(n, r) C(w-n, w-m-r) a^r c^(w-m-r) ell^(n-r) k^(m-n+r),
+    one integer per conj(chi) value exponent: a Python term per quadruple
+    and r."""
+    w, n, nt = ctx.w, ctx.n, ctx.n_tilde
+    mt = w - m
+    chibar = ctx.chi.conjugate()
+    weights = [
+        ((-1) ** r * math.comb(n, r) * math.comb(nt, mt - r), r, mt - r, n - r, nt - mt + r)
+        for r in range(max(0, mt - nt), min(n, mt) + 1)
+    ]
+    buckets = [0] * chibar.order
+    for a, c, k, ell, e in periods._quadruple_walk(ctx.level, chibar):
+        buckets[e] += sum(x * a**i * c**j * ell**s * k**t for x, i, j, s, t in weights)
+    return [2 * (-1) ** (m + 1) * b for b in buckets]
+
+
+def test_packed_double_sum_equals_the_term_by_term_sum():
+    # one packed polynomial per context gives the r-sum at every m; against
+    # the sum term by term, for the real and the highest-order characters,
+    # and at D = 67, order 66, w = 22, where the class coefficients come
+    # nearest the width's bound
+    contexts = []
+    for d in (5, 7, 13, 41):
+        chars = enumerate_primitive_characters(d)  # ascending order: real first
+        for chi in (chars[0], chars[-1]):
+            contexts += [PeriodContext(level, 10, n, chi) for level in (1, 2) for n in range(1, 10)]
+    order_66 = next(chi for chi in enumerate_primitive_characters(67) if chi.order == 66)
+    contexts += [PeriodContext(1, 22, n, order_66) for n in range(1, 22)]
+    checked = 0
+    for ctx in contexts:
+        for m in range(ctx.w + 1):
+            if ctx.parity_holds(m):
+                assert traces._double_sum(ctx, m) == _term_by_term_double_sum(ctx, m), (ctx, m)
+                checked += 1
+    assert checked == 1031
