@@ -19,7 +19,6 @@ a level L shares the table of its radical r, since Phi_L(x) = Phi_r(x^(L/r)).
 
 from __future__ import annotations
 
-import ast
 import cmath
 import math
 import operator
@@ -665,15 +664,16 @@ def _surd_text(surd: QuadSurd, signed: Callable[[Fraction], str], unsigned: Call
     return f"{signed(surd.a)} {'+' if surd.b > 0 else '-'} {babs}"
 
 
-# the grammar of surd text: characters first, then these operators
+# the grammar of surd text: characters first, then these operators, keyed
+# by the name of their ast node class
 _SURD_CHARS = frozenset("0123456789+-*/^() sqrt")
 
 _SURD_OPS = {
-    ast.Add: operator.add,
-    ast.Sub: operator.sub,
-    ast.Mult: operator.mul,
-    ast.Div: operator.truediv,
-    ast.Pow: operator.pow,
+    "Add": operator.add,
+    "Sub": operator.sub,
+    "Mult": operator.mul,
+    "Div": operator.truediv,
+    "Pow": operator.pow,
 }
 
 
@@ -681,6 +681,10 @@ def parse_quad_surd(text: str) -> QuadSurd:
     """Evaluate surd text such as "1135193+19*sqrt(144169)": integers,
     + - * / ^ and parentheses, read by Python's parser with ^ as **, and
     sqrt(<integer>) with one radicand in all."""
+    # imported here: a request that reads no surd text (theorem1, trace,
+    # verify-numeric) never loads the parser's module
+    import ast
+
     if not set(text) <= _SURD_CHARS:
         raise ValueError(f"unexpected characters in surd {text!r}")
 
@@ -688,8 +692,8 @@ def parse_quad_surd(text: str) -> QuadSurd:
         match node:
             case ast.Constant(value=int(n)):
                 return Fraction(n)
-            case ast.BinOp(left, op, right) if type(op) in _SURD_OPS:
-                return _SURD_OPS[type(op)](evaluate(left), evaluate(right))
+            case ast.BinOp(left, op, right) if type(op).__name__ in _SURD_OPS:
+                return _SURD_OPS[type(op).__name__](evaluate(left), evaluate(right))
             case ast.UnaryOp(ast.USub(), operand):
                 return -evaluate(operand)
             case ast.UnaryOp(ast.UAdd(), operand):

@@ -15,10 +15,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .characters import DirichletCharacter
 from .cyclotomic import (
@@ -300,24 +298,38 @@ class SurdPair(QuadSurd):
 # combinations of the period-kernel forms
 
 
-@dataclass(frozen=True)
 class RnCombination:
     """A cusp form written as sum_j coeff_j * R_{n_j} on Gamma_0(level)."""
 
-    level: int
-    weight: int
-    terms: tuple[tuple[int, QuadSurd], ...]
+    __slots__ = ("level", "weight", "terms")
 
-    def __post_init__(self):
-        w = self.weight - 2
-        if self.weight % 2 or w < 2:
-            raise FixtureError(f"weight must be even and >= 4, got {self.weight}")
-        indices = [n for n, _ in self.terms]
+    def __init__(self, level: int, weight: int, terms: tuple[tuple[int, QuadSurd], ...]):
+        w = weight - 2
+        if weight % 2 or w < 2:
+            raise FixtureError(f"weight must be even and >= 4, got {weight}")
+        indices = [n for n, _ in terms]
         if len(set(indices)) != len(indices):
             raise FixtureError("duplicate basis indices")
         for n in indices:
             if not 0 < n < w:
                 raise FixtureError(f"index {n} outside 0 < n < {w}")
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RnCombination is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, RnCombination):
+            return NotImplemented
+        return (self.level, self.weight, self.terms) == (other.level, other.weight, other.terms)
+
+    def __hash__(self):
+        return hash((self.level, self.weight, self.terms))
+
+    def __repr__(self):
+        return f"RnCombination(level={self.level!r}, weight={self.weight!r}, terms={self.terms!r})"
 
     @property
     def w(self) -> int:
@@ -376,8 +388,7 @@ def twisted_lambda_ratio(
 # fixture registry
 
 
-@dataclass(frozen=True)
-class HeckeMatrixFixture:
+class HeckeMatrixFixture(NamedTuple):
     """A Hecke-operator matrix acting on a block of the R_n basis.
 
     ``basis_action`` is the printed orientation: it maps the column
@@ -397,15 +408,13 @@ class HeckeMatrixFixture:
         return self.basis_action.transpose()
 
 
-@dataclass(frozen=True)
-class CentralValueRow:
+class CentralValueRow(NamedTuple):
     discriminant: int
     factored: str
     value: int
 
 
-@dataclass(frozen=True)
-class CentralValueTable:
+class CentralValueTable(NamedTuple):
     """sqrt(D)-normalized central twisted/untwisted completed L-value ratios."""
 
     weight: int
@@ -425,8 +434,7 @@ class CentralValueTable:
         return [row.discriminant for row in self.rows]
 
 
-@dataclass(frozen=True)
-class FixtureRegistry:
+class FixtureRegistry(NamedTuple):
     eigenforms: dict[str, RnCombination]
     matrices: dict[str, HeckeMatrixFixture]
     central_values: CentralValueTable
@@ -466,6 +474,10 @@ def _parse_factored(text: str) -> int:
 
 
 def _load_json(name: str) -> dict:
+    # imported on the first fixture read: from Python 3.12 on it loads
+    # inspect, which a request that reads no fixture never needs
+    from importlib import resources
+
     path = resources.files(__package__) / "fixtures" / name
     try:
         return json.loads(path.read_text())

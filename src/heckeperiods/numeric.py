@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .characters import DirichletCharacter, gauss_sum
 from .cyclotomic import _MEMO_SIZE
@@ -35,17 +35,31 @@ TRUNCATION = 300
 _TERMS_PER_MODULUS = 16
 
 
-@dataclass(frozen=True)
 class QExpansion:
     """Integer Fourier coefficients a(1..M) of a normalized form."""
 
-    coefficients: tuple[int, ...]
-    weight: int
-    level: int
+    __slots__ = ("coefficients", "weight", "level")
 
-    def __post_init__(self):
-        if self.coefficients and self.coefficients[0] != 1:
+    def __init__(self, coefficients: tuple[int, ...], weight: int, level: int):
+        if coefficients and coefficients[0] != 1:
             raise ValueError("normalized forms start with a(1) = 1")
+        object.__setattr__(self, "coefficients", coefficients)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "level", level)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QExpansion is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, QExpansion):
+            return NotImplemented
+        return (self.coefficients, self.weight, self.level) == (other.coefficients, other.weight, other.level)
+
+    def __hash__(self):
+        return hash((self.coefficients, self.weight, self.level))
+
+    def __repr__(self):
+        return f"QExpansion(coefficients={self.coefficients!r}, weight={self.weight!r}, level={self.level!r})"
 
     def a(self, n: int) -> int:
         return self.coefficients[n - 1]
@@ -237,8 +251,7 @@ def _float_json(z: complex):
     return z.real if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) else [z.real, z.imag]
 
 
-@dataclass(frozen=True)
-class NumericCheck:
+class NumericCheck(NamedTuple):
     expected: complex
     computed: complex
     abs_err: float

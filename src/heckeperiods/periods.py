@@ -29,7 +29,6 @@ coefficients once, at a width sized from a bound the route states.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple
@@ -86,25 +85,42 @@ class FareyQuadruple(NamedTuple):
     ell: int
 
 
-@dataclass(frozen=True)
 class PeriodContext:
-    """Parameters (N, w, n, chi) of one twisted period polynomial."""
+    """Parameters (N, w, n, chi) of one twisted period polynomial.
 
-    level: int
-    w: int
-    n: int
-    chi: DirichletCharacter
+    Immutable; its hash is computed once, since it keys the memos."""
 
-    def __post_init__(self):
-        if self.level < 1:
+    __slots__ = ("level", "w", "n", "chi", "_hash")
+
+    def __init__(self, level: int, w: int, n: int, chi: DirichletCharacter):
+        if level < 1:
             raise ContextError("level must be positive")
-        if self.w < 2 or self.w % 2:
+        if w < 2 or w % 2:
             raise ContextError("w must be a positive even integer")
-        if not 0 < self.n < self.w:
-            raise ContextError(f"n must satisfy 0 < n < w, got n={self.n}, w={self.w}")
-        if self.chi.modulus < 2:
+        if not 0 < n < w:
+            raise ContextError(f"n must satisfy 0 < n < w, got n={n}, w={w}")
+        if chi.modulus < 2:
             raise ContextError("character modulus must exceed 1")
-        _require_primitive(self.chi)
+        _require_primitive(chi)
+        object.__setattr__(self, "level", level)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "chi", chi)
+        object.__setattr__(self, "_hash", hash((level, w, n, chi)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PeriodContext is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, PeriodContext):
+            return NotImplemented
+        return (self.level, self.w, self.n, self.chi) == (other.level, other.w, other.n, other.chi)
+
+    def __hash__(self):
+        return self._hash
+
+    def __repr__(self):
+        return f"PeriodContext(level={self.level!r}, w={self.w!r}, n={self.n!r}, chi={self.chi!r})"
 
     @property
     def modulus(self) -> int:

@@ -28,7 +28,6 @@ closed form is total on the parity domain and reads B_{k,psi} at k >= 1 only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable
@@ -48,15 +47,29 @@ from .cyclotomic import (
 from .periods import PeriodContext, _admit, _quadruple_walk, closed_form_polynomial
 
 
-@dataclass(frozen=True)
 class TraceQuery:
     """A (context, m) pair satisfying the parity hypothesis."""
 
-    ctx: PeriodContext
-    m: int
+    __slots__ = ("ctx", "m")
 
-    def __post_init__(self):
-        _admit(self.ctx, self.m)
+    def __init__(self, ctx: PeriodContext, m: int):
+        _admit(ctx, m)
+        object.__setattr__(self, "ctx", ctx)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("TraceQuery is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, TraceQuery):
+            return NotImplemented
+        return (self.ctx, self.m) == (other.ctx, other.m)
+
+    def __hash__(self):
+        return hash((self.ctx, self.m))
+
+    def __repr__(self):
+        return f"TraceQuery(ctx={self.ctx!r}, m={self.m!r})"
 
     @property
     def m_tilde(self) -> int:

@@ -289,14 +289,10 @@ def test_malformed_fixture_reports_line(tmp_path, monkeypatch):
     fixtures.mkdir()
     (fixtures / "sl2z_eigenforms.json").write_text('{\n "forms": [\n   {bad}\n ]\n}')
 
-    class FakeResources:
-        @staticmethod
-        def files(_package):
-            return tmp_path
+    # the loader imports importlib.resources when it reads a fixture
+    from importlib import resources
 
-    import heckeperiods.eigenforms as module
-
-    monkeypatch.setattr(module, "resources", FakeResources)
+    monkeypatch.setattr(resources, "files", lambda _package: tmp_path)
     with pytest.raises(FixtureError, match="line 3"):
         load_fixtures()
 
