@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator, Optional, Sequence
 
-from .cyclotomic import _MEMO_SIZE, ExactNumber, _bucket_sum, divisors, factorize
+from .cyclotomic import _MEMO_SIZE, ExactNumber, _bucket_sum, _Frozen, divisors, factorize
 
 
 # largest modulus enumerate_primitive_characters walks
@@ -25,10 +25,13 @@ class CharacterError(ValueError):
     pass
 
 
-class DirichletCharacter:
-    """A Dirichlet character mod D > 1 with values as exact roots of unity."""
+class DirichletCharacter(_Frozen):
+    """A Dirichlet character mod D > 1 with values as exact roots of unity.
 
-    __slots__ = ("modulus", "order", "exponents", "conductor")
+    Its hash is computed once, since it keys the memos."""
+
+    __slots__ = ("modulus", "order", "exponents", "conductor", "_hash")
+    _fields = ("modulus", "order", "exponents")
 
     def __init__(self, modulus: int, order: int, exponents: Sequence[Optional[int]]):
         """Character with chi(h) = zeta_order**exponents[h] (None off the units).
@@ -47,14 +50,9 @@ class DirichletCharacter:
             if e is not None:
                 g = math.gcd(g, e % order)
         exps = tuple(None if e is None else (e % order) // g for e in exponents)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "order", order // g)
-        object.__setattr__(self, "exponents", exps)
+        super().__init__(modulus, order // g, exps)
         self._validate()
         object.__setattr__(self, "conductor", self._compute_conductor())
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DirichletCharacter is immutable")
 
     def _validate(self) -> None:
         d = self.modulus
@@ -137,18 +135,6 @@ class DirichletCharacter:
             for a, b in zip(self.exponents, other.exponents)
         ]
         return DirichletCharacter(self.modulus, r, exps)
-
-    def __eq__(self, other):
-        if not isinstance(other, DirichletCharacter):
-            return NotImplemented
-        return (
-            self.modulus == other.modulus
-            and self.order == other.order
-            and self.exponents == other.exponents
-        )
-
-    def __hash__(self):
-        return hash((self.modulus, self.order, self.exponents))
 
     def __repr__(self):
         kind = "primitive" if self.is_primitive else f"conductor {self.conductor}"

@@ -200,10 +200,52 @@ def _half_digits(width: int, count: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# immutable values
+
+
+class _Frozen:
+    """The base of every immutable value class of the package: assignment
+    raises.  A subclass that names its _fields has them set once, in order,
+    by __init__, and compares, hashes and prints by them as
+    Name(field=value, ...); one with a _hash slot stores its hash there at
+    construction, for a value that keys memos."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _hash: Optional[int] = None  # shadowed by a subclass's _hash slot
+
+    def __init__(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+        if type(self)._hash is not None:
+            object.__setattr__(self, "_hash", hash(values))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        for name in self._fields:  # a loop, not a generator: characters compare on the memo paths
+            if getattr(self, name) != getattr(other, name):
+                return False
+        return True
+
+    def __hash__(self):
+        if self._hash is None:
+            return hash(tuple(getattr(self, name) for name in self._fields))
+        return self._hash
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+# ---------------------------------------------------------------------------
 # field elements
 
 
-class ExactNumber:
+class ExactNumber(_Frozen):
     """An element of Q(zeta_M), M = self.level.
 
     The coordinates on the power basis, after reduction mod Phi_M, are kept
@@ -231,9 +273,6 @@ class ExactNumber:
         self = object.__new__(cls)
         _store(self, level, den, nums)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactNumber is immutable")
 
     # -- constructors
 
@@ -514,11 +553,11 @@ def _legendre(a: int, p: int) -> int:
 # quadratic extensions and surd recognition
 
 
-class QuadSurd:
+class QuadSurd(_Frozen):
     """A number a + b*sqrt(d) with squarefree d >= 1 and parts a, b either
     both rational (Fraction) or cyclotomic (ExactNumber), the root adjoined
     formally.  Normalized: b = 0 sets d = 1, and for d = 1 the radical part
-    is folded into a."""
+    is folded into a, so d = 1 exactly when b = 0."""
 
     __slots__ = ("a", "b", "d")
 
@@ -546,9 +585,6 @@ class QuadSurd:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "d", d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
     def __eq__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -556,7 +592,8 @@ class QuadSurd:
         return (self.a, self.b, self.d) == (other.a, other.b, other.d)
 
     def __hash__(self):
-        return hash((self.a, self.b, self.d))
+        # a surd with d = 1 equals its part a, and so does its hash
+        return hash(self.a) if self.d == 1 else hash((self.a, self.b, self.d))
 
     # -- field arithmetic in K(sqrt d); rationals (d = 1) mix with anything
 
@@ -741,7 +778,7 @@ def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
     # q*d is a rational square exactly when the integer n*d is a square;
     # the least divisor of the level that passes is the squarefree one
     n = q.numerator * q.denominator
-    d = next(d for d in range(2, level + 1) if level % d == 0 and math.isqrt(n * d) ** 2 == n * d)
+    d = next(d for d in divisors(level)[1:] if math.isqrt(n * d) ** 2 == n * d)
     b = Fraction(math.isqrt(n * d), q.denominator * d)
     return QuadSurd._make(a, b if radical == sqrt_integer(d) * b else -b, d)
 
@@ -750,7 +787,7 @@ def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
 # polynomials over ExactNumber: an output record, built once from buckets
 
 
-class ExactPolynomial:
+class ExactPolynomial(_Frozen):
     """Univariate polynomial with ExactNumber coefficients, the output of the
     period and Bernoulli routes; it has no ring arithmetic, only a scalar
     product.
@@ -779,9 +816,6 @@ class ExactPolynomial:
         self = cls(ascending)
         object.__setattr__(self, "_factor", factor)
         return self
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExactPolynomial is immutable")
 
     # -- views
 

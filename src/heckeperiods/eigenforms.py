@@ -23,6 +23,7 @@ from .cyclotomic import (
     ExactNumber,
     ExactPolynomial,
     QuadSurd,
+    _Frozen,
     divisors,
     parse_quad_surd,
     square_and_squarefree_part,
@@ -40,20 +41,18 @@ class FixtureError(ValueError):
 # exact matrices
 
 
-class RationalMatrix:
+class RationalMatrix(_Frozen):
     """A square matrix of rationals, of any dimension n >= 1."""
 
-    __slots__ = ("rows",)
+    __slots__ = _fields = ("rows",)
+    __hash__ = None
 
     def __init__(self, rows: Sequence[Sequence]):
         rows = tuple(tuple(Fraction(x) for x in row) for row in rows)
         n = len(rows)
         if n < 1 or any(len(row) != n for row in rows):
             raise ValueError("need a nonempty square matrix")
-        object.__setattr__(self, "rows", rows)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
+        super().__init__(rows)
 
     @property
     def dimension(self) -> int:
@@ -71,11 +70,6 @@ class RationalMatrix:
             sum((QuadSurd(self.rows[i][j], 0, 1) * vector[j] for j in range(n)), QuadSurd(0, 0, 1))
             for i in range(n)
         ]
-
-    def __eq__(self, other):
-        if not isinstance(other, RationalMatrix):
-            return NotImplemented
-        return self.rows == other.rows
 
     def __repr__(self):
         return f"RationalMatrix({[[str(x) for x in row] for row in self.rows]})"
@@ -298,10 +292,10 @@ class SurdPair(QuadSurd):
 # combinations of the period-kernel forms
 
 
-class RnCombination:
+class RnCombination(_Frozen):
     """A cusp form written as sum_j coeff_j * R_{n_j} on Gamma_0(level)."""
 
-    __slots__ = ("level", "weight", "terms")
+    __slots__ = _fields = ("level", "weight", "terms")
 
     def __init__(self, level: int, weight: int, terms: tuple[tuple[int, QuadSurd], ...]):
         w = weight - 2
@@ -313,23 +307,7 @@ class RnCombination:
         for n in indices:
             if not 0 < n < w:
                 raise FixtureError(f"index {n} outside 0 < n < {w}")
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "terms", terms)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RnCombination is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, RnCombination):
-            return NotImplemented
-        return (self.level, self.weight, self.terms) == (other.level, other.weight, other.terms)
-
-    def __hash__(self):
-        return hash((self.level, self.weight, self.terms))
-
-    def __repr__(self):
-        return f"RnCombination(level={self.level!r}, weight={self.weight!r}, terms={self.terms!r})"
+        super().__init__(level, weight, terms)
 
     @property
     def w(self) -> int:

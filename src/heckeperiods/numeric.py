@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .characters import DirichletCharacter, gauss_sum
-from .cyclotomic import _MEMO_SIZE
+from .cyclotomic import _MEMO_SIZE, _Frozen
 from .periods import ContextError, _require_primitive
 from .traces import TraceQuery, trace_closed_form
 
@@ -35,31 +35,15 @@ TRUNCATION = 300
 _TERMS_PER_MODULUS = 16
 
 
-class QExpansion:
+class QExpansion(_Frozen):
     """Integer Fourier coefficients a(1..M) of a normalized form."""
 
-    __slots__ = ("coefficients", "weight", "level")
+    __slots__ = _fields = ("coefficients", "weight", "level")
 
     def __init__(self, coefficients: tuple[int, ...], weight: int, level: int):
         if coefficients and coefficients[0] != 1:
             raise ValueError("normalized forms start with a(1) = 1")
-        object.__setattr__(self, "coefficients", coefficients)
-        object.__setattr__(self, "weight", weight)
-        object.__setattr__(self, "level", level)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QExpansion is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, QExpansion):
-            return NotImplemented
-        return (self.coefficients, self.weight, self.level) == (other.coefficients, other.weight, other.level)
-
-    def __hash__(self):
-        return hash((self.coefficients, self.weight, self.level))
-
-    def __repr__(self):
-        return f"QExpansion(coefficients={self.coefficients!r}, weight={self.weight!r}, level={self.level!r})"
+        super().__init__(coefficients, weight, level)
 
     def a(self, n: int) -> int:
         return self.coefficients[n - 1]

@@ -47,6 +47,7 @@ from .cyclotomic import (
     _add_into,
     _bucket_poly,
     _cleared,
+    _Frozen,
     _signed_digits,
     factorize,
 )
@@ -85,12 +86,13 @@ class FareyQuadruple(NamedTuple):
     ell: int
 
 
-class PeriodContext:
+class PeriodContext(_Frozen):
     """Parameters (N, w, n, chi) of one twisted period polynomial.
 
     Immutable; its hash is computed once, since it keys the memos."""
 
     __slots__ = ("level", "w", "n", "chi", "_hash")
+    _fields = ("level", "w", "n", "chi")
 
     def __init__(self, level: int, w: int, n: int, chi: DirichletCharacter):
         if level < 1:
@@ -99,28 +101,8 @@ class PeriodContext:
             raise ContextError("w must be a positive even integer")
         if not 0 < n < w:
             raise ContextError(f"n must satisfy 0 < n < w, got n={n}, w={w}")
-        if chi.modulus < 2:
-            raise ContextError("character modulus must exceed 1")
         _require_primitive(chi)
-        object.__setattr__(self, "level", level)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "chi", chi)
-        object.__setattr__(self, "_hash", hash((level, w, n, chi)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PeriodContext is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, PeriodContext):
-            return NotImplemented
-        return (self.level, self.w, self.n, self.chi) == (other.level, other.w, other.n, other.chi)
-
-    def __hash__(self):
-        return self._hash
-
-    def __repr__(self):
-        return f"PeriodContext(level={self.level!r}, w={self.w!r}, n={self.n!r}, chi={self.chi!r})"
+        super().__init__(level, w, n, chi)
 
     @property
     def modulus(self) -> int:

@@ -39,6 +39,7 @@ from .cyclotomic import (
     ExactNumber,
     _cleared,
     _fold,
+    _Frozen,
     _monomial_product,
     _monomials,
     _signed_digits,
@@ -47,29 +48,14 @@ from .cyclotomic import (
 from .periods import PeriodContext, _admit, _quadruple_walk, closed_form_polynomial
 
 
-class TraceQuery:
+class TraceQuery(_Frozen):
     """A (context, m) pair satisfying the parity hypothesis."""
 
-    __slots__ = ("ctx", "m")
+    __slots__ = _fields = ("ctx", "m")
 
     def __init__(self, ctx: PeriodContext, m: int):
         _admit(ctx, m)
-        object.__setattr__(self, "ctx", ctx)
-        object.__setattr__(self, "m", m)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("TraceQuery is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, TraceQuery):
-            return NotImplemented
-        return (self.ctx, self.m) == (other.ctx, other.m)
-
-    def __hash__(self):
-        return hash((self.ctx, self.m))
-
-    def __repr__(self):
-        return f"TraceQuery(ctx={self.ctx!r}, m={self.m!r})"
+        super().__init__(ctx, m)
 
     @property
     def m_tilde(self) -> int:

@@ -25,6 +25,7 @@ from heckeperiods.cyclotomic import (
     square_and_squarefree_part,
     squarefree_divisors,
 )
+from heckeperiods.eigenforms import SurdPair
 
 
 def rand_element(rng, level, size=6):
@@ -545,6 +546,18 @@ def test_quad_surd_string_roundtrip():
     assert parse_quad_surd("12*sqrt(4)") == QuadSurd(24, 0, 1)  # square parts fold in
     with pytest.raises(ValueError):
         parse_quad_surd("sqrt(2)+sqrt(3)")
+
+
+def test_quad_surd_hash_agrees_with_its_equality():
+    # a surd equal to a rational, as == says, hashes as that rational
+    assert QuadSurd(3, 0, 1) == 3 == Fraction(3)
+    assert len({QuadSurd(3, 0, 1), 3, Fraction(3)}) == 1
+    assert hash(QuadSurd(Fraction(1, 2), 0, 1)) == hash(Fraction(1, 2))
+    assert hash(QuadSurd(1, 5, 5)) == hash(QuadSurd(1, 5, 5)) and QuadSurd(1, 5, 5) in {QuadSurd(1, 5, 5)}
+    # cyclotomic parts define no hash, so neither does the surd
+    for d in (1, 5):
+        with pytest.raises(TypeError):
+            hash(SurdPair(ExactNumber.zeta(3), ExactNumber.one(), d))
 
 
 def test_parse_quad_surd_evaluates_arithmetic():

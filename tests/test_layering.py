@@ -1,7 +1,8 @@
 """Only the cyclotomic layer reads the coordinates of a field element or the
 factored form of a polynomial: every other module hands it rational lists
 and gets numbers or polynomials back.
-And no module keeps a private helper that nothing in the package reads."""
+And no module keeps a private helper that nothing in the package reads, and
+one base class alone makes values immutable."""
 
 import ast
 from pathlib import Path
@@ -112,3 +113,28 @@ def test_only_bernoulli_and_the_oracle_read_the_rows():
     # closed form rebuilds it from a row; only the oracle's cases 1-4 read rows
     outside = {loader for loader in _loaders("_bernoulli_row") if not loader.startswith("bernoulli.py:")}
     assert outside == {"periods.py:_case_buckets"}
+
+
+def _class_methods(name: str) -> list[str]:
+    """module:Class for every class of the package that defines name, by a
+    def or an assignment in its body."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ClassDef) and name in set().union(*map(_defined_names, node.body)):
+                found.append(f"{path.name}:{node.name}")
+    return found
+
+
+def test_one_immutability_mechanism():
+    # every value class refuses assignment through the one base, and the
+    # records that validate compare and print through it too
+    assert _class_methods("__setattr__") == ["cyclotomic.py:_Frozen"]
+    records = {
+        "periods.py:PeriodContext",
+        "traces.py:TraceQuery",
+        "eigenforms.py:RnCombination",
+        "numeric.py:QExpansion",
+    }
+    for method in ("__eq__", "__repr__"):
+        assert not records & set(_class_methods(method)), f"a validating record defines its own {method}"

@@ -1,19 +1,22 @@
 """The nine record types keep their behaviour as plain classes.
 
 ``PeriodContext``, ``TraceQuery``, ``RnCombination`` and ``QExpansion``
-validate, so they are ``__slots__`` classes set through
-``object.__setattr__``; the five plain-data records are named tuples.
-Each is built by position and by keyword, compares and hashes by value,
-refuses assignment, raises its validation errors with their messages, and
-prints the ``Name(field=value, ...)`` text it always printed."""
+validate, so they are ``__slots__`` subclasses of the package's one
+immutable base, ``cyclotomic._Frozen``, which sets their fields once and
+compares, hashes and prints them; the five plain-data records are named
+tuples.  Each is built by position and by keyword, compares and hashes by
+value, refuses assignment, raises its validation errors with their
+messages, and prints the ``Name(field=value, ...)`` text it always
+printed.  The number, polynomial, character and matrix types share that
+base, and keep their refusal text and their hashability."""
 
 from fractions import Fraction
 
 import pytest
 
 from heckeperiods import kronecker_character
-from heckeperiods.characters import enumerate_characters
-from heckeperiods.cyclotomic import QuadSurd
+from heckeperiods.characters import DirichletCharacter, enumerate_characters
+from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, QuadSurd
 from heckeperiods.eigenforms import (
     CentralValueRow,
     CentralValueTable,
@@ -22,6 +25,7 @@ from heckeperiods.eigenforms import (
     HeckeMatrixFixture,
     RationalMatrix,
     RnCombination,
+    SurdPair,
 )
 from heckeperiods.numeric import NumericCheck, QExpansion
 from heckeperiods.periods import ContextError, ParityError, PeriodContext
@@ -144,3 +148,33 @@ def test_record_validation_keeps_its_errors(build, error, message):
         build()
     assert type(raised.value) is error
     assert str(raised.value) == message
+
+
+# (a value, one of its attributes) for each value class beside the records;
+# a number, a polynomial and a matrix define no hash (a HeckeMatrixFixture,
+# which holds a matrix, is unhashable for that reason)
+VALUES = [
+    (ExactNumber.zeta(5), "level"),
+    (QuadSurd(1, 2, 5), "a"),
+    (SurdPair(ExactNumber.zeta(3), ExactNumber.one(), 5), "b"),
+    (ExactPolynomial([1, ExactNumber.zeta(4)]), "_asc"),
+    (CHI, "order"),
+    (MATRIX, "rows"),
+]
+UNHASHABLE_VALUES = {ExactNumber, ExactPolynomial, RationalMatrix}
+
+
+@pytest.mark.parametrize("value, field", VALUES, ids=[type(v).__name__ for v, _ in VALUES])
+def test_value_classes_refuse_assignment_and_keep_their_hashability(value, field):
+    name = type(value).__name__
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+        value.extra = 1
+    if type(value) in UNHASHABLE_VALUES:
+        with pytest.raises(TypeError):
+            hash(value)
+    elif type(value) is DirichletCharacter:
+        again = DirichletCharacter(value.modulus, value.order, value.exponents)
+        assert again is not value and again == value and hash(again) == hash(value)
+        assert hash(value) == hash((value.modulus, value.order, value.exponents))
