@@ -36,8 +36,7 @@ from .cyclotomic import (
     ExactNumber,
     ExactPolynomial,
     QuadSurd,
-    _monomial_product,
-    _monomials,
+    _expand,
     _surd_text,
     factorize,
     recognize_surd,
@@ -165,8 +164,7 @@ def _surd_or_json(x: ExactNumber, render: Callable[[QuadSurd], str], times_i: st
         return render(surd)
     # -i*x = x * zeta_level^(3*level/4): a rotation of x's monomials, one fold
     level = math.lcm(4, x.level)
-    den, terms = _monomials(x)
-    surd = recognize_surd(_monomial_product(terms, x.level, 1, den, ((3 * level // 4, 1),), level))
+    surd = recognize_surd(_expand(x, (level, ((3 * level // 4, 1),), 1)))
     if surd is not None:
         return times_i.format(render(surd))
     return json.dumps(x.to_json())

@@ -10,7 +10,9 @@ period routes' quadruple sums, are read back by one digit reader,
 lift both operands to the least common cyclotomic level, so values born at
 different levels (rationals, character values, Gauss sums, i) mix freely.
 A number is read back as a rational surd a + b*sqrt(d) from one Galois
-conjugate at its own level (``recognize_surd``).
+conjugate at its own level (``recognize_surd``).  A number of a small field
+times a large constant, given as integer monomials, keeps the constant
+apart (``_TimesConstant``) until its coordinates are read.
 
 Everything here is immutable and pure; the reduction tables are built
 only at squarefree levels, whole on first use, and only read afterwards:
@@ -487,6 +489,66 @@ class ExactNumber(_Frozen):
         return f"ExactNumber(level={self.level}, coords={[str(c) for c in self.coords]})"
 
 
+class _TimesConstant(ExactNumber):
+    """part * constant with the constant kept apart: an ExactNumber to every
+    caller, whose coordinates are made on their first read.
+
+    The part is a number of a small field (Q(zeta_R) on the period and trace
+    routes) and the constant a nonzero number given as integer monomials,
+    (level, ((t, c), ...), den) for sum_t c/den * zeta_level**t.  The level
+    is their common one.  The coordinates (_den, _nums) stay unset: the
+    first read of either finds them missing and expands the product once
+    (_expand).  Since the constant is nonzero, is_zero reads the part, and
+    two such numbers with equal constants compare their parts; any other
+    comparison reads the coordinates."""
+
+    __slots__ = ("_part", "_constant")
+
+    def __init__(self, part: ExactNumber, constant: tuple[int, tuple[tuple[int, int], ...], int]):
+        object.__setattr__(self, "level", math.lcm(part.level, constant[0]))
+        object.__setattr__(self, "_part", part)
+        object.__setattr__(self, "_constant", constant)
+
+    def __getattr__(self, name):
+        # called only for an attribute that is not set: here the coordinates
+        # before their first read
+        if name not in ("_den", "_nums"):
+            raise AttributeError(name)
+        expanded = _expand(self._part, self._constant)
+        object.__setattr__(self, "_den", expanded._den)
+        object.__setattr__(self, "_nums", expanded._nums)
+        return getattr(self, name)
+
+    def is_zero(self) -> bool:
+        return self._part.is_zero()
+
+    def __eq__(self, other):
+        if isinstance(other, _TimesConstant):
+            if other._constant is self._constant or other._constant == self._constant:
+                return self._part == other._part
+        return ExactNumber.__eq__(self, other)
+
+
+def _expand(part: ExactNumber, constant: tuple[int, tuple[tuple[int, int], ...], int]) -> ExactNumber:
+    """part times a constant given as monomials (level, ((t, c), ...), den),
+    at their common level M: every product of a nonzero term of part and a
+    monomial adds into one integer list per power of zeta_M, which is
+    folded once, with no lift of part and no dense product at the
+    constant's level.  The one expansion of a kept-apart constant."""
+    level, monomials, den = constant
+    top = math.lcm(part.level, level)
+    if top != level:
+        monomials = [(t * (top // level), c) for t, c in monomials]
+    step = top // part.level
+    part_den, terms = _monomials(part)
+    out = [0] * top
+    for j, x in terms:
+        base = j * step
+        for t, c in monomials:
+            out[(base + t) % top] += x * c
+    return _bucket_sum(out, top, part_den * den)
+
+
 def _store(number: ExactNumber, level: int, den: int, nums: Sequence[int]) -> None:
     """Set the fields of a new number, in lowest terms with den > 0."""
     g = math.gcd(den, *nums)
@@ -795,9 +857,10 @@ class ExactPolynomial(_Frozen):
     Internally ascending coefficients times one nonzero constant factor,
     kept apart (None for 1): the period routes hold their coefficients in
     Q(zeta_R) and the shared constant at its own, much larger level.  Every
-    public view multiplies the factor in as it reads a coefficient; the
-    `coefficients` view is degree-descending with a nonzero leading
-    coefficient (empty for the zero polynomial).
+    public view reads a coefficient as a _TimesConstant, the factor still
+    apart until its coordinates are read; the `coefficients` view is
+    degree-descending with a nonzero leading coefficient (empty for the
+    zero polynomial).
     """
 
     __slots__ = ("_asc", "_factor")
@@ -820,24 +883,16 @@ class ExactPolynomial(_Frozen):
     # -- views
 
     def _expanded(self) -> tuple:
-        """The ascending coefficients with the factor multiplied in."""
+        """The ascending coefficients times the factor, kept apart."""
         if self._factor is None:
             return self._asc
-        factor = _monomials(self._factor)
-        return tuple(self._times_factor(c, factor) for c in self._asc)
+        constant = self._constant()
+        return tuple(_TimesConstant(c, constant) for c in self._asc)
 
-    def _times_factor(self, c: ExactNumber, factor: tuple[int, tuple[tuple[int, int], ...]]) -> ExactNumber:
-        """c times the factor at their common level, as c * factor: c's
-        nonzero terms meet the factor's monomials (_monomials of the factor)
-        in one fold, with no lift of c and no dense product at the factor's
-        level."""
-        den, monomials = factor
-        level = math.lcm(c.level, self._factor.level)
-        step = level // self._factor.level
-        if step > 1:
-            monomials = [(t * step, x) for t, x in monomials]
-        c_den, terms = _monomials(c)
-        return _monomial_product(terms, c.level, 1, c_den * den, monomials, level)
+    def _constant(self) -> tuple[int, tuple[tuple[int, int], ...], int]:
+        """The factor as the monomials a _TimesConstant keeps apart."""
+        den, monomials = _monomials(self._factor)
+        return self._factor.level, monomials, den
 
     @property
     def coefficients(self) -> tuple:
@@ -853,7 +908,7 @@ class ExactPolynomial(_Frozen):
     def coefficient(self, k: int) -> ExactNumber:
         """Coefficient of x**k."""
         if 0 <= k < len(self._asc) and self._factor is not None:
-            return self._times_factor(self._asc[k], _monomials(self._factor))
+            return _TimesConstant(self._asc[k], self._constant())
         return self.unscaled_coefficient(k)
 
     def unscaled_coefficient(self, k: int) -> ExactNumber:
@@ -903,25 +958,6 @@ def _bucket_sum(nums: Sequence[int], order: int, den: int = 1) -> ExactNumber:
     """sum_e nums[e]/den * zeta_order**e, for one integer per exponent class
     over one common denominator: the only division."""
     return ExactNumber._make(order, den, _fold(nums, order))
-
-
-def _monomial_product(
-    terms: Iterable[tuple[int, int]], order: int, num: int, den: int, monomials: Sequence[tuple[int, int]], level: int
-) -> ExactNumber:
-    """num/den * sum_(j, x) x * zeta_order**j times sum_(t, c) c * zeta_level**t,
-    for integer terms and monomials, order | level and 0 <= t < level: every
-    product of a term and a monomial adds into one integer list per power of
-    zeta_level, which is folded once.  A sparse constant (a Gauss sum before
-    reduction) meets a number of Q(zeta_order) with no dense product."""
-    step = level // order
-    out = [0] * level
-    for j, x in terms:
-        if x:
-            x *= num
-            base = j * step
-            for t, c in monomials:
-                out[(base + t) % level] += x * c
-    return _bucket_sum(out, level, den)
 
 
 def _monomials(x: ExactNumber) -> tuple[int, tuple[tuple[int, int], ...]]:

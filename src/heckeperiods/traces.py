@@ -14,8 +14,11 @@ Both routes end on the same constant (2i)^(w+1) (i sqrt N)^(m+n+2) / tau(conj ch
 By tau(chi) tau(conj chi) = chi(-1) D it is a rational times
 i^k tau(chi) sqrt(N)^(0 or 1): the phi(D) roots of unity of tau(chi), times
 the few coordinates of sqrt N, kept as monomials (``_trace_monomials``).
-Each route multiplies them into its Q(zeta_R) number in one fold: no
-inverse, no dense product at the constant's level.
+Each route returns its number in Q(zeta_R), with the integer
+2^(w+1) N^((m+n+2) // 2) folded in and those monomials kept apart
+(``cyclotomic._TimesConstant``): the two routes compare in Q(zeta_R),
+since the constant is nonzero, and a value is expanded to the constant's
+level, in one fold, only when its coordinates are read.
 
 Degenerate indices are handled by the convention that a term with a
 vanishing binomial factor is exactly 0: whenever one of the four
@@ -30,19 +33,18 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from .bernoulli import _weighted_number_direct
 from .characters import DirichletCharacter, _gauss_counts
 from .cyclotomic import (
     _MEMO_SIZE,
     ExactNumber,
+    _bucket_sum,
     _cleared,
-    _fold,
     _Frozen,
-    _monomial_product,
     _monomials,
     _signed_digits,
+    _TimesConstant,
     sqrt_positive_integer,
 )
 from .periods import PeriodContext, _admit, _quadruple_walk, closed_form_polynomial
@@ -71,9 +73,8 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
     (den, coords) of bernoulli._weighted_number_direct, not the constant term
     of a whole polynomial: at x^0 both defining expressions of the polynomial
     reduce to that number, so their self-check would compare the number with
-    itself.  The buckets are reduced mod Phi_R in integers and meet the trace
-    constant's monomials directly: the field is entered once, at the
-    constant's level, with one division.
+    itself.  The buckets are reduced mod Phi_R in integers, with one
+    division, and the trace constant's monomials are kept apart.
     """
     ctx, m = query.ctx, query.m
     w, n, nt, mt = ctx.w, ctx.n, ctx.n_tilde, query.m_tilde
@@ -107,21 +108,20 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
     for (*_, shift), (_, coords), (factor,) in zip(terms, numbers, factors):
         for j, c in enumerate(coords):
             buckets[(j + shift) % order] += c * factor
-    # everything times D / (2 C(w, m)), in the one division
-    return _times_trace_constant(ctx, m, enumerate(_fold(buckets, order)), order, d, den * 2 * math.comb(w, m))
+    # everything times D / (2 C(w, m)) and the constant's integer, in the one division
+    scale, constant = _trace_constant(ctx, m)
+    part = _bucket_sum([b * d * scale for b in buckets], order, den * 2 * math.comb(w, m))
+    return _TimesConstant(part, constant)
 
 
-def _times_trace_constant(
-    ctx: PeriodContext, m: int, terms: Iterable[tuple[int, int]], order: int, num: int, den: int
-) -> ExactNumber:
-    """num/den * sum_(j, x) x * zeta_order**j times the trace constant
-    (2i)^(w+1) (i sqrt N)^e / tau(conj chi), e = m + n + 2: the rational
-    2^(w+1) N^(e // 2) joins the one division, the rest are the monomials
-    of _trace_monomials."""
-    w, level = ctx.w, ctx.level
+def _trace_constant(ctx: PeriodContext, m: int) -> tuple[int, tuple[int, tuple[tuple[int, int], ...], int]]:
+    """The trace constant (2i)^(w+1) (i sqrt N)^e / tau(conj chi),
+    e = m + n + 2, as the integer 2^(w+1) N^(e // 2), which a route folds
+    into its number, times the monomials of _trace_monomials, which it
+    keeps apart."""
     e = m + ctx.n + 2
-    top, monomials, constant_den = _trace_monomials(ctx.chi, level, (w + 1 + e) % 4, e % 2)
-    return _monomial_product(terms, order, num * 2 ** (w + 1) * level ** (e // 2), den * constant_den, monomials, top)
+    monomials = _trace_monomials(ctx.chi, ctx.level, (ctx.w + 1 + e) % 4, e % 2)
+    return 2 ** (ctx.w + 1) * ctx.level ** (e // 2), monomials
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -129,7 +129,8 @@ def _trace_monomials(
     chi: DirichletCharacter, level: int, quarter: int, odd: int
 ) -> tuple[int, tuple[tuple[int, int], ...], int]:
     """i^quarter chi(-1) tau(chi) sqrt(N)^odd / D as integer monomials over
-    one denominator, (L, ((t, c), ...), den), at L = lcm(4, ord chi, D), or
+    one denominator, (L, ((t, c), ...), den), the form of the constant a
+    cyclotomic._TimesConstant keeps apart, at L = lcm(4, ord chi, D), or
     lcm(4, ord chi, D, 4f) when sqrt(N) with squarefree part f > 1 enters.
     Since tau(chi) tau(conj chi) = chi(-1) D for primitive chi,
     1 / tau(conj chi) = chi(-1) tau(chi) / D: the trace constant needs no
@@ -188,12 +189,11 @@ def trace_from_periods(query: TraceQuery) -> ExactNumber:
     closed-form polynomial over 2(-1)^m C(w, m).  That polynomial keeps
     (2i)^(w+1) / tau(conj chi) apart as its constant factor (periods._prefactor,
     which still inverts the Gauss sum), so the coefficient is read in
-    Q(zeta_R) before it, and the trace constant, tau(chi) monomials with the
-    rational scale in their one division, is multiplied in as in
-    trace_closed_form."""
+    Q(zeta_R) before it, scaled by a rational, and the trace constant's
+    tau(chi) monomials are kept apart as in trace_closed_form: the two
+    routes meet in Q(zeta_R)."""
     ctx, m = query.ctx, query.m
     coeff = closed_form_polynomial(ctx).unscaled_coefficient(ctx.w - m)
-    coeff_den, terms = _monomials(coeff)
+    scale, constant = _trace_constant(ctx, m)
     # (-D)^(m+1) / (2 (-1)^m C(w, m)) = -D^(m+1) / (2 C(w, m))
-    num, den = -(ctx.modulus ** (m + 1)), coeff_den * 2 * math.comb(ctx.w, m)
-    return _times_trace_constant(ctx, m, terms, coeff.level, num, den)
+    return _TimesConstant(coeff * Fraction(-(ctx.modulus ** (m + 1)) * scale, 2 * math.comb(ctx.w, m)), constant)

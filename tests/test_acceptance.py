@@ -432,7 +432,7 @@ def test_criterion_12_order_66_family():
 
 
 def test_criterion_13_order_66_traces():
-    with criterion(13, "both trace routes on the D = 67, order-66, N = 1, w = 22 family", 10.0):
+    with criterion(13, "both trace routes on the D = 67, order-66, N = 1, w = 22 family", 3.0):
         chi = next(chi for chi in enumerate_primitive_characters(67) if chi.order == 66)
         trace_checks = 0
         for n in range(1, 22):
@@ -456,3 +456,26 @@ def test_criterion_14_large_modulus():
         assert report["routes_equal"] is True and report["traces_equal"] is True
         assert report["peak_rss_mb"] < 300, report
         print(f"  order-130 mod 131: peak RSS {report['peak_rss_mb']:.0f} MB", flush=True)
+
+
+def test_criterion_15_highest_order_characters():
+    with criterion(15, "case-sum oracle and trace cross-path, highest-order characters mod 53, 59, 61, 64", 5.0):
+        contexts = 0
+        trace_checks = 0
+        for modulus in (53, 59, 61, 64):
+            characters = enumerate_primitive_characters(modulus)
+            top = max(chi.order for chi in characters)
+            chi = next(chi for chi in characters if chi.order == top)
+            for level in (1, 2):
+                for n in range(1, 10):
+                    ctx = PeriodContext(level, 10, n, chi)
+                    label = (level, modulus, top, n)
+                    assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx), label
+                    contexts += 1
+                    for m in range(11):
+                        if ctx.parity_holds(m):
+                            query = TraceQuery(ctx, m)
+                            assert trace_closed_form(query) == trace_from_periods(query), (label, m)
+                            trace_checks += 1
+        assert (contexts, trace_checks) == (72, 392)
+        print(f"  highest orders: {contexts} contexts, {trace_checks} trace queries", flush=True)

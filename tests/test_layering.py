@@ -1,22 +1,22 @@
-"""Only the cyclotomic layer reads the coordinates of a field element or the
-factored form of a polynomial: every other module hands it rational lists
-and gets numbers or polynomials back.
+"""Only the cyclotomic layer reads the coordinates of a field element, the
+factored form of a polynomial or the kept-apart constant of a number: every
+other module hands it rational lists and gets numbers or polynomials back.
 And no module keeps a private helper that nothing in the package reads, and
 one base class alone makes values immutable."""
 
 import ast
 from pathlib import Path
 
-from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial
+from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, _TimesConstant
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "heckeperiods"
 
 # the coordinate view, the integer fields behind it and every private method
-# of ExactNumber, and the factored representation of ExactPolynomial (its
-# fields and private methods), whatever they are named
-INTERNALS = {"coords", *ExactNumber.__slots__, *ExactPolynomial.__slots__} - {"level"} | {
+# of ExactNumber, and the factored representations of ExactPolynomial and
+# _TimesConstant (their fields and private methods), whatever they are named
+INTERNALS = {"coords", *ExactNumber.__slots__, *ExactPolynomial.__slots__, *_TimesConstant.__slots__} - {"level"} | {
     name
-    for cls in (ExactNumber, ExactPolynomial)
+    for cls in (ExactNumber, ExactPolynomial, _TimesConstant)
     for name in vars(cls)
     if name.startswith("_") and not name.endswith("__")
 }

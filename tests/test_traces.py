@@ -7,12 +7,12 @@ from fractions import Fraction
 
 import pytest
 
-from heckeperiods import periods, traces
+from heckeperiods import cli, cyclotomic, periods, traces
 from heckeperiods.bernoulli import _weighted_coordinates
-from heckeperiods.characters import enumerate_primitive_characters, gauss_sum
+from heckeperiods.characters import enumerate_primitive_characters, gauss_sum, kronecker_character
 from heckeperiods.cyclotomic import (
     ExactNumber,
-    _monomials,
+    _TimesConstant,
     euler_phi,
     recognize_surd,
     sqrt_integer,
@@ -149,9 +149,10 @@ def _dense_trace_constant(inverse_gauss_sum, level, w, e):
 
 
 def test_sparse_trace_constant_equals_its_dense_definition():
-    # the tau(chi) monomials of the trace constant, against the constant
-    # built with the Gauss-sum inverse, for zero, rational and dense numbers
-    # of Q(zeta_R); odd e brings in sqrt 2, sqrt 3, sqrt 5 and sqrt 6
+    # the tau(chi) monomials of the trace constant, kept apart and expanded
+    # on the first read, against the constant built with the Gauss-sum
+    # inverse, for zero, rational and dense numbers of Q(zeta_R); odd e
+    # brings in sqrt 2, sqrt 3, sqrt 5 and sqrt 6
     rng = random.Random(20211)
     w = 10
     checked = 0
@@ -177,9 +178,10 @@ def test_sparse_trace_constant_equals_its_dense_definition():
                         else:
                             coords = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(euler_phi(order))]
                             x = ExactNumber(order, coords)
-                        den, terms = _monomials(x)
-                        sparse = traces._times_trace_constant(ctx, m, terms, order, 1, den)
+                        scale, constant = traces._trace_constant(ctx, m)
+                        sparse = _TimesConstant(x * scale, constant)
                         dense = x * constants[e]
+                        assert sparse.is_zero() == x.is_zero(), (d, level, n, m)
                         # at one level, == compares the lowest-terms integer
                         # fields that to_json prints; print the dense ones
                         assert sparse.level == dense.level and sparse == dense, (d, level, n, m)
@@ -227,6 +229,97 @@ def test_trace_routes_make_no_product_at_the_constant_level(monkeypatch):
             values.append((trace_closed_form(q), trace_from_periods(q)))
     assert values and all(a == b and a.level == top for a, b in values)
     assert top not in levels
+
+
+def _counting_expansions(monkeypatch) -> list:
+    """Record the level of every expansion of a kept-apart constant."""
+    levels = []
+    expand = cyclotomic._expand
+
+    def counting(part, constant):
+        levels.append(constant[0])
+        return expand(part, constant)
+
+    monkeypatch.setattr(cyclotomic, "_expand", counting)
+    return levels
+
+
+def test_trace_routes_compare_in_the_character_field(monkeypatch):
+    # the two routes keep the trace constant apart and compare their numbers
+    # in Q(zeta_R): on fresh contexts at D = 23, once the polynomial (and its
+    # factor) is built, no fold runs above R, for the odd order-22 and the
+    # even order-11 character, at N = 1 and at N = 2, where sqrt 2 enters the
+    # even one's constant
+    characters = enumerate_primitive_characters(23)
+    sqrt_two_seen = False
+    for order in (22, 11):
+        chi = next(chi for chi in characters if chi.order == order)
+        for level in (1, 2):
+            closed_form_polynomial.cache_clear()
+            traces._trace_monomials.cache_clear()
+            traces._double_sum_polynomials.cache_clear()
+            ctx = PeriodContext(level, 10, 3, chi)
+            closed_form_polynomial(ctx)
+            folds = []
+            fold = cyclotomic._fold
+
+            def recording(values, at):
+                folds.append(at)
+                return fold(values, at)
+
+            monkeypatch.setattr(cyclotomic, "_fold", recording)
+            expansions = _counting_expansions(monkeypatch)
+            queries = [TraceQuery(ctx, m) for m in range(11) if ctx.parity_holds(m)]
+            for q in queries:
+                assert trace_closed_form(q) == trace_from_periods(q), (order, level, q.m)
+            assert queries and folds and max(folds) <= order, (order, level, sorted(set(folds)))
+            assert not expansions
+            monkeypatch.undo()
+            sqrt_two_seen |= any(trace_closed_form(q).level % 8 == 0 for q in queries)
+    assert sqrt_two_seen
+
+
+def test_a_trace_is_an_exact_number(chi3, chi5):
+    # a kept-apart trace equals the plain number read back from its JSON,
+    # from either side of ==, whichever route made it, and differs from
+    # that number plus 1
+    quartic = next(chi for chi in enumerate_primitive_characters(5) if chi.order == 4)
+    checked = 0
+    for chi, level, n in ((chi3, 1, 1), (chi5, 2, 2), (quartic, 2, 3), (chi3, 3, 9)):
+        ctx = PeriodContext(level, 10, n, chi)
+        for m in range(11):
+            if not ctx.parity_holds(m):
+                continue
+            q = TraceQuery(ctx, m)
+            plain = ExactNumber.from_json(trace_closed_form(q).to_json())
+            for route in (trace_closed_form, trace_from_periods):
+                assert isinstance(route(q), ExactNumber)
+                assert route(q) == plain and plain == route(q), (chi, level, n, m)
+                assert route(q) != plain + 1 and plain + 1 != route(q), (chi, level, n, m)
+                assert route(q).to_json() == plain.to_json()
+            checked += 1
+    assert checked == 20
+
+
+def test_zero_test_of_a_trace_reads_its_character_field_part(monkeypatch):
+    # S_14(SL_2(Z)) = 0, so every trace at level 1, weight 14 is an exact
+    # zero; deciding so expands nothing, nor does deciding a nonzero trace
+    expansions = _counting_expansions(monkeypatch)
+    ctx = PeriodContext(1, 12, 1, kronecker_character(-3))
+    for m in (1, 5, 11):
+        q = TraceQuery(ctx, m)
+        assert trace_closed_form(q).is_zero() and trace_from_periods(q).is_zero(), m
+    assert not trace_closed_form(TraceQuery(PeriodContext(1, 10, 1, kronecker_character(-3)), 1)).is_zero()
+    assert not expansions
+
+
+@pytest.mark.parametrize("form", ["json", "text"])
+def test_a_trace_request_expands_once(monkeypatch, capsys, form):
+    expansions = _counting_expansions(monkeypatch)
+    argv = ["trace", "--level", "2", "--weight", "12", "--character", "kronecker:5", "--m", "1", "--n", "2"]
+    assert cli.main(argv + ["--format", form]) == 0
+    assert capsys.readouterr().out
+    assert len(expansions) == 1
 
 
 def test_trace_closed_form_builds_no_weighted_polynomial():
