@@ -395,8 +395,7 @@ _NUMERIC_DEFAULTS = {"character": "kronecker:-3", "n": 1, "m": 1}
 
 
 def cmd_verify_numeric(args) -> int:
-    if args.check != "trace" and (args.level, args.weight) != (1, 12):
-        # the trace check refuses other spaces in verify_trace_numeric
+    if (args.level, args.weight) != (1, 12):
         raise ContextError(f"the {args.check} check covers level 1, weight 12 (Delta) only")
     for flag, default in _NUMERIC_DEFAULTS.items():
         if getattr(args, flag) is None:
@@ -560,10 +559,7 @@ def main(argv=None) -> int:
         # so the interpreter's final flush does not fail again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except ParityError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ZeroDivisionError as exc:
+    except (ParityError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (CharacterError, ContextError, FixtureError) as exc:

@@ -12,7 +12,8 @@ different levels (rationals, character values, Gauss sums, i) mix freely.
 A number is read back as a rational surd a + b*sqrt(d) from one Galois
 conjugate at its own level (``recognize_surd``).  A number of a small field
 times a large constant, given as integer monomials, keeps the constant
-apart (``_TimesConstant``) until its coordinates are read.
+apart (``_TimesConstant``) until its coordinates are read, and so does
+a polynomial (``ExactPolynomial``), coefficient by coefficient.
 
 Everything here is immutable and pure; the reduction tables are built
 only at squarefree levels, whole on first use, and only read afterwards:
@@ -30,6 +31,10 @@ from typing import Callable, Iterable, Optional, Sequence
 
 # the bound of every memo in the package
 _MEMO_SIZE = 1024
+
+# a nonzero constant kept apart, as integer monomials over one denominator:
+# (level, ((t, c), ...), den) for sum_t c/den * zeta_level**t
+_Monomials = tuple[int, tuple[tuple[int, int], ...], int]
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +482,10 @@ class ExactNumber(_Frozen):
         return sum((n / den * cmath.exp(2j * cmath.pi * j / level) for j, n in enumerate(self._nums) if n), 0j)
 
     def to_json(self) -> dict:
-        return {"level": self.level, "coords": [_fmt_rational(c) for c in self.coords]}
+        # each coordinate in lowest terms, printed as _fmt_rational prints it
+        den = self._den
+        coords = [str(n // g) if (g := math.gcd(n, den)) == den else f"{n // g}/{den // g}" for n in self._nums]
+        return {"level": self.level, "coords": coords}
 
     @classmethod
     def from_json(cls, data: dict) -> "ExactNumber":
@@ -494,9 +502,8 @@ class _TimesConstant(ExactNumber):
     caller, whose coordinates are made on their first read.
 
     The part is a number of a small field (Q(zeta_R) on the period and trace
-    routes) and the constant a nonzero number given as integer monomials,
-    (level, ((t, c), ...), den) for sum_t c/den * zeta_level**t.  The level
-    is their common one.  The coordinates (_den, _nums) stay unset: the
+    routes) and the constant a nonzero number given as _Monomials.  The
+    level is their common one.  The coordinates (_den, _nums) stay unset: the
     first read of either finds them missing and expands the product once
     (_expand).  Since the constant is nonzero, is_zero reads the part, and
     two such numbers with equal constants compare their parts; any other
@@ -504,7 +511,7 @@ class _TimesConstant(ExactNumber):
 
     __slots__ = ("_part", "_constant")
 
-    def __init__(self, part: ExactNumber, constant: tuple[int, tuple[tuple[int, int], ...], int]):
+    def __init__(self, part: ExactNumber, constant: _Monomials):
         object.__setattr__(self, "level", math.lcm(part.level, constant[0]))
         object.__setattr__(self, "_part", part)
         object.__setattr__(self, "_constant", constant)
@@ -529,7 +536,7 @@ class _TimesConstant(ExactNumber):
         return ExactNumber.__eq__(self, other)
 
 
-def _expand(part: ExactNumber, constant: tuple[int, tuple[tuple[int, int], ...], int]) -> ExactNumber:
+def _expand(part: ExactNumber, constant: _Monomials) -> ExactNumber:
     """part times a constant given as monomials (level, ((t, c), ...), den),
     at their common level M: every product of a nonzero term of part and a
     monomial adds into one integer list per power of zeta_M, which is
@@ -540,7 +547,7 @@ def _expand(part: ExactNumber, constant: tuple[int, tuple[tuple[int, int], ...],
     if top != level:
         monomials = [(t * (top // level), c) for t, c in monomials]
     step = top // part.level
-    part_den, terms = _monomials(part)
+    _, terms, part_den = _monomials(part)
     out = [0] * top
     for j, x in terms:
         base = j * step
@@ -854,45 +861,39 @@ class ExactPolynomial(_Frozen):
     period and Bernoulli routes; it has no ring arithmetic, only a scalar
     product.
 
-    Internally ascending coefficients times one nonzero constant factor,
-    kept apart (None for 1): the period routes hold their coefficients in
-    Q(zeta_R) and the shared constant at its own, much larger level.  Every
-    public view reads a coefficient as a _TimesConstant, the factor still
-    apart until its coordinates are read; the `coefficients` view is
-    degree-descending with a nonzero leading coefficient (empty for the
-    zero polynomial).
+    Internally ascending coefficients times one nonzero constant, kept
+    apart as the integer monomials a _TimesConstant takes (None for 1): the
+    period routes hold their coefficients in Q(zeta_R) and the shared
+    constant at its own, much larger level.  Every public view reads a
+    coefficient as a _TimesConstant, the constant still apart until its
+    coordinates are read; the `coefficients` view is degree-descending with
+    a nonzero leading coefficient (empty for the zero polynomial).
     """
 
-    __slots__ = ("_asc", "_factor")
+    __slots__ = ("_asc", "_constant")
 
     def __init__(self, ascending: Iterable):
         coeffs = [c if isinstance(c, ExactNumber) else ExactNumber.from_rational(c) for c in ascending]
         while coeffs and coeffs[-1].is_zero():
             coeffs.pop()
         object.__setattr__(self, "_asc", tuple(coeffs))
-        object.__setattr__(self, "_factor", None)
+        object.__setattr__(self, "_constant", None)
 
     @classmethod
-    def _make(cls, ascending: Iterable, factor: ExactNumber) -> "ExactPolynomial":
-        """factor * sum_k ascending[k] * x**k, for a nonzero factor, which is
-        kept apart."""
+    def _make(cls, ascending: Iterable, constant: Optional[_Monomials]) -> "ExactPolynomial":
+        """constant * sum_k ascending[k] * x**k, for a nonzero constant given
+        as monomials (None for 1), which is kept apart."""
         self = cls(ascending)
-        object.__setattr__(self, "_factor", factor)
+        object.__setattr__(self, "_constant", constant)
         return self
 
     # -- views
 
     def _expanded(self) -> tuple:
-        """The ascending coefficients times the factor, kept apart."""
-        if self._factor is None:
+        """The ascending coefficients times the constant, kept apart."""
+        if self._constant is None:
             return self._asc
-        constant = self._constant()
-        return tuple(_TimesConstant(c, constant) for c in self._asc)
-
-    def _constant(self) -> tuple[int, tuple[tuple[int, int], ...], int]:
-        """The factor as the monomials a _TimesConstant keeps apart."""
-        den, monomials = _monomials(self._factor)
-        return self._factor.level, monomials, den
+        return tuple(_TimesConstant(c, self._constant) for c in self._asc)
 
     @property
     def coefficients(self) -> tuple:
@@ -907,35 +908,37 @@ class ExactPolynomial(_Frozen):
 
     def coefficient(self, k: int) -> ExactNumber:
         """Coefficient of x**k."""
-        if 0 <= k < len(self._asc) and self._factor is not None:
-            return _TimesConstant(self._asc[k], self._constant())
+        if 0 <= k < len(self._asc) and self._constant is not None:
+            return _TimesConstant(self._asc[k], self._constant)
         return self.unscaled_coefficient(k)
 
     def unscaled_coefficient(self, k: int) -> ExactNumber:
-        """Coefficient of x**k before the constant factor: what a caller
-        that already holds a multiple of that factor multiplies by."""
+        """Coefficient of x**k before the constant: what a caller that
+        already holds a multiple of that constant multiplies by."""
         if 0 <= k < len(self._asc):
             return self._asc[k]
         return ExactNumber.zero()
 
     def scale(self, factor) -> "ExactPolynomial":
-        """The polynomial times a rational or ExactNumber: one product, into
-        the constant factor."""
-        if _is_zero(factor):
+        """The polynomial times a rational or ExactNumber, taken into the
+        constant's monomials by one _expand: no product at its level."""
+        factor = ExactNumber._coerce(factor)
+        if factor is NotImplemented:
+            raise TypeError("a polynomial scales by a rational or an ExactNumber")
+        if factor.is_zero():
             return ExactPolynomial([])
-        kept = ExactNumber.one() if self._factor is None else self._factor
-        return ExactPolynomial._make(self._asc, kept * factor)
+        kept = factor if self._constant is None else _expand(factor, self._constant)
+        return ExactPolynomial._make(self._asc, _monomials(kept))
 
     def __eq__(self, other):
-        """Equal factors (as numbers) compare the coefficients before the
-        factor, so two routes that share a constant compare below its level;
+        """Equal constants (as monomials) compare the coefficients before
+        the constant, so two routes that share one compare below its level;
         anything else compares expanded coefficients."""
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
         if len(self._asc) != len(other._asc):
             return False
-        f, g = self._factor, other._factor
-        if f is g or (f is not None and g is not None and f == g):
+        if self._constant is other._constant or self._constant == other._constant:
             return self._asc == other._asc
         return self._expanded() == other._expanded()
 
@@ -960,21 +963,21 @@ def _bucket_sum(nums: Sequence[int], order: int, den: int = 1) -> ExactNumber:
     return ExactNumber._make(order, den, _fold(nums, order))
 
 
-def _monomials(x: ExactNumber) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """x as integer monomials over one denominator: (den, ((j, numerator), ...))
-    with x = sum numerator/den * zeta_level**j over its nonzero coordinates."""
-    return x._den, tuple((j, n) for j, n in enumerate(x._nums) if n)
+def _monomials(x: ExactNumber) -> _Monomials:
+    """x as the _Monomials of its nonzero coordinates: (level, ((j, num),
+    ...), den) with x = sum num/den * zeta_level**j."""
+    return x.level, tuple((j, n) for j, n in enumerate(x._nums) if n), x._den
 
 
 def _bucket_poly(
-    buckets: Sequence[Sequence[int]], order: int, den: int = 1, factor: Optional[ExactNumber] = None
+    buckets: Sequence[Sequence[int]], order: int, den: int = 1, constant: Optional[_Monomials] = None
 ) -> ExactPolynomial:
-    """factor * sum_e buckets[e](x)/den * zeta_order**e, each coefficient the
-    _bucket_sum of the ascending integer polynomials of the exponent classes,
-    and a nonzero factor kept apart, not multiplied in."""
+    """constant * sum_e buckets[e](x)/den * zeta_order**e, each coefficient
+    the _bucket_sum of the ascending integer polynomials of the exponent
+    classes, and a nonzero constant (_Monomials) kept apart."""
     top = max((len(b) for b in buckets), default=0)
     coeffs = [_bucket_sum([b[i] if i < len(b) else 0 for b in buckets], order, den) for i in range(top)]
-    return ExactPolynomial(coeffs) if factor is None else ExactPolynomial._make(coeffs, factor)
+    return ExactPolynomial._make(coeffs, constant)
 
 
 def _cleared(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, list[list[int]]]:

@@ -13,11 +13,11 @@ Two independent routes are implemented for the polynomial
   of a, c and the translated row entries), weighted by conj(chi)(h)/tau.
 
 The two must agree exactly on every valid context; that equality is the
-module's central oracle.  Both keep the common prefactor as a constant
-factor of the polynomial, and since it is nonzero and shared, the equality
-is decided on their coefficients in Q(zeta_R), R = ord chi.  Individual
-twisted periods are recovered from polynomial coefficients when the parity
-(-1)^(m+n+1)chi(-1) = 1 admits them.
+module's central oracle.  Both keep the common prefactor apart, as the
+polynomial's constant in the monomials a trace keeps its own in, and since
+it is nonzero and shared, the equality is decided in Q(zeta_R), R = ord
+chi.  Individual twisted periods are recovered from polynomial coefficients
+when the parity (-1)^(m+n+1)chi(-1) = 1 admits them.
 
 Both routes expand quadruple terms, each with its own walk and its own
 terms, by packed sums: a term is one big integer at X = 2**(8 * width)
@@ -48,6 +48,8 @@ from .cyclotomic import (
     _bucket_poly,
     _cleared,
     _Frozen,
+    _monomials,
+    _Monomials,
     _signed_digits,
     factorize,
 )
@@ -211,10 +213,10 @@ def _two_i_power(exponent: int) -> ExactNumber:
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _prefactor(chibar: DirichletCharacter, w: int) -> ExactNumber:
-    """(2i)^(w+1) / tau(conj chi): the common factor of both routes and the
-    trace, computed once per character and weight."""
-    return _two_i_power(w + 1) * gauss_sum(chibar).inverse()
+def _prefactor(chibar: DirichletCharacter, w: int) -> _Monomials:
+    """(2i)^(w+1) / tau(conj chi) as monomials: the constant both routes
+    keep apart, computed once per character and weight."""
+    return _monomials(_two_i_power(w + 1) * gauss_sum(chibar).inverse())
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -224,8 +226,8 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     Everything is added as integers per power of zeta_R (R = ord chi) over
     one context denominator and divided once per bucket coefficient: chi(-N)
     and chi(-1) rotate the exponent of a Bernoulli term's coordinates.  The
-    prefactor stays the polynomial's constant factor, so the coefficients
-    live in Q(zeta_R) until they are read.
+    prefactor stays the polynomial's constant, so the coefficients live in
+    Q(zeta_R) until they are read.
     """
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d, level = ctx.modulus, ctx.level
@@ -407,14 +409,13 @@ def case_contribution(j: int, h: int, ctx: PeriodContext) -> ExactPolynomial:
 
 
 def _residue_polynomial(ctx: PeriodContext, h: int, cases: Iterable[int]) -> ExactPolynomial:
-    """(2i)^(w+1) times the sum of the given cases at residue h: the one
-    class [h]."""
+    """(2i)^(w+1), kept apart, times the sum of the given cases at residue
+    h: the one class [h]."""
     d = ctx.modulus
     if math.gcd(h, d) != 1:
         raise ContextError(f"residue {h} is not coprime to {d}")
-    den, (coeffs,) = _case_buckets(ctx, [[h % d]], cases)
-    factor = _two_i_power(ctx.w + 1)
-    return ExactPolynomial([factor * Fraction(c, den) for c in coeffs])
+    den, buckets = _case_buckets(ctx, [[h % d]], cases)
+    return _bucket_poly(buckets, 1, den, _monomials(_two_i_power(ctx.w + 1)))
 
 
 def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:

@@ -43,6 +43,7 @@ from .cyclotomic import (
     _cleared,
     _Frozen,
     _monomials,
+    _Monomials,
     _signed_digits,
     _TimesConstant,
     sqrt_positive_integer,
@@ -114,7 +115,7 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
     return _TimesConstant(part, constant)
 
 
-def _trace_constant(ctx: PeriodContext, m: int) -> tuple[int, tuple[int, tuple[tuple[int, int], ...], int]]:
+def _trace_constant(ctx: PeriodContext, m: int) -> tuple[int, _Monomials]:
     """The trace constant (2i)^(w+1) (i sqrt N)^e / tau(conj chi),
     e = m + n + 2, as the integer 2^(w+1) N^(e // 2), which a route folds
     into its number, times the monomials of _trace_monomials, which it
@@ -125,9 +126,7 @@ def _trace_constant(ctx: PeriodContext, m: int) -> tuple[int, tuple[int, tuple[t
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
-def _trace_monomials(
-    chi: DirichletCharacter, level: int, quarter: int, odd: int
-) -> tuple[int, tuple[tuple[int, int], ...], int]:
+def _trace_monomials(chi: DirichletCharacter, level: int, quarter: int, odd: int) -> _Monomials:
     """i^quarter chi(-1) tau(chi) sqrt(N)^odd / D as integer monomials over
     one denominator, (L, ((t, c), ...), den), the form of the constant a
     cyclotomic._TimesConstant keeps apart, at L = lcm(4, ord chi, D), or
@@ -138,7 +137,7 @@ def _trace_monomials(
     factored."""
     tau_level, counts = _gauss_counts(chi)
     root = sqrt_positive_integer(level) if odd else ExactNumber.one()
-    root_den, root_terms = _monomials(root)
+    _, root_terms, root_den = _monomials(root)
     top = math.lcm(4, tau_level, root.level)
     tau_step, root_step = top // tau_level, top // root.level
     rotation = quarter * (top // 4)
@@ -187,8 +186,8 @@ def trace_from_periods(query: TraceQuery) -> ExactNumber:
     """The trace as (-D)^(m+1) (i sqrt N)^(m+n+2) r_{m,chi}(R_n); must equal
     trace_closed_form exactly.  The period is the X^(w-m) coefficient of the
     closed-form polynomial over 2(-1)^m C(w, m).  That polynomial keeps
-    (2i)^(w+1) / tau(conj chi) apart as its constant factor (periods._prefactor,
-    which still inverts the Gauss sum), so the coefficient is read in
+    (2i)^(w+1) / tau(conj chi) apart as monomials (periods._prefactor, still
+    read off the Gauss-sum inverse), so the coefficient is read in
     Q(zeta_R) before it, scaled by a rational, and the trace constant's
     tau(chi) monomials are kept apart as in trace_closed_form: the two
     routes meet in Q(zeta_R)."""

@@ -387,6 +387,9 @@ def test_validation_error_exit_code(capsys):
         ("verify-numeric", "--check", "petersson", "--n", "1"),
         ("verify-numeric", "--check", "petersson", "--m", "1"),
         ("verify-numeric", "--check", "twisted", "--m", "1", "--n", "9"),
+        # refused for the space before the parity of the default m is read
+        ("verify-numeric", "--check", "trace", "--level", "2", "--weight", "8",
+         "--character", "kronecker:5"),
     ],
 )
 def test_bad_requests_exit_two(capsys, argv):

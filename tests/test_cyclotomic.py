@@ -677,10 +677,12 @@ def test_polynomial_scale_is_the_coefficient_wise_product():
         assert scaled.coefficient(1).to_json() == expected.coefficient(1).to_json()
         assert scaled.coefficient(5).is_zero()
         assert scaled.to_json() == expected.to_json()
-    # a second scale multiplies the kept factor
+    # a second scale folds into the kept constant
     assert p.scale(unit).scale(Fraction(-5, 7)) == ExactPolynomial([c * unit * Fraction(-5, 7) for c in ascending])
-    # equal factors compare the coefficients before the factor
+    # equal constants compare the coefficients before the constant
     assert p.scale(unit) == ExactPolynomial(list(ascending)).scale(unit)
     assert p.scale(unit) != ExactPolynomial(ascending[:2] + [ascending[2] * 2]).scale(unit)
-    with pytest.raises(TypeError):
-        p.scale(1.5)
+    # refused at the call, not at the first read of a coefficient
+    for factor in (1.5, QuadSurd(1, 1, 5)):
+        with pytest.raises(TypeError):
+            p.scale(factor)

@@ -11,7 +11,7 @@ import math
 from heckeperiods import periods
 from heckeperiods.bernoulli import generalized_bernoulli_number, generalized_bernoulli_poly
 from heckeperiods.characters import enumerate_primitive_characters, gauss_sum
-from heckeperiods.cyclotomic import sqrt_integer
+from heckeperiods.cyclotomic import ExactNumber, _expand, sqrt_integer
 from heckeperiods.periods import (
     PeriodContext,
     case_contribution,
@@ -76,18 +76,19 @@ def high_level_values():
 
 # sha256 of wide_values(), the same way: the highest-order character at
 # D = 41, 43, 47 and 67, w = 22, where the quadruple sums pack the widest
-# digits.  Both routes keep the shared constant _prefactor(conj chi, w) apart,
-# so it is hashed once per character and each polynomial by its coefficients
-# before it (unscaled_coefficient; positions past the degree read a level-1
-# zero, so the degree is hashed too): the same information as their to_json(),
-# without expanding 48 polynomials at levels up to 8844
+# digits.  Both routes keep the shared constant _prefactor(conj chi, w) apart
+# as monomials, so it is hashed once per character, expanded to the number it
+# stands for, and each polynomial by its coefficients before it
+# (unscaled_coefficient; positions past the degree read a level-1 zero, so the
+# degree is hashed too): the same information as their to_json(), without
+# expanding 48 polynomials at levels up to 8844
 WIDE_SHA256 = "34c0de640f29524672bea8b98882caf5fd7b980789c5a490d7815f8f9ed8c528"
 
 
 def wide_values():
     for d in (41, 43, 47, 67):
         chi = max(enumerate_primitive_characters(d), key=lambda c: c.order)
-        yield periods._prefactor(chi.conjugate(), 22)
+        yield _expand(ExactNumber.one(), periods._prefactor(chi.conjugate(), 22))
         for level in (1, 2):
             for n in (1, 11, 21):
                 ctx = PeriodContext(level, 22, n, chi)

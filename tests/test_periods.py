@@ -14,7 +14,7 @@ from heckeperiods.characters import (
     kronecker_character,
 )
 from heckeperiods import periods
-from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, sqrt_integer, sqrt_positive_integer
+from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, _expand, sqrt_integer, sqrt_positive_integer
 from heckeperiods.periods import (
     ContextError,
     FareyQuadruple,
@@ -221,7 +221,8 @@ def test_closed_form_equals_its_expanded_coefficients():
         assert poly == expanded and expanded == poly
         assert case_sum_polynomial(ctx) == expanded and expanded == case_sum_polynomial(ctx)
         k = poly.degree()
-        assert poly.coefficient(k) == poly.unscaled_coefficient(k) * periods._prefactor(ctx.chi.conjugate(), ctx.w)
+        prefactor = _expand(ExactNumber.one(), periods._prefactor(ctx.chi.conjugate(), ctx.w))
+        assert poly.coefficient(k) == poly.unscaled_coefficient(k) * prefactor
         changed = ExactPolynomial([*reversed(poly.coefficients[1:]), poly.coefficients[0] * 2])
         assert poly != changed and changed != poly
 
@@ -253,24 +254,52 @@ def test_routes_compare_below_the_prefactor_level(monkeypatch):
 
 
 def test_factor_product_equals_the_dense_product():
-    # a coefficient meets the kept-apart factor as monomials in one fold:
-    # the same number, at the same level, as c * factor; sqrt(N) brings in
-    # the levels 8, 12 and 20, and zeta_4 a factor whose level R does not
-    # divide
-    polys = [ExactPolynomial([ExactNumber.zeta(3), 0, Fraction(2, 3)]).scale(ExactNumber.zeta(4))]
+    # a coefficient meets the kept-apart constant as monomials in one fold:
+    # the same number, at the same level, as c * factor, the factor built
+    # here by field arithmetic; sqrt(N) brings in the levels 8, 12 and 20,
+    # and zeta_4 a factor whose level R does not divide
+    two_i = (ExactNumber.zeta(4) * 2) ** 11
+    polys = [(ExactPolynomial([ExactNumber.zeta(3), 0, Fraction(2, 3)]).scale(ExactNumber.zeta(4)), ExactNumber.zeta(4))]
     for d in (3, 5, 7, 13):
         for chi in enumerate_primitive_characters(d):
+            prefactor = two_i * gauss_sum(chi.conjugate()).inverse()
             for level in (1, 2, 3, 5):
+                root = sqrt_positive_integer(level)
                 for n in (1, 2):
                     poly = closed_form_polynomial(PeriodContext(level, 10, n, chi))
-                    polys += [poly, poly.scale(sqrt_positive_integer(level))]
-    for poly in polys:
-        factor = poly._factor
+                    polys += [(poly, prefactor), (poly.scale(root), prefactor * root)]
+    for poly, factor in polys:
         expanded = poly.coefficients[::-1]
         for k in range(poly.degree() + 1):
             dense = poly.unscaled_coefficient(k) * factor
             for c in (poly.coefficient(k), expanded[k]):
                 assert c == dense and c.to_json() == dense.to_json(), k
+
+
+def test_scale_folds_into_the_constant_without_a_product(monkeypatch):
+    # scale takes a rational or sqrt(N) into the kept-apart constant's
+    # monomials in one fold: no ExactNumber product at the constant's level
+    # lcm(4, R, D), and the same polynomial as the dense product
+    chi = next(chi for chi in enumerate_primitive_characters(23) if chi.order == 22)
+    poly = closed_form_polynomial(PeriodContext(1, 10, 3, chi))
+    top = math.lcm(4, 22, 23)
+    factors = (Fraction(-5, 7), sqrt_positive_integer(2), sqrt_positive_integer(12))
+    levels = []
+    mul = ExactNumber.__mul__
+
+    def counting(self, other):
+        levels.append(math.lcm(self.level, getattr(other, "level", 1)))
+        return mul(self, other)
+
+    monkeypatch.setattr(ExactNumber, "__mul__", counting)
+    monkeypatch.setattr(ExactNumber, "__rmul__", counting)
+    scaled = [poly.scale(x) for x in factors]
+    assert all(level % top for level in levels), levels
+    monkeypatch.undo()
+    for x, got in zip(factors, scaled):
+        dense = ExactPolynomial([c * x for c in reversed(poly.coefficients)])
+        assert got == dense and dense == got
+        assert got.to_json() == dense.to_json()
 
 
 def test_case_gating(chi3):

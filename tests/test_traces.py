@@ -193,14 +193,16 @@ def test_sparse_trace_constant_equals_its_dense_definition():
 
 
 def test_prefactor_is_the_gauss_sum_over_the_modulus():
-    # 1/tau(conj chi) = chi(-1) tau(chi)/D: the polynomial's kept-apart factor
-    # (the inverse form) and the trace constant (the tau(chi) form) agree
+    # 1/tau(conj chi) = chi(-1) tau(chi)/D: the polynomial's kept-apart
+    # constant (read off the inverse), expanded here, and the trace constant
+    # (the tau(chi) form) agree
     w = 10
     two_i = (ExactNumber.zeta(4) * 2) ** (w + 1)
     for d in range(3, 31):
         for chi in enumerate_primitive_characters(d):
             expected = two_i * gauss_sum(chi) * Fraction(chi.sign_at_minus_one(), d)
-            assert periods._prefactor(chi.conjugate(), w) == expected, (d, chi.order)
+            prefactor = cyclotomic._expand(ExactNumber.one(), periods._prefactor(chi.conjugate(), w))
+            assert prefactor == expected, (d, chi.order)
 
 
 def test_trace_routes_make_no_product_at_the_constant_level(monkeypatch):
@@ -208,7 +210,7 @@ def test_trace_routes_make_no_product_at_the_constant_level(monkeypatch):
     # of the trace constant: on a fresh context no ExactNumber product
     # reaches its level lcm(4, R, D)
     chi = next(chi for chi in enumerate_primitive_characters(23) if chi.order == 22)
-    periods._prefactor(chi.conjugate(), 10)  # the polynomial's factor, built once
+    periods._prefactor(chi.conjugate(), 10)  # the polynomial's constant, built once
     closed_form_polynomial.cache_clear()
     traces._trace_monomials.cache_clear()
     ctx = PeriodContext(1, 10, 3, chi)
