@@ -537,23 +537,31 @@ class _TimesConstant(ExactNumber):
 
 
 def _expand(part: ExactNumber, constant: _Monomials) -> ExactNumber:
-    """part times a constant given as monomials (level, ((t, c), ...), den),
-    at their common level M: every product of a nonzero term of part and a
-    monomial adds into one integer list per power of zeta_M, which is
-    folded once, with no lift of part and no dense product at the
-    constant's level.  The one expansion of a kept-apart constant."""
-    level, monomials, den = constant
-    top = math.lcm(part.level, level)
-    if top != level:
-        monomials = [(t * (top // level), c) for t, c in monomials]
-    step = top // part.level
-    _, terms, part_den = _monomials(part)
+    """part times a constant given as monomials, at their common level M:
+    the _monomial_product of part's nonzero terms and the constant, folded
+    once, with no lift of part and no dense product at the constant's
+    level.  The one expansion of a kept-apart constant."""
+    level, terms, den = _monomial_product(_monomials(part), constant)
+    out = [0] * level
+    for t, c in terms:
+        out[t] = c
+    return _bucket_sum(out, level, den)
+
+
+def _monomial_product(a: _Monomials, b: _Monomials) -> _Monomials:
+    """a times b at the lcm of their levels, left unreduced: each pair of
+    terms adds into one integer per power of zeta_lcm, and the powers with
+    a nonzero sum are the product's monomials, with no fold.  How a
+    kept-apart constant is built from its factors, and expanded."""
+    (level_a, terms_a, den_a), (level_b, terms_b, den_b) = a, b
+    top = math.lcm(level_a, level_b)
+    step_a, step_b = top // level_a, top // level_b
     out = [0] * top
-    for j, x in terms:
-        base = j * step
-        for t, c in monomials:
-            out[(base + t) % top] += x * c
-    return _bucket_sum(out, top, part_den * den)
+    for s, x in terms_a:
+        base = s * step_a
+        for t, c in terms_b:
+            out[(base + t * step_b) % top] += x * c
+    return top, tuple((t, c) for t, c in enumerate(out) if c), den_a * den_b
 
 
 def _store(number: ExactNumber, level: int, den: int, nums: Sequence[int]) -> None:
@@ -823,9 +831,11 @@ def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
     possible; None when x is not such a surd.
 
     One Galois conjugate decides.  Any sigma_c that moves a surd negates
-    sqrt(d), so take the first unit c of x's own level, counting from -1,
-    with sigma_c(x) != x: x is a surd exactly when a = (x + sigma_c x)/2 is
-    rational and q = (x - a)**2 = b**2 d is a positive rational.  Then d is
+    sqrt(d), so take the first unit c of x's own level with sigma_c(x) !=
+    x, counting from 2 up to level - 1 (sigma_{-1}, which fixes every real
+    number), or from -1 when x is numerically non-real: x is a surd
+    exactly when a = (x + sigma_c x)/2 is rational and q = (x - a)**2 =
+    b**2 d is a positive rational.  Then d is
     the one squarefree divisor of the level with q*d a rational square
     (sqrt(d) lies in Q(zeta_level), so d divides the level), found by
     integer square roots without factoring q.  One exact comparison of
@@ -833,7 +843,11 @@ def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
     if x.is_rational():
         return QuadSurd(x.rational_value(), 0, 1)
     level = x.level
-    units = (c for c in range(-1, level) if c != 1 and math.gcd(c, level) == 1)
+    # x's direction, scaled so that no coordinate overflows a float
+    top = max(map(abs, x._nums))
+    z = sum(n / top * cmath.exp(2j * cmath.pi * j / level) for j, n in enumerate(x._nums) if n)
+    candidates = range(2, level) if abs(z.imag) <= 1e-9 * abs(z) else (-1, *range(2, level - 1))
+    units = (c for c in candidates if math.gcd(c, level) == 1)
     image = next(y for c in units if (y := x.galois(c)) != x)
     half_trace = (x + image) * Fraction(1, 2)
     if not half_trace.is_rational():

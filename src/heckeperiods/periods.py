@@ -16,8 +16,11 @@ The two must agree exactly on every valid context; that equality is the
 module's central oracle.  Both keep the common prefactor apart, as the
 polynomial's constant in the monomials a trace keeps its own in, and since
 it is nonzero and shared, the equality is decided in Q(zeta_R), R = ord
-chi.  Individual twisted periods are recovered from polynomial coefficients
-when the parity (-1)^(m+n+1)chi(-1) = 1 admits them.
+chi.  That constant is a product of monomials: the one of (2i)^(w+1) and
+those of 1/tau(conj chi), taken term by term, so nothing is reduced at its
+level lcm(4, R, D).  Individual twisted periods are recovered from
+polynomial coefficients when the parity (-1)^(m+n+1)chi(-1) = 1 admits
+them.
 
 Both routes expand quadruple terms, each with its own walk and its own
 terms, by packed sums: a term is one big integer at X = 2**(8 * width)
@@ -48,6 +51,7 @@ from .cyclotomic import (
     _bucket_poly,
     _cleared,
     _Frozen,
+    _monomial_product,
     _monomials,
     _Monomials,
     _signed_digits,
@@ -208,15 +212,15 @@ def quadruple_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
 # closed form
 
 
-def _two_i_power(exponent: int) -> ExactNumber:
-    return ExactNumber.zeta(4, exponent % 4) * (2**exponent)
-
-
 @lru_cache(maxsize=_MEMO_SIZE)
 def _prefactor(chibar: DirichletCharacter, w: int) -> _Monomials:
     """(2i)^(w+1) / tau(conj chi) as monomials: the constant both routes
-    keep apart, computed once per character and weight."""
-    return _monomials(_two_i_power(w + 1) * gauss_sum(chibar).inverse())
+    keep apart, computed once per character and weight.  (2i)^(w+1) is the
+    one monomial 2^(w+1) zeta_4^(w+1), and the product with the inverse's
+    monomials at lcm(R, D) is taken term by term at lcm(4, R, D), with no
+    fold and no ExactNumber product there."""
+    two_i = (4, (((w + 1) % 4, 2 ** (w + 1)),), 1)
+    return _monomial_product(two_i, _monomials(gauss_sum(chibar).inverse()))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
@@ -329,18 +333,20 @@ def _case_six(ctx: PeriodContext) -> list[Fraction]:
 def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[int]) -> tuple[int, list[list[int]]]:
     """The given cases summed over each class of unit residues: ascending
     integer polynomials over one context denominator, with the (2i)^(w+1)
-    factor divided out.  Cases 1-4 read integer Bernoulli rows and are
-    scaled once per class by one integer per (case, i); case 6 counts the
-    residues.  Case 5 walks the quadruples once and sums each class over
-    D^w: a quadruple with Bezout residue e adds its sign class c < 0 to the
-    class of e and its class a, c > 0 to that of -e (each sign class has
-    exactly one matrix at a residue); one that reaches no class is skipped
-    before its term is expanded.  A quadruple's term is expanded once, as
-    one big integer at X = 2**(8 * width); each class adds the terms of its
-    c < 0 matrices into one sum and those of its a, c > 0 matrices into
-    another, and unpacks both once.  The absolute coefficients of a term
-    sum to (aD + ell)^n (cD + k)^(w-n) <= (D^2 + D)^w, and a sum takes at
-    most one term per quadruple, so its coefficients lie below (number of
+    factor divided out.  Cases 1-4 read integer Bernoulli rows: for each
+    (case, i), one pass over the unit residues adds each residue's row
+    entry into its class's sum, which is scaled once by one integer per
+    (case, i); case 6 counts the residues.  Case 5 walks the quadruples
+    once and sums each class over D^w: a quadruple with Bezout residue e
+    adds its sign class c < 0 to the class of e and its class a, c > 0 to
+    that of -e (each sign class has exactly one matrix at a residue); one
+    that reaches no class is skipped before its term is expanded.  A
+    quadruple's term is expanded once, as one big integer at
+    X = 2**(8 * width); each class adds the terms of its c < 0 matrices
+    into one sum and those of its a, c > 0 matrices into another, and
+    unpacks both once.  The absolute coefficients of a term sum to
+    (aD + ell)^n (cD + k)^(w-n) <= (D^2 + D)^w, and a sum takes at most one
+    term per quadruple, so its coefficients lie below (number of
     quadruples) * (D^2 + D)^w, which the width keeps below half the base."""
     d, w, n, nt = ctx.modulus, ctx.w, ctx.n, ctx.n_tilde
     specs = [spec for j, spec in _case_specs(ctx).items() if j in cases]
@@ -379,20 +385,24 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
             [p + s * m for p, m, s in zip(_signed_digits(plus, width, w + 1), _signed_digits(minus, width, w + 1), signs)]
             for plus, minus in zip(pluses, minuses)
         ]
-    buckets = []
-    for residues, five in zip(classes, fives):
-        bucket = [0] * (w + 1)
-        inverses = [pow(h, -1, d) for h in residues]
-        for (k, _, _, unit, reverse), multipliers in zip(specs, factors):
-            rs = [unit * h % d for h in (inverses if reverse else residues)]
-            for i, multiplier in enumerate(multipliers):
-                row = _bernoulli_row(k - i, d)[1]
-                bucket[w - i if reverse else i] += multiplier * sum(row[r] for r in rs)
+    buckets = [[0] * (w + 1) for _ in classes]
+    # every unit residue h once, with its class and conj(h)
+    units = [(j, h, pow(h, -1, d)) for j, residues in enumerate(classes) for h in residues]
+    for (k, _, _, unit, reverse), multipliers in zip(specs, factors):
+        rs = [(j, unit * (hbar if reverse else h) % d) for j, h, hbar in units]
+        for i, multiplier in enumerate(multipliers):
+            row = _bernoulli_row(k - i, d)[1]
+            sums = [0] * len(classes)
+            for j, r in rs:
+                sums[j] += row[r]
+            power = w - i if reverse else i
+            for bucket, total in zip(buckets, sums):
+                bucket[power] += multiplier * total
+    for bucket, residues, five in zip(buckets, classes, fives):
         _add_into(bucket, [x * five_factor[0] for x in five])
         if six_values:
             bucket[0] += len(residues) * six_values[0]
             bucket[w] += len(residues) * six_values[1]
-        buckets.append(bucket)
     return den, buckets
 
 
@@ -415,7 +425,7 @@ def _residue_polynomial(ctx: PeriodContext, h: int, cases: Iterable[int]) -> Exa
     if math.gcd(h, d) != 1:
         raise ContextError(f"residue {h} is not coprime to {d}")
     den, buckets = _case_buckets(ctx, [[h % d]], cases)
-    return _bucket_poly(buckets, 1, den, _monomials(_two_i_power(ctx.w + 1)))
+    return _bucket_poly(buckets, 1, den, (4, (((ctx.w + 1) % 4, 2 ** (ctx.w + 1)),), 1))
 
 
 def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:

@@ -42,6 +42,7 @@ from .cyclotomic import (
     _bucket_sum,
     _cleared,
     _Frozen,
+    _monomial_product,
     _monomials,
     _Monomials,
     _signed_digits,
@@ -133,21 +134,14 @@ def _trace_monomials(chi: DirichletCharacter, level: int, quarter: int, odd: int
     lcm(4, ord chi, D, 4f) when sqrt(N) with squarefree part f > 1 enters.
     Since tau(chi) tau(conj chi) = chi(-1) D for primitive chi,
     1 / tau(conj chi) = chi(-1) tau(chi) / D: the trace constant needs no
-    inverse, and tau(chi) is its phi(D) monomials, never reduced.  Only N is
-    factored."""
+    inverse, and tau(chi) is its phi(D) monomials, never reduced: the
+    constant is the cyclotomic._monomial_product of the quarter turn with
+    chi(-1), those monomials over D, and sqrt(N)^odd.  Only N is factored."""
     tau_level, counts = _gauss_counts(chi)
+    tau = (tau_level, tuple((t, count) for t, count in enumerate(counts) if count), chi.modulus)
+    turn = (4, ((quarter, chi.sign_at_minus_one()),), 1)
     root = sqrt_positive_integer(level) if odd else ExactNumber.one()
-    _, root_terms, root_den = _monomials(root)
-    top = math.lcm(4, tau_level, root.level)
-    tau_step, root_step = top // tau_level, top // root.level
-    rotation = quarter * (top // 4)
-    sign = chi.sign_at_minus_one()
-    out = [0] * top
-    for t, count in enumerate(counts):
-        if count:
-            for j, r in root_terms:
-                out[(t * tau_step + j * root_step + rotation) % top] += sign * count * r
-    return top, tuple((t, c) for t, c in enumerate(out) if c), chi.modulus * root_den
+    return _monomial_product(_monomial_product(turn, tau), _monomials(root))
 
 
 def _double_sum(ctx: PeriodContext, m: int) -> list[int]:

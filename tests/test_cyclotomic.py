@@ -487,6 +487,27 @@ def test_recognize_surd_reads_tables_only_at_divisors_of_its_level(monkeypatch):
     assert levels and all(8844 % level == 0 for level in levels)
 
 
+def test_recognize_surd_maps_one_conjugate_for_a_real_and_an_imaginary_surd(monkeypatch):
+    # sigma_-1 fixes every real number: a real surd starts from sigma_5, the
+    # first unit above 1 of 8844, which negates sqrt(67); i times it is
+    # numerically non-real and starts from sigma_-1, which moves it
+    x = (ExactNumber.from_rational(Fraction(-7, 3)) + sqrt_integer(67) * Fraction(5, 11)).lift_to(8844)
+    ix = x * ExactNumber.zeta(4)
+    calls = []
+    galois = ExactNumber.galois
+
+    def counting(self, a):
+        calls.append(a)
+        return galois(self, a)
+
+    monkeypatch.setattr(ExactNumber, "galois", counting)
+    assert recognize_surd(x) == QuadSurd(Fraction(-7, 3), Fraction(5, 11), 67)
+    assert calls == [5]
+    calls.clear()
+    assert recognize_surd(ix) is None
+    assert calls == [-1]
+
+
 @pytest.mark.parametrize("level", [12, 20, 24, 40, 60, 120, 168])
 def test_recognize_surd_returns_every_surd_of_the_field(level):
     # sqrt(d) lies in Q(zeta_level) when the conductor of Q(sqrt d), d for

@@ -319,16 +319,17 @@ def test_case_six_h_independent(chi5):
 
 
 def test_case_one_explicit_formula(chi3):
-    # at level one the first case is the shifted plain Bernoulli polynomial
+    # at level one the first case is the shifted plain Bernoulli polynomial;
+    # w = 10 and 12 give (2i)^(w+1) both odd quarter turns, i^3 and i^1
     from heckeperiods.bernoulli import bernoulli_shifted_coeffs
-    from heckeperiods.periods import _two_i_power
 
-    ctx = PeriodContext(1, 10, 1, chi3)
-    got = case_contribution(1, 1, ctx)
-    shifted = bernoulli_shifted_coeffs(10, Fraction(1, 3))
-    factor = _two_i_power(11) * Fraction(-1, 10)
-    expected = ExactPolynomial([factor * c for c in shifted])
-    assert got == expected
+    for w in (10, 12):
+        ctx = PeriodContext(1, w, 1, chi3)
+        got = case_contribution(1, 1, ctx)
+        shifted = bernoulli_shifted_coeffs(w, Fraction(1, 3))
+        factor = (ExactNumber.zeta(4) * 2) ** (w + 1) * Fraction(-1, w)
+        expected = ExactPolynomial([factor * c for c in shifted])
+        assert got == expected, w
 
 
 def test_case_contribution_rejects_noncoprime(chi3):

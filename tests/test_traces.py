@@ -195,14 +195,48 @@ def test_sparse_trace_constant_equals_its_dense_definition():
 def test_prefactor_is_the_gauss_sum_over_the_modulus():
     # 1/tau(conj chi) = chi(-1) tau(chi)/D: the polynomial's kept-apart
     # constant (read off the inverse), expanded here, and the trace constant
-    # (the tau(chi) form) agree
-    w = 10
-    two_i = (ExactNumber.zeta(4) * 2) ** (w + 1)
-    for d in range(3, 31):
-        for chi in enumerate_primitive_characters(d):
-            expected = two_i * gauss_sum(chi) * Fraction(chi.sign_at_minus_one(), d)
-            prefactor = cyclotomic._expand(ExactNumber.one(), periods._prefactor(chi.conjugate(), w))
-            assert prefactor == expected, (d, chi.order)
+    # (the tau(chi) form) agree; w = 10 and 12 turn (2i)^(w+1) by i^3 and i^1
+    for w in (10, 12):
+        two_i = (ExactNumber.zeta(4) * 2) ** (w + 1)
+        for d in range(3, 31):
+            for chi in enumerate_primitive_characters(d):
+                expected = two_i * gauss_sum(chi) * Fraction(chi.sign_at_minus_one(), d)
+                prefactor = cyclotomic._expand(ExactNumber.one(), periods._prefactor(chi.conjugate(), w))
+                assert prefactor == expected, (w, d, chi.order)
+
+
+def test_prefactor_is_built_below_its_level(monkeypatch):
+    # (2i)^(w+1) / tau(conj chi) is the product of one monomial and the
+    # inverse's monomials: for chi of order 11 mod 23, R and D odd, nothing
+    # folds above lcm(R, D) = 253, no reduction table is asked for at the
+    # radical 506 of lcm(4, R, D) = 1012, and the one inverse is the Gauss
+    # sum's (the memo is bypassed, so the constant is built afresh)
+    chi = next(chi for chi in enumerate_primitive_characters(23) if chi.order == 11)
+    folds, tables, inverses = [], [], []
+    fold, power_table, inverse = cyclotomic._fold, cyclotomic._power_table, ExactNumber.inverse
+
+    def counting_fold(values, level):
+        folds.append(level)
+        return fold(values, level)
+
+    def counting_table(level):
+        tables.append(level)
+        return power_table(level)
+
+    def counting_inverse(self):
+        inverses.append(self.level)
+        return inverse(self)
+
+    monkeypatch.setattr(cyclotomic, "_fold", counting_fold)
+    monkeypatch.setattr(cyclotomic, "_power_table", counting_table)
+    monkeypatch.setattr(ExactNumber, "inverse", counting_inverse)
+    constant = periods._prefactor.__wrapped__(chi.conjugate(), 10)
+    monkeypatch.undo()
+    assert constant[0] == math.lcm(4, 11, 23) == 1012
+    assert folds and max(folds) <= 253, sorted(set(folds))
+    assert tables and max(tables) <= 253, sorted(set(tables))
+    assert inverses == [253]
+    assert constant == periods._prefactor(chi.conjugate(), 10)
 
 
 def test_trace_routes_make_no_product_at_the_constant_level(monkeypatch):
