@@ -40,7 +40,7 @@ print("zeta_5 recognized:", recognize_surd(ExactNumber.zeta(5, 1)))  # None
 
 # Polynomials carry exact coefficients; they are the output type of the
 # period formulas, which do their substitutions on rational coefficient lists.
-p = ExactPolynomial([Fraction(1, 6), -1, 1, 0])  # x^2 - x + 1/6; trailing zeros trimmed
+p = ExactPolynomial([Fraction(1, 6), -1, 1, 0])  # x^2 - x + 1/6; a trailing zero adds no degree
 print("p has degree", p.degree(), "and coefficients", [str(c.rational_value()) for c in p.coefficients])
 
 # Serialization round-trips bit-exactly.

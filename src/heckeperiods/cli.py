@@ -234,8 +234,9 @@ def _context_from_args(args) -> PeriodContext:
 def cmd_theorem1(args) -> int:
     ctx = _context_from_args(args)
     poly = closed_form_polynomial(ctx)
-    # each output reads the coefficients once: reading one multiplies the
-    # polynomial's constant factor in
+    # each output reads the coefficients once: reading one reduces its
+    # exponent-class sums mod Phi_R and multiplies the polynomial's constant
+    # factor in
     if args.format != "json":
         render, term = (exact_number_latex, _latex_term) if args.format == "latex" else (exact_number_text, _text_term)
         print(polynomial_to_text(poly, render, term))
@@ -261,10 +262,20 @@ def cmd_trace(args) -> int:
     payload = {
         "exact": value.to_json(),
         "surd": str(surd) if surd is not None else None,
-        "float": _float_json(value.numeric()),
+        "float": _float_or_null(value),
     }
     print(json.dumps(payload, indent=1))
     return 0
+
+
+def _float_or_null(value: ExactNumber):
+    """The value as numeric._float_json writes it, or None when it does not
+    fit a double: the exact fields hold it at any size."""
+    try:
+        z = value.numeric()
+    except OverflowError:
+        return None
+    return _float_json(z) if math.isfinite(z.real) and math.isfinite(z.imag) else None
 
 
 _GRIDS = {

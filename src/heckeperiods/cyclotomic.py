@@ -13,7 +13,11 @@ A number is read back as a rational surd a + b*sqrt(d) from one Galois
 conjugate at its own level (``recognize_surd``).  A number of a small field
 times a large constant, given as integer monomials, keeps the constant
 apart (``_TimesConstant``) until its coordinates are read, and so does
-a polynomial (``ExactPolynomial``), coefficient by coefficient.
+a polynomial (``ExactPolynomial``), coefficient by coefficient.  A
+polynomial also keeps its coefficients as the unreduced sums of their
+exponent classes, one integer polynomial per power of zeta_R: a
+coefficient is reduced mod Phi_R when it is read, and two polynomials
+with one constant compare by reducing their difference.
 
 Everything here is immutable and pure; the reduction tables are built
 only at squarefree levels, whole on first use, and only read afterwards:
@@ -27,6 +31,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 from typing import Callable, Iterable, Optional, Sequence
 
 # the bound of every memo in the package
@@ -867,7 +872,7 @@ def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over ExactNumber: an output record, built once from buckets
+# polynomials over ExactNumber: an output record, kept as exponent-class sums
 
 
 class ExactPolynomial(_Frozen):
@@ -875,63 +880,84 @@ class ExactPolynomial(_Frozen):
     period and Bernoulli routes; it has no ring arithmetic, only a scalar
     product.
 
-    Internally ascending coefficients times one nonzero constant, kept
-    apart as the integer monomials a _TimesConstant takes (None for 1): the
-    period routes hold their coefficients in Q(zeta_R) and the shared
-    constant at its own, much larger level.  Every public view reads a
-    coefficient as a _TimesConstant, the constant still apart until its
-    coordinates are read; the `coefficients` view is degree-descending with
-    a nonzero leading coefficient (empty for the zero polynomial).
+    Internally the sums the routes add, unreduced: an order R, one
+    denominator and, per power zeta_R**e, the ascending integer polynomial
+    of that exponent class, so coefficient k is sum_e sums[e][k]/den *
+    zeta_R**e, times one nonzero constant kept apart as the integer
+    monomials a _TimesConstant takes (None for 1).  The period routes hold
+    their sums at R = ord chi and the shared constant at its own, much
+    larger level; the public constructor stores its coefficients'
+    coordinates the same way, at their common level.  A coefficient is
+    reduced mod Phi_R (one _bucket_sum) only when it is read, and is then
+    read as a _TimesConstant, the constant still apart until its
+    coordinates are read.  Construction trims no trailing zeros: the
+    degree is the highest power whose sum does not reduce to zero, found on
+    its first read.  The `coefficients` view is degree-descending with a
+    nonzero leading coefficient (empty for the zero polynomial).
     """
 
-    __slots__ = ("_asc", "_constant")
+    __slots__ = ("_order", "_den", "_sums", "_constant", "_degree")
 
     def __init__(self, ascending: Iterable):
         coeffs = [c if isinstance(c, ExactNumber) else ExactNumber.from_rational(c) for c in ascending]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        object.__setattr__(self, "_asc", tuple(coeffs))
-        object.__setattr__(self, "_constant", None)
+        level = math.lcm(*(c.level for c in coeffs))
+        coeffs = [c.lift_to(level) for c in coeffs]
+        den = math.lcm(*(c._den for c in coeffs))
+        sums = tuple(zip(*([x * (den // c._den) for x in c._nums] for c in coeffs)))
+        self._store(level, den, sums, None)
 
-    @classmethod
-    def _make(cls, ascending: Iterable, constant: Optional[_Monomials]) -> "ExactPolynomial":
-        """constant * sum_k ascending[k] * x**k, for a nonzero constant given
-        as monomials (None for 1), which is kept apart."""
-        self = cls(ascending)
+    def _store(self, order: int, den: int, sums: tuple, constant: Optional[_Monomials]) -> None:
+        """Set the fields; the degree is left for its first read."""
+        object.__setattr__(self, "_order", order)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_sums", sums)
         object.__setattr__(self, "_constant", constant)
-        return self
 
     # -- views
 
-    def _expanded(self) -> tuple:
-        """The ascending coefficients times the constant, kept apart."""
-        if self._constant is None:
-            return self._asc
-        return tuple(_TimesConstant(c, self._constant) for c in self._asc)
+    def _column(self, k: int, num: int = 1) -> list[int]:
+        """num times the integers of x**k, one per exponent class (zeros
+        for k < 0)."""
+        if k < 0:
+            return [0] * len(self._sums)
+        return [num * s[k] if k < len(s) else 0 for s in self._sums]
 
-    @property
-    def coefficients(self) -> tuple:
-        return tuple(reversed(self._expanded()))
+    def reduced_coefficient(self, k: int, num: int = 1, den: int = 1) -> ExactNumber:
+        """num/den times the coefficient of x**k before the constant, for
+        integers num and den != 0, in one reduction mod Phi_order, at the
+        polynomial's order even past its degree: what a caller that keeps
+        its own multiple of the constant apart reads."""
+        return _bucket_sum(self._column(k, num), self._order, self._den * den)
 
     def degree(self) -> int:
-        """Degree; -1 for the zero polynomial."""
-        return len(self._asc) - 1
+        """Degree; -1 for the zero polynomial.  Found on the first call and
+        kept: a concurrent first call stores the same value."""
+        top = getattr(self, "_degree", None)
+        if top is None:
+            top = max(map(len, self._sums), default=0) - 1
+            while top >= 0 and not any(_fold(self._column(top), self._order)):
+                top -= 1
+            object.__setattr__(self, "_degree", top)
+        return top
 
     def is_zero(self) -> bool:
-        return not self._asc
+        return self.degree() < 0
+
+    def unscaled_coefficient(self, k: int) -> ExactNumber:
+        """Coefficient of x**k before the constant (a level-1 zero past the
+        degree): what a caller that already holds a multiple of that
+        constant multiplies by."""
+        return self.reduced_coefficient(k) if 0 <= k <= self.degree() else ExactNumber.zero()
 
     def coefficient(self, k: int) -> ExactNumber:
         """Coefficient of x**k."""
-        if 0 <= k < len(self._asc) and self._constant is not None:
-            return _TimesConstant(self._asc[k], self._constant)
-        return self.unscaled_coefficient(k)
+        if self._constant is None or not 0 <= k <= self.degree():
+            return self.unscaled_coefficient(k)
+        return _TimesConstant(self.reduced_coefficient(k), self._constant)
 
-    def unscaled_coefficient(self, k: int) -> ExactNumber:
-        """Coefficient of x**k before the constant: what a caller that
-        already holds a multiple of that constant multiplies by."""
-        if 0 <= k < len(self._asc):
-            return self._asc[k]
-        return ExactNumber.zero()
+    @property
+    def coefficients(self) -> tuple:
+        return tuple(self.coefficient(k) for k in range(self.degree(), -1, -1))
 
     def scale(self, factor) -> "ExactPolynomial":
         """The polynomial times a rational or ExactNumber, taken into the
@@ -942,19 +968,25 @@ class ExactPolynomial(_Frozen):
         if factor.is_zero():
             return ExactPolynomial([])
         kept = factor if self._constant is None else _expand(factor, self._constant)
-        return ExactPolynomial._make(self._asc, _monomials(kept))
+        return _bucket_poly(self._sums, self._order, self._den, _monomials(kept))
 
     def __eq__(self, other):
-        """Equal constants (as monomials) compare the coefficients before
-        the constant, so two routes that share one compare below its level;
+        """With one order and equal constants (as monomials), the
+        cross-multiplied difference of the sums is reduced one coefficient
+        at a time, up to the first that does not vanish, so two routes that
+        share a constant compare below its level and build no coefficient;
         anything else compares expanded coefficients."""
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
-        if len(self._asc) != len(other._asc):
-            return False
-        if self._constant is other._constant or self._constant == other._constant:
-            return self._asc == other._asc
-        return self._expanded() == other._expanded()
+        if self._order != other._order or not (self._constant is other._constant or self._constant == other._constant):
+            top = self.degree()
+            return top == other.degree() and all(self.coefficient(k) == other.coefficient(k) for k in range(top + 1))
+        g = math.gcd(self._den, other._den)
+        a, b = other._den // g, self._den // g
+        classes = zip_longest(self._sums, other._sums, fillvalue=())
+        differences = [[x * a - y * b for x, y in zip_longest(s, t, fillvalue=0)] for s, t in classes]
+        columns = zip_longest(*differences, fillvalue=0)
+        return not any(any(column) and any(_fold(column, self._order)) for column in columns)
 
     __hash__ = None
 
@@ -986,12 +1018,13 @@ def _monomials(x: ExactNumber) -> _Monomials:
 def _bucket_poly(
     buckets: Sequence[Sequence[int]], order: int, den: int = 1, constant: Optional[_Monomials] = None
 ) -> ExactPolynomial:
-    """constant * sum_e buckets[e](x)/den * zeta_order**e, each coefficient
-    the _bucket_sum of the ascending integer polynomials of the exponent
-    classes, and a nonzero constant (_Monomials) kept apart."""
-    top = max((len(b) for b in buckets), default=0)
-    coeffs = [_bucket_sum([b[i] if i < len(b) else 0 for b in buckets], order, den) for i in range(top)]
-    return ExactPolynomial._make(coeffs, constant)
+    """constant * sum_e buckets[e](x)/den * zeta_order**e, for the
+    ascending integer polynomials of the exponent classes, kept as they are
+    (tuples), and a nonzero constant (_Monomials) kept apart: coefficient k
+    is the _bucket_sum of the classes' entries k, reduced when it is read."""
+    poly = object.__new__(ExactPolynomial)
+    poly._store(order, den, tuple(map(tuple, buckets)), constant)
+    return poly
 
 
 def _cleared(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, list[list[int]]]:

@@ -180,13 +180,15 @@ def trace_from_periods(query: TraceQuery) -> ExactNumber:
     """The trace as (-D)^(m+1) (i sqrt N)^(m+n+2) r_{m,chi}(R_n); must equal
     trace_closed_form exactly.  The period is the X^(w-m) coefficient of the
     closed-form polynomial over 2(-1)^m C(w, m).  That polynomial keeps
-    (2i)^(w+1) / tau(conj chi) apart as monomials (periods._prefactor, still
-    read off the Gauss-sum inverse), so the coefficient is read in
-    Q(zeta_R) before it, scaled by a rational, and the trace constant's
-    tau(chi) monomials are kept apart as in trace_closed_form: the two
-    routes meet in Q(zeta_R)."""
+    (2i)^(w+1) / tau(conj chi) apart as monomials (periods._prefactor) and
+    its coefficients as exponent-class sums in Q(zeta_R), so the coefficient
+    is read before the constant, already times its rational, in one
+    reduction, and the trace constant's tau(chi) monomials are kept apart
+    as in trace_closed_form: the two routes meet in Q(zeta_R)."""
     ctx, m = query.ctx, query.m
-    coeff = closed_form_polynomial(ctx).unscaled_coefficient(ctx.w - m)
     scale, constant = _trace_constant(ctx, m)
     # (-D)^(m+1) / (2 (-1)^m C(w, m)) = -D^(m+1) / (2 C(w, m))
-    return _TimesConstant(coeff * Fraction(-(ctx.modulus ** (m + 1)) * scale, 2 * math.comb(ctx.w, m)), constant)
+    part = closed_form_polynomial(ctx).reduced_coefficient(
+        ctx.w - m, -(ctx.modulus ** (m + 1)) * scale, 2 * math.comb(ctx.w, m)
+    )
+    return _TimesConstant(part, constant)

@@ -160,7 +160,7 @@ def test_criterion_2_example_traces():
 
 
 def test_criterion_3_oracle_grid():
-    with criterion(3, "case-sum oracle and trace cross-path on the full grid", 60.0):
+    with criterion(3, "case-sum oracle and trace cross-path on the full grid", 10.0):
         contexts = 0
         trace_checks = 0
         for modulus in GRID_MODULI:
@@ -402,21 +402,21 @@ def wide_moduli_oracle(moduli):
 
 
 def test_criterion_9_wide_moduli():
-    with criterion(9, "case-sum oracle and trace cross-path at moduli 23 and 29", 60.0):
+    with criterion(9, "case-sum oracle and trace cross-path at moduli 23 and 29", 2.0):
         contexts, trace_checks = wide_moduli_oracle((23, 29))
         assert contexts == 12
         print(f"  wide moduli: {contexts} contexts, {trace_checks} trace queries", flush=True)
 
 
 def test_criterion_10_wider_moduli():
-    with criterion(10, "case-sum oracle and trace cross-path at moduli 31 and 37", 60.0):
+    with criterion(10, "case-sum oracle and trace cross-path at moduli 31 and 37", 2.0):
         contexts, trace_checks = wide_moduli_oracle((31, 37))
         assert contexts == 26
         print(f"  wider moduli: {contexts} contexts, {trace_checks} trace queries", flush=True)
 
 
 def test_criterion_11_widest_moduli():
-    with criterion(11, "case-sum oracle and trace cross-path at moduli 41, 43 and 47", 60.0):
+    with criterion(11, "case-sum oracle and trace cross-path at moduli 41, 43 and 47", 2.0):
         contexts, trace_checks = wide_moduli_oracle((41, 43, 47))
         assert contexts == 28
         print(f"  widest moduli: {contexts} contexts, {trace_checks} trace queries", flush=True)

@@ -10,8 +10,10 @@ import pytest
 
 from heckeperiods import cli, numeric
 from heckeperiods.cli import factored_surd_str, main, parse_character
-from heckeperiods.characters import CharacterError
-from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, QuadSurd
+from heckeperiods.characters import CharacterError, kronecker_character
+from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, QuadSurd, recognize_surd
+from heckeperiods.periods import PeriodContext
+from heckeperiods.traces import TraceQuery, trace_closed_form
 from fractions import Fraction
 
 
@@ -43,6 +45,23 @@ def test_trace_json_roundtrip(capsys):
     assert value == sqrt_integer(3) * Fraction(-147456, 5)
     assert data["surd"] == "-147456/5*sqrt(3)"
     assert data["float"] == pytest.approx(-51080.2567761)
+
+
+def test_trace_json_of_a_value_past_a_double(capsys):
+    # at weight 402 the trace lies beyond the largest double: the exact
+    # fields carry it, "float" is null, and the request succeeds
+    code, out, err = run(
+        capsys, "trace", "--level", "1", "--weight", "402",
+        "--character", "kronecker:-3", "--m", "1", "--n", "1", "--format", "json",
+    )
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["float"] is None
+    ctx = PeriodContext(1, 400, 1, kronecker_character(-3))
+    value = ExactNumber.from_json(data["exact"])
+    assert value == trace_closed_form(TraceQuery(ctx, 1))
+    surd = recognize_surd(value)
+    assert data["surd"] == str(surd) and abs(surd.b) > 10**308
 
 
 def test_theorem1_text_and_json(capsys):

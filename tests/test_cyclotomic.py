@@ -14,6 +14,7 @@ from heckeperiods.cyclotomic import (
     ExactPolynomial,
     QuadSurd,
     _add_into,
+    _bucket_poly,
     _kronecker_mul,
     _signed_digits,
     cyclotomic_polynomial,
@@ -663,11 +664,86 @@ def test_polynomial_basics():
     assert p.degree() == 2
     assert [c.rational_value() for c in p.coefficients] == [1, -1, Fraction(1, 6)]
     assert p.coefficient(3).is_zero() and p.coefficient(7).is_zero()
-    # the constructor trims trailing zeros
+    # trailing zeros add no degree
     assert ExactPolynomial([1, 0, 0]).degree() == 0
     assert ExactPolynomial([1, 0, 0]) == ExactPolynomial([1])
     assert ExactPolynomial([0, 0]).is_zero()
     assert ExactPolynomial([]).is_zero()
+
+
+def _counting_stores(monkeypatch) -> list:
+    """Record the level of every field element built."""
+    levels = []
+    store = cyclotomic._store
+
+    def counting(number, level, den, nums):
+        levels.append(level)
+        return store(number, level, den, nums)
+
+    monkeypatch.setattr(cyclotomic, "_store", counting)
+    return levels
+
+
+@pytest.mark.parametrize("order", [2, 6, 18])
+def test_polynomials_of_one_constant_compare_by_their_difference(monkeypatch, order):
+    # a polynomial holds its exponent-class sums unreduced; with one order
+    # and one constant, == reduces the cross-multiplied difference mod
+    # Phi_R one coefficient at a time and builds no field element (18 is
+    # larger than its radical 6, so its table is the radical's)
+    rng = random.Random(order)
+    sums = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(order)]
+    base = _bucket_poly(sums, order, 6)
+    # t * zeta**j * Phi_R(zeta) = 0 added to coefficient 2 of the classes j..
+    cyclo = cyclotomic_polynomial(order)
+    shift = order - len(cyclo)
+    moved = [list(s) for s in sums]
+    for e, c in enumerate(cyclo):
+        moved[e + shift][2] += 5 * c
+    changed = [list(s) for s in sums]
+    changed[order - 1][3] += 1
+    padded = [list(s) + [0] * (i % 3) for i, s in enumerate(moved)]
+    constant = (4, ((1, 3),), 1)
+    halved = (4, ((1, 3),), 2)
+    stores = _counting_stores(monkeypatch)
+    assert _bucket_poly(moved, order, 6) == base and base == _bucket_poly(moved, order, 6)
+    # another denominator: twice the sums over twice the denominator
+    assert _bucket_poly([[2 * x for x in s] for s in moved], order, 12) == base
+    assert _bucket_poly([[2 * x for x in s] for s in sums], order, 6) != base
+    # one changed entry
+    assert _bucket_poly(changed, order, 6) != base and base != _bucket_poly(changed, order, 6)
+    # trailing zero coefficients, in some classes only
+    assert _bucket_poly(padded, order, 6) == base
+    assert _bucket_poly(padded, order, 6, constant) == _bucket_poly(sums, order, 6, constant)
+    assert not stores
+    monkeypatch.undo()
+    assert _bucket_poly(padded, order, 6).degree() == base.degree() == 3
+    # a top coefficient that reduces to zero is no degree
+    top = [list(s) + [0] for s in sums]
+    for e, c in enumerate(cyclo):
+        top[e + shift][4] += 7 * c
+    assert _bucket_poly(top, order, 6).degree() == 3 and _bucket_poly(top, order, 6) == base
+    # a polynomial built from its coefficients (their coordinates at level R)
+    coeffs = [base.coefficient(k) for k in range(4)]
+    assert {c.level for c in coeffs} == {order}
+    # a scaled read is one reduction at the order, zero below 0 and past the degree
+    for k in range(-1, 6):
+        scaled = _bucket_poly(padded, order, 6).reduced_coefficient(k, -3, 4)
+        assert scaled.level == order
+        assert scaled == (coeffs[k] * Fraction(-3, 4) if 0 <= k < 4 else 0), k
+    from_coeffs = ExactPolynomial(coeffs + [ExactNumber.zero(order)])
+    stores = _counting_stores(monkeypatch)
+    assert from_coeffs == base and base == from_coeffs
+    assert not stores
+    assert ExactPolynomial(coeffs[:3] + [coeffs[3] * 2]) != base
+    monkeypatch.undo()
+    # different constants compare expanded coefficients: sums times i*3/2
+    # against twice the sums times i*3/4, and against the plain coefficients
+    doubled = _bucket_poly([[2 * x for x in s] for s in sums], order, 6, halved)
+    assert _bucket_poly(sums, order, 6, constant) == doubled and doubled == _bucket_poly(moved, order, 6, constant)
+    assert _bucket_poly(sums, order, 6, constant) != _bucket_poly(sums, order, 6, halved)
+    expanded = ExactPolynomial([c * ExactNumber.zeta(4) * 3 for c in coeffs])
+    assert expanded == _bucket_poly(moved, order, 6, constant) and _bucket_poly(padded, order, 6, constant) == expanded
+    assert expanded != _bucket_poly(changed, order, 6, constant)
 
 
 def test_polynomial_json_degree_descending():

@@ -18,7 +18,14 @@ from heckeperiods.cyclotomic import (
     sqrt_integer,
     sqrt_positive_integer,
 )
-from heckeperiods.periods import ContextError, ParityError, PeriodContext, closed_form_polynomial, twisted_period
+from heckeperiods.periods import (
+    ContextError,
+    ParityError,
+    PeriodContext,
+    case_sum_polynomial,
+    closed_form_polynomial,
+    twisted_period,
+)
 from heckeperiods.traces import TraceQuery, trace_closed_form, trace_from_periods
 
 
@@ -265,6 +272,42 @@ def test_trace_routes_make_no_product_at_the_constant_level(monkeypatch):
             values.append((trace_closed_form(q), trace_from_periods(q)))
     assert values and all(a == b and a.level == top for a, b in values)
     assert top not in levels
+
+
+def test_routes_compare_their_class_sums_unreduced(monkeypatch):
+    # a polynomial keeps its exponent-class sums until a coefficient is
+    # read: on a fresh context (order-6 chi mod 7, N = 2, w = 10, n = 3;
+    # the Bernoulli and constant memos filled, the polynomial memo cleared),
+    # closed form == case sum builds no element of Q(zeta_6) and folds at
+    # most w + 1 times, and the period route of a trace reads its
+    # coefficient, times its rational, in exactly one reduction
+    chi = next(chi for chi in enumerate_primitive_characters(7) if chi.order == 6)
+    ctx = PeriodContext(2, 10, 3, chi)
+    closed_form_polynomial(ctx)
+    closed_form_polynomial.cache_clear()
+    folds, stores = [], []
+    fold, store = cyclotomic._fold, cyclotomic._store
+
+    def counting_fold(values, level):
+        folds.append(level)
+        return fold(values, level)
+
+    def counting_store(number, level, den, nums):
+        stores.append(level)
+        return store(number, level, den, nums)
+
+    monkeypatch.setattr(cyclotomic, "_fold", counting_fold)
+    monkeypatch.setattr(cyclotomic, "_store", counting_store)
+    assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx)
+    assert 6 not in stores, stores
+    assert 0 < len(folds) <= 11, folds
+    queries = [TraceQuery(ctx, m) for m in range(11) if ctx.parity_holds(m)]
+    assert len(queries) == 5
+    for q in queries:
+        closed = trace_closed_form(q)  # fills the trace constant's memo
+        del folds[:]
+        assert trace_from_periods(q) == closed, q.m
+        assert folds == [6], (q.m, folds)
 
 
 def _counting_expansions(monkeypatch) -> list:
