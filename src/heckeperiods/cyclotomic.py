@@ -13,11 +13,12 @@ A number is read back as a rational surd a + b*sqrt(d) from one Galois
 conjugate at its own level (``recognize_surd``).  A number of a small field
 times a large constant, given as integer monomials, keeps the constant
 apart (``_TimesConstant``) until its coordinates are read, and so does
-a polynomial (``ExactPolynomial``), coefficient by coefficient.  A
-polynomial also keeps its coefficients as the unreduced sums of their
-exponent classes, one integer polynomial per power of zeta_R: a
-coefficient is reduced mod Phi_R when it is read, and two polynomials
-with one constant compare by reducing their difference.
+a polynomial (``ExactPolynomial``), coefficient by coefficient.  Both keep
+their small-field part as the unreduced sums of its exponent classes, one
+integer (a polynomial: one integer polynomial) per power of zeta_R over one
+denominator: it is reduced mod Phi_R only when it is read, and two values
+with one order and one constant compare by reducing their cross-multiplied
+difference, in one fold per coefficient (``_equal_class_sums``).
 
 Everything here is immutable and pure; the reduction tables are built
 only at squarefree levels, whole on first use, and only read afterwards:
@@ -40,6 +41,11 @@ _MEMO_SIZE = 1024
 # a nonzero constant kept apart, as integer monomials over one denominator:
 # (level, ((t, c), ...), den) for sum_t c/den * zeta_level**t
 _Monomials = tuple[int, tuple[tuple[int, int], ...], int]
+
+# a number of Q(zeta_R) as the unreduced sums of its exponent classes, one
+# integer per power of zeta_R over one denominator:
+# (R, den, (n_0, n_1, ...)) for sum_e n_e/den * zeta_R**e
+_ClassSums = tuple[int, int, Sequence[int]]
 
 
 # ---------------------------------------------------------------------------
@@ -507,37 +513,49 @@ class _TimesConstant(ExactNumber):
     caller, whose coordinates are made on their first read.
 
     The part is a number of a small field (Q(zeta_R) on the period and trace
-    routes) and the constant a nonzero number given as _Monomials.  The
-    level is their common one.  The coordinates (_den, _nums) stay unset: the
-    first read of either finds them missing and expands the product once
-    (_expand).  Since the constant is nonzero, is_zero reads the part, and
-    two such numbers with equal constants compare their parts; any other
-    comparison reads the coordinates."""
+    routes), given as its unreduced exponent-class sums (_ClassSums: an
+    order R, one denominator and one integer per power of zeta_R), and the
+    constant a nonzero number given as _Monomials.  The level is their
+    common one.  Nothing is reduced at construction: the part is reduced mod
+    Phi_R (one _bucket_sum) on the first read that needs it, is_zero or the
+    expansion, and the coordinates (_den, _nums) on their first read, by
+    expanding the product once (_expand).  Since the constant is nonzero,
+    is_zero reads the part, and two such numbers of one order with equal
+    constants compare their class sums in one fold (_equal_class_sums); any
+    other comparison reads the coordinates."""
 
-    __slots__ = ("_part", "_constant")
+    __slots__ = ("_sums", "_constant", "_part")
 
-    def __init__(self, part: ExactNumber, constant: _Monomials):
-        object.__setattr__(self, "level", math.lcm(part.level, constant[0]))
-        object.__setattr__(self, "_part", part)
+    def __init__(self, sums: _ClassSums, constant: _Monomials):
+        object.__setattr__(self, "level", math.lcm(sums[0], constant[0]))
+        object.__setattr__(self, "_sums", sums)
         object.__setattr__(self, "_constant", constant)
 
     def __getattr__(self, name):
-        # called only for an attribute that is not set: here the coordinates
-        # before their first read
-        if name not in ("_den", "_nums"):
+        # called only for an attribute that is not set: the reduced part and
+        # the coordinates, before their first read
+        if name == "_part":
+            order, den, nums = self._sums
+            object.__setattr__(self, "_part", _bucket_sum(nums, order, den))
+        elif name in ("_den", "_nums"):
+            expanded = _expand(self._part, self._constant)
+            object.__setattr__(self, "_den", expanded._den)
+            object.__setattr__(self, "_nums", expanded._nums)
+        else:
             raise AttributeError(name)
-        expanded = _expand(self._part, self._constant)
-        object.__setattr__(self, "_den", expanded._den)
-        object.__setattr__(self, "_nums", expanded._nums)
         return getattr(self, name)
 
     def is_zero(self) -> bool:
         return self._part.is_zero()
 
     def __eq__(self, other):
-        if isinstance(other, _TimesConstant):
-            if other._constant is self._constant or other._constant == self._constant:
-                return self._part == other._part
+        if (
+            isinstance(other, _TimesConstant)
+            and self._sums[0] == other._sums[0]
+            and (other._constant is self._constant or other._constant == self._constant)
+        ):
+            (order, den, nums), (_, other_den, other_nums) = self._sums, other._sums
+            return _equal_class_sums(order, den, (nums,), other_den, (other_nums,))
         return ExactNumber.__eq__(self, other)
 
 
@@ -888,12 +906,14 @@ class ExactPolynomial(_Frozen):
     their sums at R = ord chi and the shared constant at its own, much
     larger level; the public constructor stores its coefficients'
     coordinates the same way, at their common level.  A coefficient is
-    reduced mod Phi_R (one _bucket_sum) only when it is read, and is then
-    read as a _TimesConstant, the constant still apart until its
-    coordinates are read.  Construction trims no trailing zeros: the
-    degree is the highest power whose sum does not reduce to zero, found on
-    its first read.  The `coefficients` view is degree-descending with a
-    nonzero leading coefficient (empty for the zero polynomial).
+    read as a _TimesConstant of its column's class sums (class_sums), the
+    constant still apart, so it is reduced mod Phi_R (one _bucket_sum) only
+    when that number is tested for zero or expanded.  Two polynomials of one
+    order and one constant compare column by column (_equal_class_sums).
+    Construction trims no trailing zeros: the degree is the highest power
+    whose sum does not reduce to zero, found on its first read.  The
+    `coefficients` view is degree-descending with a nonzero leading
+    coefficient (empty for the zero polynomial).
     """
 
     __slots__ = ("_order", "_den", "_sums", "_constant", "_degree")
@@ -922,11 +942,17 @@ class ExactPolynomial(_Frozen):
             return [0] * len(self._sums)
         return [num * s[k] if k < len(s) else 0 for s in self._sums]
 
-    def reduced_coefficient(self, k: int, num: int = 1, den: int = 1) -> ExactNumber:
+    def class_sums(self, k: int, num: int = 1, den: int = 1) -> _ClassSums:
         """num/den times the coefficient of x**k before the constant, for
-        integers num and den != 0, in one reduction mod Phi_order, at the
-        polynomial's order even past its degree: what a caller that keeps
-        its own multiple of the constant apart reads."""
+        integers num and den != 0, as its unreduced exponent-class sums
+        (order, den, integers), even past the degree: what a caller that
+        keeps its own multiple of the constant apart hands to a
+        _TimesConstant, with no reduction."""
+        return self._order, self._den * den, self._column(k, num)
+
+    def reduced_coefficient(self, k: int, num: int = 1, den: int = 1) -> ExactNumber:
+        """The class_sums(k, num, den) reduced mod Phi_order, in one
+        _bucket_sum, at the polynomial's order."""
         return _bucket_sum(self._column(k, num), self._order, self._den * den)
 
     def degree(self) -> int:
@@ -953,7 +979,7 @@ class ExactPolynomial(_Frozen):
         """Coefficient of x**k."""
         if self._constant is None or not 0 <= k <= self.degree():
             return self.unscaled_coefficient(k)
-        return _TimesConstant(self.reduced_coefficient(k), self._constant)
+        return _TimesConstant(self.class_sums(k), self._constant)
 
     @property
     def coefficients(self) -> tuple:
@@ -971,22 +997,18 @@ class ExactPolynomial(_Frozen):
         return _bucket_poly(self._sums, self._order, self._den, _monomials(kept))
 
     def __eq__(self, other):
-        """With one order and equal constants (as monomials), the
-        cross-multiplied difference of the sums is reduced one coefficient
-        at a time, up to the first that does not vanish, so two routes that
-        share a constant compare below its level and build no coefficient;
-        anything else compares expanded coefficients."""
+        """With one order and equal constants (as monomials), the class sums
+        are compared one coefficient at a time by _equal_class_sums, so two
+        routes that share a constant compare below its level and build no
+        coefficient; anything else compares expanded coefficients."""
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
         if self._order != other._order or not (self._constant is other._constant or self._constant == other._constant):
             top = self.degree()
             return top == other.degree() and all(self.coefficient(k) == other.coefficient(k) for k in range(top + 1))
-        g = math.gcd(self._den, other._den)
-        a, b = other._den // g, self._den // g
-        classes = zip_longest(self._sums, other._sums, fillvalue=())
-        differences = [[x * a - y * b for x, y in zip_longest(s, t, fillvalue=0)] for s, t in classes]
-        columns = zip_longest(*differences, fillvalue=0)
-        return not any(any(column) and any(_fold(column, self._order)) for column in columns)
+        # the columns of the sums: coefficient k as one integer per class
+        columns, other_columns = (zip_longest(*p._sums, fillvalue=0) for p in (self, other))
+        return _equal_class_sums(self._order, self._den, columns, other._den, other_columns)
 
     __hash__ = None
 
@@ -1007,6 +1029,24 @@ def _bucket_sum(nums: Sequence[int], order: int, den: int = 1) -> ExactNumber:
     """sum_e nums[e]/den * zeta_order**e, for one integer per exponent class
     over one common denominator: the only division."""
     return ExactNumber._make(order, den, _fold(nums, order))
+
+
+def _equal_class_sums(
+    order: int, den_a: int, columns_a: Iterable[Sequence[int]], den_b: int, columns_b: Iterable[Sequence[int]]
+) -> bool:
+    """Whether two sides of exponent-class sums of one order R agree column
+    by column: a column is one integer per power of zeta_R over its side's
+    denominator, a polynomial's coefficients in turn or a single number.
+    Each column's cross-multiplied difference is reduced mod Phi_R in one
+    fold, up to the first that does not vanish, and a column that is zero
+    on both sides is equal with no fold; no number is built.  The one
+    comparison of unreduced class sums, of polynomials and of traces."""
+    g = math.gcd(den_a, den_b)
+    ka, kb = den_b // g, den_a // g
+    for x, y in zip_longest(columns_a, columns_b, fillvalue=()):
+        if (any(x) or any(y)) and any(_fold([p * ka - q * kb for p, q in zip_longest(x, y, fillvalue=0)], order)):
+            return False
+    return True
 
 
 def _monomials(x: ExactNumber) -> _Monomials:

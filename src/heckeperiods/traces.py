@@ -16,8 +16,12 @@ i^k tau(chi) sqrt(N)^(0 or 1): the phi(D) roots of unity of tau(chi), times
 the few coordinates of sqrt N, kept as monomials (``_trace_monomials``).
 Each route returns its number in Q(zeta_R), with the integer
 2^(w+1) N^((m+n+2) // 2) folded in and those monomials kept apart
-(``cyclotomic._TimesConstant``): the two routes compare in Q(zeta_R),
-since the constant is nonzero, and a value is expanded to the constant's
+(``cyclotomic._TimesConstant``).  The number stays as the unreduced sums
+of its exponent classes, one integer per power of zeta_R over one
+denominator: the two routes compare in Q(zeta_R), since the constant is
+nonzero, by reducing their cross-multiplied difference in one fold, so a
+pair that is equal builds no number.  A value is reduced mod Phi_R only
+when it is tested for zero or expanded, and expanded to the constant's
 level, in one fold, only when its coordinates are read.
 
 Degenerate indices are handled by the convention that a term with a
@@ -31,7 +35,6 @@ closed form is total on the parity domain and reads B_{k,psi} at k >= 1 only.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .bernoulli import _weighted_number_direct
@@ -39,7 +42,6 @@ from .characters import DirichletCharacter, _gauss_counts
 from .cyclotomic import (
     _MEMO_SIZE,
     ExactNumber,
-    _bucket_sum,
     _cleared,
     _Frozen,
     _monomial_product,
@@ -75,8 +77,11 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
     (den, coords) of bernoulli._weighted_number_direct, not the constant term
     of a whole polynomial: at x^0 both defining expressions of the polynomial
     reduce to that number, so their self-check would compare the number with
-    itself.  The buckets are reduced mod Phi_R in integers, with one
-    division, and the trace constant's monomials are kept apart.
+    itself.  The scales are integer pairs, so no Fraction is built.  The
+    buckets are handed over unreduced, as the class sums of a
+    cyclotomic._TimesConstant over one denominator, and the trace
+    constant's monomials are kept apart: nothing is reduced mod Phi_R until
+    the trace is compared, tested for zero or expanded.
     """
     ctx, m = query.ctx, query.m
     w, n, nt, mt = ctx.w, ctx.n, ctx.n_tilde, query.m_tilde
@@ -86,34 +91,36 @@ def trace_closed_form(query: TraceQuery) -> ExactNumber:
     order = chi.order
     eps = ctx.epsilons()
 
-    # (binomial, index k, character, scale, exponent of the chi value in front)
-    # for binomial * scale * B_{k,psi} / k
+    # (binomial, index k, character, scale as an integer pair (num, den),
+    # exponent of the chi value in front) for binomial * num/den * B_{k,psi} / k
     terms = []
     if eps.eps1:
-        terms.append((math.comb(nt, mt), nt - mt + 1, chibar, (-1) ** (n + 1) * d**n, 0))
-    terms.append((math.comb(n, mt), n - mt + 1, chibar, d**nt, 0))
+        terms.append((math.comb(nt, mt), nt - mt + 1, chibar, ((-1) ** (n + 1) * d**n, 1), 0))
+    terms.append((math.comb(n, mt), n - mt + 1, chibar, (d**nt, 1), 0))
     if eps.eps2:
-        scale = (-1) ** (n + m) * Fraction(level) ** (nt - m) * d**n
+        # level^(nt - m), above or below the line
+        power = level ** abs(nt - m)
+        num, below = (power, 1) if nt >= m else (1, power)
+        scale = ((-1) ** (n + m) * num * d**n, below)
         terms.append((math.comb(nt, m), nt - m + 1, chi, scale, chi.value_exponent(-level)))
     if eps.eps3:
-        terms.append((math.comb(n, m), n - m + 1, chi, (-1) ** (m + 1) * d**nt, chi.value_exponent(-1)))
+        terms.append((math.comb(n, m), n - m + 1, chi, ((-1) ** (m + 1) * d**nt, 1), chi.value_exponent(-1)))
 
     # the vanishing-binomial convention: such a term is 0, B_{k,psi} unread
     terms = [term for term in terms if term[0]]
     numbers = [_weighted_number_direct(k, psi) for _, k, psi, _, _ in terms]
     den, factors = _cleared(
-        [[(binomial * scale.numerator, scale.denominator * k * number_den)]
-         for (binomial, k, _, scale, _), (number_den, _) in zip(terms, numbers)]
+        [[(binomial * num, below * k * number_den)]
+         for (binomial, k, _, (num, below), _), (number_den, _) in zip(terms, numbers)]
     )
 
     buckets = [b * den for b in _double_sum(ctx, m)]
     for (*_, shift), (_, coords), (factor,) in zip(terms, numbers, factors):
         for j, c in enumerate(coords):
             buckets[(j + shift) % order] += c * factor
-    # everything times D / (2 C(w, m)) and the constant's integer, in the one division
+    # everything times D / (2 C(w, m)) and the constant's integer, unreduced
     scale, constant = _trace_constant(ctx, m)
-    part = _bucket_sum([b * d * scale for b in buckets], order, den * 2 * math.comb(w, m))
-    return _TimesConstant(part, constant)
+    return _TimesConstant((order, den * 2 * math.comb(w, m), [b * d * scale for b in buckets]), constant)
 
 
 def _trace_constant(ctx: PeriodContext, m: int) -> tuple[int, _Monomials]:
@@ -182,13 +189,13 @@ def trace_from_periods(query: TraceQuery) -> ExactNumber:
     closed-form polynomial over 2(-1)^m C(w, m).  That polynomial keeps
     (2i)^(w+1) / tau(conj chi) apart as monomials (periods._prefactor) and
     its coefficients as exponent-class sums in Q(zeta_R), so the coefficient
-    is read before the constant, already times its rational, in one
-    reduction, and the trace constant's tau(chi) monomials are kept apart
-    as in trace_closed_form: the two routes meet in Q(zeta_R)."""
+    is read before the constant, already times its rational, as its
+    unreduced class sums (ExactPolynomial.class_sums), and the trace
+    constant's tau(chi) monomials are kept apart as in trace_closed_form:
+    the two routes meet in Q(zeta_R), where == reduces their
+    cross-multiplied difference in one fold."""
     ctx, m = query.ctx, query.m
     scale, constant = _trace_constant(ctx, m)
     # (-D)^(m+1) / (2 (-1)^m C(w, m)) = -D^(m+1) / (2 C(w, m))
-    part = closed_form_polynomial(ctx).reduced_coefficient(
-        ctx.w - m, -(ctx.modulus ** (m + 1)) * scale, 2 * math.comb(ctx.w, m)
-    )
-    return _TimesConstant(part, constant)
+    sums = closed_form_polynomial(ctx).class_sums(ctx.w - m, -(ctx.modulus ** (m + 1)) * scale, 2 * math.comb(ctx.w, m))
+    return _TimesConstant(sums, constant)

@@ -192,7 +192,7 @@ PRINTED_RATIOS = {
 
 
 def test_criterion_4_weight24_ratios():
-    with criterion(4, "weight-24 eigenvectors and all five ratio pairs, both embeddings", 30.0):
+    with criterion(4, "weight-24 eigenvectors and all five ratio pairs, both embeddings", 2.0):
         registry = load_fixtures()
         chi = kronecker_character(5)
         fixture = registry.matrix("t2-weight24-level1")
@@ -214,7 +214,7 @@ def test_criterion_4_weight24_ratios():
 
 
 def test_criterion_5_weight16_central_table():
-    with criterion(5, "weight-16 newform: char poly, eigenvector, 78 central cross-ratios", 120.0):
+    with criterion(5, "weight-16 newform: char poly, eigenvector, 78 central cross-ratios", 2.0):
         registry = load_fixtures()
         fixture = registry.matrix("t3-weight16-level2")
         from heckeperiods.eigenforms import char_poly
@@ -253,7 +253,7 @@ def test_criterion_5_weight16_central_table():
 
 
 def test_criterion_6_duality():
-    with criterion(6, "residue-period duality on the restricted grid", 300.0):
+    with criterion(6, "residue-period duality on the restricted grid", 10.0):
         cache = {}
 
         def case_sum(level, w, n, h, chi):
@@ -294,7 +294,7 @@ def test_criterion_6_duality():
 
 
 def test_criterion_7_numerics():
-    with criterion(7, "floating reproduction of the reference constants", 60.0):
+    with criterion(7, "floating reproduction of the reference constants", 2.0):
         chi = kronecker_character(-3)
         assert abs(lambda_delta(2) - 0.003707710464948) < 1e-12
         petersson = petersson_delta_inverse()
@@ -312,7 +312,7 @@ def test_criterion_7_numerics():
 
 
 def test_criterion_8_property_suites():
-    with criterion(8, "algebraic property suites", 120.0):
+    with criterion(8, "algebraic property suites", 5.0):
         # Bernoulli addition formula, k <= 12, 100 random rational shifts
         rng = random.Random(20240810)
         for _ in range(100):

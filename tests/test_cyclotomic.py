@@ -15,6 +15,8 @@ from heckeperiods.cyclotomic import (
     QuadSurd,
     _add_into,
     _bucket_poly,
+    _bucket_sum,
+    _TimesConstant,
     _kronecker_mul,
     _signed_digits,
     cyclotomic_polynomial,
@@ -744,6 +746,56 @@ def test_polynomials_of_one_constant_compare_by_their_difference(monkeypatch, or
     expanded = ExactPolynomial([c * ExactNumber.zeta(4) * 3 for c in coeffs])
     assert expanded == _bucket_poly(moved, order, 6, constant) and _bucket_poly(padded, order, 6, constant) == expanded
     assert expanded != _bucket_poly(changed, order, 6, constant)
+
+
+@pytest.mark.parametrize("order", [3, 6, 18])
+def test_numbers_of_one_constant_compare_by_their_class_sums(monkeypatch, order):
+    # a number kept apart from its constant holds its Q(zeta_R) part as
+    # unreduced class sums; with one order and one constant, == folds the
+    # cross-multiplied difference once and builds no field element (18 is
+    # not squarefree: its table is its radical's)
+    rng = random.Random(order)
+    sums = [rng.randint(-9, 9) for _ in range(order)]
+    # t * zeta**j * Phi_R(zeta) = 0 added to the classes j..
+    cyclo = cyclotomic_polynomial(order)
+    shift = order - len(cyclo)
+    moved = list(sums)
+    for e, c in enumerate(cyclo):
+        moved[e + shift] += 5 * c
+    changed = list(sums)
+    changed[order - 1] += 1
+    constant = (4, ((1, 3),), 1)  # 3i
+    halved = (4, ((1, 3),), 2)  # 3i/2
+    base = _TimesConstant((order, 6, sums), constant)
+    stores = _counting_stores(monkeypatch)
+    assert _TimesConstant((order, 6, moved), constant) == base and base == _TimesConstant((order, 6, moved), constant)
+    # one changed entry
+    assert _TimesConstant((order, 6, changed), constant) != base and base != _TimesConstant((order, 6, changed), constant)
+    # other denominators: twice the sums over twice the denominator, and
+    # the scale -2/3 as -4 times the sums over 6 * 6, or 4 times over -36
+    assert _TimesConstant((order, 12, [2 * x for x in moved]), constant) == base
+    assert _TimesConstant((order, 12, sums), constant) != base
+    negative = _TimesConstant((order, 36, [-4 * x for x in sums]), constant)
+    assert negative == _TimesConstant((order, -36, [4 * x for x in moved]), constant)
+    assert negative == _TimesConstant((order, 9, [-x for x in moved]), constant) and negative != base
+    assert not stores
+    # 1 + zeta_3 + zeta_3**2 as three nonzero sums: zero, and equal to zero
+    third = order // 3
+    vanishing = _TimesConstant((order, 1, [1 if e % third == 0 else 0 for e in range(order)]), constant)
+    assert vanishing == _TimesConstant((order, 1, [0] * order), constant) and vanishing != base
+    assert not stores
+    assert vanishing.is_zero() and not base.is_zero()
+    monkeypatch.undo()
+    # different constants compare expanded coordinates: the sums times 3i
+    # against twice the sums times 3i/2
+    assert _TimesConstant((order, 6, [2 * x for x in moved]), halved) == base
+    assert _TimesConstant((order, 6, sums), halved) != base
+    # the same value built from its reduced part prints the same
+    reduced = _bucket_sum(sums, order, 6)
+    assert reduced.level == order
+    from_reduced = _TimesConstant((reduced.level, reduced._den, reduced._nums), constant)
+    assert from_reduced.to_json() == base.to_json() == (reduced * ExactNumber.zeta(4) * 3).to_json()
+    assert from_reduced == base and base.level == from_reduced.level == math.lcm(4, order)
 
 
 def test_polynomial_json_degree_descending():

@@ -186,7 +186,7 @@ def test_sparse_trace_constant_equals_its_dense_definition():
                             coords = [Fraction(rng.randint(-99, 99), rng.randint(1, 99)) for _ in range(euler_phi(order))]
                             x = ExactNumber(order, coords)
                         scale, constant = traces._trace_constant(ctx, m)
-                        sparse = _TimesConstant(x * scale, constant)
+                        sparse = _TimesConstant((x.level, x._den, [c * scale for c in x._nums]), constant)
                         dense = x * constants[e]
                         assert sparse.is_zero() == x.is_zero(), (d, level, n, m)
                         # at one level, == compares the lowest-terms integer
@@ -279,8 +279,10 @@ def test_routes_compare_their_class_sums_unreduced(monkeypatch):
     # read: on a fresh context (order-6 chi mod 7, N = 2, w = 10, n = 3;
     # the Bernoulli and constant memos filled, the polynomial memo cleared),
     # closed form == case sum builds no element of Q(zeta_6) and folds at
-    # most w + 1 times, and the period route of a trace reads its
-    # coefficient, times its rational, in exactly one reduction
+    # most w + 1 times.  A trace keeps its class sums too: each route hands
+    # them over unreduced (the period route its coefficient times its
+    # rational), so a trace pair builds no element of Q(zeta_6) and folds
+    # once, in ==
     chi = next(chi for chi in enumerate_primitive_characters(7) if chi.order == 6)
     ctx = PeriodContext(2, 10, 3, chi)
     closed_form_polynomial(ctx)
@@ -308,6 +310,9 @@ def test_routes_compare_their_class_sums_unreduced(monkeypatch):
         del folds[:]
         assert trace_from_periods(q) == closed, q.m
         assert folds == [6], (q.m, folds)
+        del folds[:], stores[:]
+        assert trace_closed_form(q) == trace_from_periods(q), q.m
+        assert 6 not in stores and folds == [6], (q.m, stores, folds)
 
 
 def _counting_expansions(monkeypatch) -> list:
