@@ -12,13 +12,13 @@ different levels (rationals, character values, Gauss sums, i) mix freely.
 A number is read back as a rational surd a + b*sqrt(d) from one Galois
 conjugate at its own level (``recognize_surd``).  A number of a small field
 times a large constant, given as integer monomials, keeps the constant
-apart (``_TimesConstant``) until its coordinates are read, and so does
-a polynomial (``ExactPolynomial``), coefficient by coefficient.  Both keep
-their small-field part as the unreduced sums of its exponent classes, one
-integer (a polynomial: one integer polynomial) per power of zeta_R over one
-denominator: it is reduced mod Phi_R only when it is read, and two values
-with one order and one constant compare by reducing their cross-multiplied
-difference, in one fold per coefficient (``_equal_class_sums``).
+apart (``_TimesConstant``) until its coordinates are read; a polynomial of
+the period and Bernoulli routes (``ExactPolynomial``) is the tuple of such
+numbers, one per coefficient, sharing one constant.  The small-field part
+is kept as the unreduced sums of its exponent classes, one integer per
+power of zeta_R over one denominator: it is reduced mod Phi_R only when it
+is read, and two numbers with one order and one constant compare by
+reducing their cross-multiplied difference in one fold.
 
 Everything here is immutable and pure; the reduction tables are built
 only at squarefree levels, whole on first use, and only read afterwards:
@@ -510,31 +510,34 @@ class ExactNumber(_Frozen):
 
 class _TimesConstant(ExactNumber):
     """part * constant with the constant kept apart: an ExactNumber to every
-    caller, whose coordinates are made on their first read.
+    caller, whose level and coordinates are made on their first read.
 
-    The part is a number of a small field (Q(zeta_R) on the period and trace
-    routes), given as its unreduced exponent-class sums (_ClassSums: an
-    order R, one denominator and one integer per power of zeta_R), and the
-    constant a nonzero number given as _Monomials.  The level is their
-    common one.  Nothing is reduced at construction: the part is reduced mod
-    Phi_R (one _bucket_sum) on the first read that needs it, is_zero or the
-    expansion, and the coordinates (_den, _nums) on their first read, by
-    expanding the product once (_expand).  Since the constant is nonzero,
-    is_zero reads the part, and two such numbers of one order with equal
-    constants compare their class sums in one fold (_equal_class_sums); any
+    The part is a number of a small field (Q(zeta_R) on the period,
+    Bernoulli and trace routes), given as its unreduced exponent-class sums
+    (_ClassSums: an order R, one denominator and one integer per power of
+    zeta_R), and the constant a nonzero number given as _Monomials.  Nothing
+    is reduced at construction, and a rational multiple (_scale) stays in
+    this form.  The part is reduced mod Phi_R (one _bucket_sum) on the first
+    read that needs it, is_zero of sums not all 0 or the expansion, and the
+    coordinates (_den, _nums) on their first read, by expanding the product
+    once (_expand).  Since the constant is nonzero, two such numbers of one
+    order with equal constants compare by folding the cross-multiplied
+    difference of their class sums once, with no number built: the one
+    comparison of class sums, of polynomial coefficients and of traces.  Any
     other comparison reads the coordinates."""
 
     __slots__ = ("_sums", "_constant", "_part")
 
     def __init__(self, sums: _ClassSums, constant: _Monomials):
-        object.__setattr__(self, "level", math.lcm(sums[0], constant[0]))
         object.__setattr__(self, "_sums", sums)
         object.__setattr__(self, "_constant", constant)
 
     def __getattr__(self, name):
-        # called only for an attribute that is not set: the reduced part and
-        # the coordinates, before their first read
-        if name == "_part":
+        # called only for an attribute that is not set: the level, the
+        # reduced part and the coordinates, before their first read
+        if name == "level":
+            object.__setattr__(self, "level", math.lcm(self._sums[0], self._constant[0]))
+        elif name == "_part":
             order, den, nums = self._sums
             object.__setattr__(self, "_part", _bucket_sum(nums, order, den))
         elif name in ("_den", "_nums"):
@@ -545,18 +548,27 @@ class _TimesConstant(ExactNumber):
             raise AttributeError(name)
         return getattr(self, name)
 
+    def _scale(self, num: int, den: int) -> "_TimesConstant":
+        """self * num/den in the class sums, the constant still apart."""
+        order, own_den, nums = self._sums
+        return _TimesConstant((order, own_den * den, [x * num for x in nums]), self._constant)
+
     def is_zero(self) -> bool:
-        return self._part.is_zero()
+        return not any(self._sums[2]) or self._part.is_zero()
 
     def __eq__(self, other):
-        if (
+        if not (
             isinstance(other, _TimesConstant)
             and self._sums[0] == other._sums[0]
             and (other._constant is self._constant or other._constant == self._constant)
         ):
-            (order, den, nums), (_, other_den, other_nums) = self._sums, other._sums
-            return _equal_class_sums(order, den, (nums,), other_den, (other_nums,))
-        return ExactNumber.__eq__(self, other)
+            return ExactNumber.__eq__(self, other)
+        (order, den, nums), (_, other_den, other_nums) = self._sums, other._sums
+        if not (any(nums) or any(other_nums)):
+            return True
+        g = math.gcd(den, other_den)
+        ka, kb = other_den // g, den // g
+        return not any(_fold([p * ka - q * kb for p, q in zip_longest(nums, other_nums, fillvalue=0)], order))
 
 
 def _expand(part: ExactNumber, constant: _Monomials) -> ExactNumber:
@@ -890,7 +902,7 @@ def recognize_surd(x: ExactNumber) -> Optional[QuadSurd]:
 
 
 # ---------------------------------------------------------------------------
-# polynomials over ExactNumber: an output record, kept as exponent-class sums
+# polynomials over ExactNumber: an output record, the tuple of its coefficients
 
 
 class ExactPolynomial(_Frozen):
@@ -898,70 +910,41 @@ class ExactPolynomial(_Frozen):
     period and Bernoulli routes; it has no ring arithmetic, only a scalar
     product.
 
-    Internally the sums the routes add, unreduced: an order R, one
-    denominator and, per power zeta_R**e, the ascending integer polynomial
-    of that exponent class, so coefficient k is sum_e sums[e][k]/den *
-    zeta_R**e, times one nonzero constant kept apart as the integer
-    monomials a _TimesConstant takes (None for 1).  The period routes hold
-    their sums at R = ord chi and the shared constant at its own, much
-    larger level; the public constructor stores its coefficients'
-    coordinates the same way, at their common level.  A coefficient is
-    read as a _TimesConstant of its column's class sums (class_sums), the
-    constant still apart, so it is reduced mod Phi_R (one _bucket_sum) only
-    when that number is tested for zero or expanded.  Two polynomials of one
-    order and one constant compare column by column (_equal_class_sums).
+    It is the tuple of its ascending coefficients, stored as given.  A
+    route's coefficients (_bucket_poly) are _TimesConstant numbers, one
+    column of its exponent-class sums each, all sharing one constant kept
+    apart, so two routes that keep one constant compare coefficient by
+    coefficient in Q(zeta_R), one fold each, and build no number.
     Construction trims no trailing zeros: the degree is the highest power
-    whose sum does not reduce to zero, found on its first read.  The
+    whose coefficient is not zero, found on its first read.  The
     `coefficients` view is degree-descending with a nonzero leading
     coefficient (empty for the zero polynomial).
     """
 
-    __slots__ = ("_order", "_den", "_sums", "_constant", "_degree")
+    __slots__ = ("_coeffs", "_degree")
 
     def __init__(self, ascending: Iterable):
-        coeffs = [c if isinstance(c, ExactNumber) else ExactNumber.from_rational(c) for c in ascending]
-        level = math.lcm(*(c.level for c in coeffs))
-        coeffs = [c.lift_to(level) for c in coeffs]
-        den = math.lcm(*(c._den for c in coeffs))
-        sums = tuple(zip(*([x * (den // c._den) for x in c._nums] for c in coeffs)))
-        self._store(level, den, sums, None)
-
-    def _store(self, order: int, den: int, sums: tuple, constant: Optional[_Monomials]) -> None:
-        """Set the fields; the degree is left for its first read."""
-        object.__setattr__(self, "_order", order)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_sums", sums)
-        object.__setattr__(self, "_constant", constant)
+        coeffs = tuple(c if isinstance(c, ExactNumber) else ExactNumber.from_rational(c) for c in ascending)
+        object.__setattr__(self, "_coeffs", coeffs)
 
     # -- views
 
-    def _column(self, k: int, num: int = 1) -> list[int]:
-        """num times the integers of x**k, one per exponent class (zeros
-        for k < 0)."""
-        if k < 0:
-            return [0] * len(self._sums)
-        return [num * s[k] if k < len(s) else 0 for s in self._sums]
-
     def class_sums(self, k: int, num: int = 1, den: int = 1) -> _ClassSums:
-        """num/den times the coefficient of x**k before the constant, for
-        integers num and den != 0, as its unreduced exponent-class sums
-        (order, den, integers), even past the degree: what a caller that
-        keeps its own multiple of the constant apart hands to a
+        """num/den times the coefficient of x**k before its constant, for
+        integers num and den != 0 and a coefficient a route built, as its
+        unreduced exponent-class sums (order, den, integers): what a caller
+        that keeps its own multiple of the constant apart hands to a
         _TimesConstant, with no reduction."""
-        return self._order, self._den * den, self._column(k, num)
-
-    def reduced_coefficient(self, k: int, num: int = 1, den: int = 1) -> ExactNumber:
-        """The class_sums(k, num, den) reduced mod Phi_order, in one
-        _bucket_sum, at the polynomial's order."""
-        return _bucket_sum(self._column(k, num), self._order, self._den * den)
+        order, own_den, nums = self._coeffs[k]._sums
+        return order, own_den * den, [num * x for x in nums]
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial.  Found on the first call and
         kept: a concurrent first call stores the same value."""
         top = getattr(self, "_degree", None)
         if top is None:
-            top = max(map(len, self._sums), default=0) - 1
-            while top >= 0 and not any(_fold(self._column(top), self._order)):
+            top = len(self._coeffs) - 1
+            while top >= 0 and self._coeffs[top].is_zero():
                 top -= 1
             object.__setattr__(self, "_degree", top)
         return top
@@ -969,46 +952,27 @@ class ExactPolynomial(_Frozen):
     def is_zero(self) -> bool:
         return self.degree() < 0
 
-    def unscaled_coefficient(self, k: int) -> ExactNumber:
-        """Coefficient of x**k before the constant (a level-1 zero past the
-        degree): what a caller that already holds a multiple of that
-        constant multiplies by."""
-        return self.reduced_coefficient(k) if 0 <= k <= self.degree() else ExactNumber.zero()
-
     def coefficient(self, k: int) -> ExactNumber:
-        """Coefficient of x**k."""
-        if self._constant is None or not 0 <= k <= self.degree():
-            return self.unscaled_coefficient(k)
-        return _TimesConstant(self.class_sums(k), self._constant)
+        """Coefficient of x**k (a level-1 zero past the degree)."""
+        return self._coeffs[k] if 0 <= k <= self.degree() else ExactNumber.zero()
 
     @property
     def coefficients(self) -> tuple:
-        return tuple(self.coefficient(k) for k in range(self.degree(), -1, -1))
+        return self._coeffs[: self.degree() + 1][::-1]
 
     def scale(self, factor) -> "ExactPolynomial":
-        """The polynomial times a rational or ExactNumber, taken into the
-        constant's monomials by one _expand: no product at its level."""
-        factor = ExactNumber._coerce(factor)
-        if factor is NotImplemented:
+        """The polynomial times a rational or an ExactNumber, coefficient by
+        coefficient: a rational stays in a kept-apart coefficient's form."""
+        if not isinstance(factor, (int, Fraction, ExactNumber)):
             raise TypeError("a polynomial scales by a rational or an ExactNumber")
-        if factor.is_zero():
-            return ExactPolynomial([])
-        kept = factor if self._constant is None else _expand(factor, self._constant)
-        return _bucket_poly(self._sums, self._order, self._den, _monomials(kept))
+        return ExactPolynomial([c * factor for c in self._coeffs])
 
     def __eq__(self, other):
-        """With one order and equal constants (as monomials), the class sums
-        are compared one coefficient at a time by _equal_class_sums, so two
-        routes that share a constant compare below its level and build no
-        coefficient; anything else compares expanded coefficients."""
+        """Coefficient by coefficient, the longer tail zero."""
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
-        if self._order != other._order or not (self._constant is other._constant or self._constant == other._constant):
-            top = self.degree()
-            return top == other.degree() and all(self.coefficient(k) == other.coefficient(k) for k in range(top + 1))
-        # the columns of the sums: coefficient k as one integer per class
-        columns, other_columns = (zip_longest(*p._sums, fillvalue=0) for p in (self, other))
-        return _equal_class_sums(self._order, self._den, columns, other._den, other_columns)
+        short, long = sorted((self._coeffs, other._coeffs), key=len)
+        return all(map(operator.eq, short, long)) and all(c.is_zero() for c in long[len(short) :])
 
     __hash__ = None
 
@@ -1031,24 +995,6 @@ def _bucket_sum(nums: Sequence[int], order: int, den: int = 1) -> ExactNumber:
     return ExactNumber._make(order, den, _fold(nums, order))
 
 
-def _equal_class_sums(
-    order: int, den_a: int, columns_a: Iterable[Sequence[int]], den_b: int, columns_b: Iterable[Sequence[int]]
-) -> bool:
-    """Whether two sides of exponent-class sums of one order R agree column
-    by column: a column is one integer per power of zeta_R over its side's
-    denominator, a polynomial's coefficients in turn or a single number.
-    Each column's cross-multiplied difference is reduced mod Phi_R in one
-    fold, up to the first that does not vanish, and a column that is zero
-    on both sides is equal with no fold; no number is built.  The one
-    comparison of unreduced class sums, of polynomials and of traces."""
-    g = math.gcd(den_a, den_b)
-    ka, kb = den_b // g, den_a // g
-    for x, y in zip_longest(columns_a, columns_b, fillvalue=()):
-        if (any(x) or any(y)) and any(_fold([p * ka - q * kb for p, q in zip_longest(x, y, fillvalue=0)], order)):
-            return False
-    return True
-
-
 def _monomials(x: ExactNumber) -> _Monomials:
     """x as the _Monomials of its nonzero coordinates: (level, ((j, num),
     ...), den) with x = sum num/den * zeta_level**j."""
@@ -1056,14 +1002,16 @@ def _monomials(x: ExactNumber) -> _Monomials:
 
 
 def _bucket_poly(
-    buckets: Sequence[Sequence[int]], order: int, den: int = 1, constant: Optional[_Monomials] = None
+    buckets: Sequence[Sequence[int]], order: int, den: int = 1, constant: _Monomials = (1, ((0, 1),), 1)
 ) -> ExactPolynomial:
     """constant * sum_e buckets[e](x)/den * zeta_order**e, for the
-    ascending integer polynomials of the exponent classes, kept as they are
-    (tuples), and a nonzero constant (_Monomials) kept apart: coefficient k
-    is the _bucket_sum of the classes' entries k, reduced when it is read."""
+    ascending integer polynomials of the exponent classes and a nonzero
+    constant (_Monomials, 1 by default) kept apart: coefficient k is the
+    _TimesConstant of the classes' entries k, all sharing the constant,
+    reduced only when it is read."""
     poly = object.__new__(ExactPolynomial)
-    poly._store(order, den, tuple(map(tuple, buckets)), constant)
+    columns = zip_longest(*buckets, fillvalue=0)
+    object.__setattr__(poly, "_coeffs", tuple(_TimesConstant((order, den, column), constant) for column in columns))
     return poly
 
 

@@ -15,14 +15,15 @@ By tau(chi) tau(conj chi) = chi(-1) D it is a rational times
 i^k tau(chi) sqrt(N)^(0 or 1): the phi(D) roots of unity of tau(chi), times
 the few coordinates of sqrt N, kept as monomials (``_trace_monomials``).
 Each route returns its number in Q(zeta_R), with the integer
-2^(w+1) N^((m+n+2) // 2) folded in and those monomials kept apart
-(``cyclotomic._TimesConstant``).  The number stays as the unreduced sums
-of its exponent classes, one integer per power of zeta_R over one
-denominator: the two routes compare in Q(zeta_R), since the constant is
-nonzero, by reducing their cross-multiplied difference in one fold, so a
-pair that is equal builds no number.  A value is reduced mod Phi_R only
-when it is tested for zero or expanded, and expanded to the constant's
-level, in one fold, only when its coordinates are read.
+2^(w+1) N^((m+n+2) // 2) folded in and those monomials kept apart, in the
+form a period polynomial keeps each coefficient in
+(``cyclotomic._TimesConstant``): the unreduced sums of its exponent
+classes, one integer per power of zeta_R over one denominator.  The two
+routes compare in Q(zeta_R), since the constant is nonzero, by reducing
+their cross-multiplied difference in one fold, so a pair that is equal
+builds no number.  A value is reduced mod Phi_R only when it is tested
+for zero or expanded, and expanded to the constant's level, in one fold,
+only when its coordinates are read.
 
 Degenerate indices are handled by the convention that a term with a
 vanishing binomial factor is exactly 0: whenever one of the four
@@ -186,10 +187,10 @@ def _double_sum_polynomials(ctx: PeriodContext) -> tuple[tuple[int, ...], ...]:
 def trace_from_periods(query: TraceQuery) -> ExactNumber:
     """The trace as (-D)^(m+1) (i sqrt N)^(m+n+2) r_{m,chi}(R_n); must equal
     trace_closed_form exactly.  The period is the X^(w-m) coefficient of the
-    closed-form polynomial over 2(-1)^m C(w, m).  That polynomial keeps
-    (2i)^(w+1) / tau(conj chi) apart as monomials (periods._prefactor) and
-    its coefficients as exponent-class sums in Q(zeta_R), so the coefficient
-    is read before the constant, already times its rational, as its
+    closed-form polynomial over 2(-1)^m C(w, m).  Each coefficient of that
+    polynomial is exponent-class sums in Q(zeta_R) times (2i)^(w+1) /
+    tau(conj chi), kept apart as monomials (periods._prefactor), so this
+    one is read before that constant, already times its rational, as its
     unreduced class sums (ExactPolynomial.class_sums), and the trace
     constant's tau(chi) monomials are kept apart as in trace_closed_form:
     the two routes meet in Q(zeta_R), where == reduces their

@@ -10,9 +10,9 @@ import pytest
 
 from heckeperiods import cli, numeric
 from heckeperiods.cli import factored_surd_str, main, parse_character
-from heckeperiods.characters import CharacterError, kronecker_character
+from heckeperiods.characters import CharacterError, enumerate_primitive_characters, kronecker_character
 from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, QuadSurd, recognize_surd
-from heckeperiods.periods import PeriodContext
+from heckeperiods.periods import PeriodContext, case_sum_polynomial
 from heckeperiods.traces import TraceQuery, trace_closed_form
 from fractions import Fraction
 
@@ -108,6 +108,28 @@ def test_theorem1_prints_imaginary_surds_factored(capsys):
     code, out, _ = run(capsys, *args, "--character", "kronecker:5", "--format", "latex")
     assert code == 0
     assert out.startswith("\\left(i\\left(-\\frac{4756340736}{25}\\sqrt{5}\\right)\\right)X^{10} + ")
+
+
+def test_theorem1_json_reads_back_as_the_case_sum(capsys):
+    # the polynomial rebuilt from its printed coefficients (dense numbers)
+    # equals the case-sum route's (the same numbers with the constant kept
+    # apart), for the order-6 character mod 7, N = 2, weight 12, n = 4; one
+    # changed coordinate makes it differ
+    chi = next(chi for chi in enumerate_primitive_characters(7) if chi.order == 6)
+    table = ",".join("0" if (e := chi.value_exponent(h)) is None else f"zeta[6]^{e}" for h in range(7))
+    code, out, _ = run(
+        capsys, "theorem1", "--level", "2", "--weight", "12", "--n", "4",
+        "--character", f"table:7:{table}", "--format", "json",
+    )
+    assert code == 0
+    coefficients = json.loads(out)["polynomial"]["coefficients"]
+    expected = case_sum_polynomial(PeriodContext(2, 10, 4, chi))
+    rebuilt = ExactPolynomial(reversed([ExactNumber.from_json(c) for c in coefficients]))
+    assert rebuilt == expected and expected == rebuilt
+    coords = coefficients[1]["coords"]
+    coords[0] = str(Fraction(coords[0]) + 1)
+    changed = ExactPolynomial(reversed([ExactNumber.from_json(c) for c in coefficients]))
+    assert changed != expected and expected != changed
 
 
 def test_json_request_skips_the_text_rendering(capsys, monkeypatch):

@@ -673,6 +673,17 @@ def test_polynomial_basics():
     assert ExactPolynomial([]).is_zero()
 
 
+def test_polynomial_of_reduced_coefficients_builds_no_table():
+    # the public constructor stores its coefficients as given: the degree
+    # and a coefficient of a polynomial over zeta_8844**5, read from JSON,
+    # build no reduction table, since those coordinates are reduced already
+    cyclotomic._power_table.cache_clear()
+    x = ExactNumber.from_json({"level": 8844, "coords": ["0"] * 5 + ["1"] + ["0"] * (euler_phi(8844) - 6)})
+    p = ExactPolynomial([x, 0])
+    assert p.degree() == 0 and p.coefficient(0) == x
+    assert cyclotomic._power_table.cache_info().currsize == 0
+
+
 def _counting_stores(monkeypatch) -> list:
     """Record the level of every field element built."""
     levels = []
@@ -727,11 +738,12 @@ def test_polynomials_of_one_constant_compare_by_their_difference(monkeypatch, or
     # a polynomial built from its coefficients (their coordinates at level R)
     coeffs = [base.coefficient(k) for k in range(4)]
     assert {c.level for c in coeffs} == {order}
-    # a scaled read is one reduction at the order, zero below 0 and past the degree
-    for k in range(-1, 6):
-        scaled = _bucket_poly(padded, order, 6).reduced_coefficient(k, -3, 4)
+    # a scaled read hands over class sums at the order, zero past the degree
+    for k in range(max(map(len, padded))):
+        scaled_order, den, nums = _bucket_poly(padded, order, 6).class_sums(k, -3, 4)
+        scaled = _bucket_sum(nums, scaled_order, den)
         assert scaled.level == order
-        assert scaled == (coeffs[k] * Fraction(-3, 4) if 0 <= k < 4 else 0), k
+        assert scaled == (coeffs[k] * Fraction(-3, 4) if k < 4 else 0), k
     from_coeffs = ExactPolynomial(coeffs + [ExactNumber.zero(order)])
     stores = _counting_stores(monkeypatch)
     assert from_coeffs == base and base == from_coeffs
@@ -826,9 +838,9 @@ def test_polynomial_scale_is_the_coefficient_wise_product():
         assert scaled.coefficient(1).to_json() == expected.coefficient(1).to_json()
         assert scaled.coefficient(5).is_zero()
         assert scaled.to_json() == expected.to_json()
-    # a second scale folds into the kept constant
+    # scales compose
     assert p.scale(unit).scale(Fraction(-5, 7)) == ExactPolynomial([c * unit * Fraction(-5, 7) for c in ascending])
-    # equal constants compare the coefficients before the constant
+    # polynomials scaled alike compare coefficient by coefficient
     assert p.scale(unit) == ExactPolynomial(list(ascending)).scale(unit)
     assert p.scale(unit) != ExactPolynomial(ascending[:2] + [ascending[2] * 2]).scale(unit)
     # refused at the call, not at the first read of a coefficient

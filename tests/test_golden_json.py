@@ -11,7 +11,7 @@ import math
 from heckeperiods import periods
 from heckeperiods.bernoulli import generalized_bernoulli_number, generalized_bernoulli_poly
 from heckeperiods.characters import enumerate_primitive_characters, gauss_sum
-from heckeperiods.cyclotomic import ExactNumber, _expand, sqrt_integer
+from heckeperiods.cyclotomic import ExactNumber, _bucket_sum, _expand, sqrt_integer
 from heckeperiods.periods import (
     PeriodContext,
     case_contribution,
@@ -78,9 +78,9 @@ def high_level_values():
 # D = 41, 43, 47 and 67, w = 22, where the quadruple sums pack the widest
 # digits.  Both routes keep the shared constant _prefactor(conj chi, w) apart
 # as monomials, so it is hashed once per character, expanded to the number it
-# stands for, and each polynomial by its coefficients before it
-# (unscaled_coefficient; positions past the degree read a level-1 zero, so the
-# degree is hashed too): the same information as their to_json(), without
+# stands for, and each polynomial by its coefficients before it (their class
+# sums reduced at the order; positions past the degree read a level-1 zero, so
+# the degree is hashed too): the same information as their to_json(), without
 # expanding 48 polynomials at levels up to 8844
 WIDE_SHA256 = "34c0de640f29524672bea8b98882caf5fd7b980789c5a490d7815f8f9ed8c528"
 
@@ -93,7 +93,12 @@ def wide_values():
             for n in (1, 11, 21):
                 ctx = PeriodContext(level, 22, n, chi)
                 for poly in (closed_form_polynomial(ctx), case_sum_polynomial(ctx)):
-                    yield from (poly.unscaled_coefficient(k) for k in range(23))
+                    for k in range(23):
+                        if k > poly.degree():
+                            yield ExactNumber.zero()
+                            continue
+                        order, den, nums = poly.class_sums(k)
+                        yield _bucket_sum(nums, order, den)
 
 
 def golden_digest(values=golden_values) -> str:

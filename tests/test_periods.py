@@ -13,8 +13,16 @@ from heckeperiods.characters import (
     gauss_sum,
     kronecker_character,
 )
-from heckeperiods import periods
-from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, _expand, sqrt_integer, sqrt_positive_integer
+from heckeperiods import cyclotomic, periods
+from heckeperiods.cyclotomic import (
+    ExactNumber,
+    ExactPolynomial,
+    _bucket_sum,
+    _expand,
+    euler_phi,
+    sqrt_integer,
+    sqrt_positive_integer,
+)
 from heckeperiods.periods import (
     ContextError,
     FareyQuadruple,
@@ -222,7 +230,7 @@ def test_closed_form_equals_its_expanded_coefficients():
         assert case_sum_polynomial(ctx) == expanded and expanded == case_sum_polynomial(ctx)
         k = poly.degree()
         prefactor = _expand(ExactNumber.one(), periods._prefactor(ctx.chi.conjugate(), ctx.w))
-        assert poly.coefficient(k) == poly.unscaled_coefficient(k) * prefactor
+        assert poly.coefficient(k) == part_before_constant(poly, k) * prefactor
         changed = ExactPolynomial([*reversed(poly.coefficients[1:]), poly.coefficients[0] * 2])
         assert poly != changed and changed != poly
 
@@ -253,13 +261,21 @@ def test_routes_compare_below_the_prefactor_level(monkeypatch):
     assert len(levels) == made
 
 
+def part_before_constant(poly, k):
+    """Coefficient k of a route's polynomial before its kept-apart constant:
+    its class sums, reduced here at the order."""
+    order, den, nums = poly.class_sums(k)
+    return _bucket_sum(nums, order, den)
+
+
 def test_factor_product_equals_the_dense_product():
     # a coefficient meets the kept-apart constant as monomials in one fold:
-    # the same number, at the same level, as c * factor, the factor built
-    # here by field arithmetic; sqrt(N) brings in the levels 8, 12 and 20,
-    # and zeta_4 a factor whose level R does not divide
+    # the same number, at the same level, as its part times the factor, the
+    # factor built here by field arithmetic; sqrt(N) brings in the levels 8,
+    # 12 and 20, and zeta_4 a factor whose level R does not divide
     two_i = (ExactNumber.zeta(4) * 2) ** 11
-    polys = [(ExactPolynomial([ExactNumber.zeta(3), 0, Fraction(2, 3)]).scale(ExactNumber.zeta(4)), ExactNumber.zeta(4))]
+    ascending = [ExactNumber.zeta(3), 0, Fraction(2, 3)]
+    rows = [(ExactPolynomial(ascending).scale(ExactNumber.zeta(4)), [c * ExactNumber.zeta(4) for c in ascending])]
     for d in (3, 5, 7, 13):
         for chi in enumerate_primitive_characters(d):
             prefactor = two_i * gauss_sum(chi.conjugate()).inverse()
@@ -267,37 +283,41 @@ def test_factor_product_equals_the_dense_product():
                 root = sqrt_positive_integer(level)
                 for n in (1, 2):
                     poly = closed_form_polynomial(PeriodContext(level, 10, n, chi))
-                    polys += [(poly, prefactor), (poly.scale(root), prefactor * root)]
-    for poly, factor in polys:
+                    parts = [part_before_constant(poly, k) for k in range(poly.degree() + 1)]
+                    rows += [(poly, [p * prefactor for p in parts]), (poly.scale(root), [p * prefactor * root for p in parts])]
+    for poly, dense in rows:
+        assert poly.degree() == len(dense) - 1
         expanded = poly.coefficients[::-1]
-        for k in range(poly.degree() + 1):
-            dense = poly.unscaled_coefficient(k) * factor
+        for k, value in enumerate(dense):
             for c in (poly.coefficient(k), expanded[k]):
-                assert c == dense and c.to_json() == dense.to_json(), k
+                assert c == value and c.to_json() == value.to_json(), k
 
 
 def test_scale_folds_into_the_constant_without_a_product(monkeypatch):
-    # scale takes a rational or sqrt(N) into the kept-apart constant's
-    # monomials in one fold: no ExactNumber product at the constant's level
-    # lcm(4, R, D), and the same polynomial as the dense product
+    # scale takes a rational into each coefficient's class sums, the
+    # constant still apart: neither the scale nor reading the result makes a
+    # dense product (_kronecker_mul) at the constant's level lcm(4, R, D).
+    # For a rational and for sqrt(N) alike it is the polynomial of the
+    # dense products of the expanded coefficients
     chi = next(chi for chi in enumerate_primitive_characters(23) if chi.order == 22)
     poly = closed_form_polynomial(PeriodContext(1, 10, 3, chi))
     top = math.lcm(4, 22, 23)
     factors = (Fraction(-5, 7), sqrt_positive_integer(2), sqrt_positive_integer(12))
-    levels = []
-    mul = ExactNumber.__mul__
+    lengths = []
+    kronecker_mul = cyclotomic._kronecker_mul
 
-    def counting(self, other):
-        levels.append(math.lcm(self.level, getattr(other, "level", 1)))
-        return mul(self, other)
+    def counting(a, b):
+        lengths.append(len(a))
+        return kronecker_mul(a, b)
 
-    monkeypatch.setattr(ExactNumber, "__mul__", counting)
-    monkeypatch.setattr(ExactNumber, "__rmul__", counting)
-    scaled = [poly.scale(x) for x in factors]
-    assert all(level % top for level in levels), levels
+    monkeypatch.setattr(cyclotomic, "_kronecker_mul", counting)
+    rational = poly.scale(factors[0])
+    rational.to_json()
+    assert euler_phi(top) not in lengths, lengths
     monkeypatch.undo()
-    for x, got in zip(factors, scaled):
-        dense = ExactPolynomial([c * x for c in reversed(poly.coefficients)])
+    for x in factors:
+        got = poly.scale(x)
+        dense = ExactPolynomial([ExactNumber.from_json(c.to_json()) * x for c in reversed(poly.coefficients)])
         assert got == dense and dense == got
         assert got.to_json() == dense.to_json()
 

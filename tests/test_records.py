@@ -157,7 +157,7 @@ VALUES = [
     (ExactNumber.zeta(5), "level"),
     (QuadSurd(1, 2, 5), "a"),
     (SurdPair(ExactNumber.zeta(3), ExactNumber.one(), 5), "b"),
-    (ExactPolynomial([1, ExactNumber.zeta(4)]), "_sums"),
+    (ExactPolynomial([1, ExactNumber.zeta(4)]), "_coeffs"),
     (CHI, "order"),
     (MATRIX, "rows"),
 ]
