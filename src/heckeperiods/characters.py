@@ -287,7 +287,6 @@ def kronecker_character(d: int) -> DirichletCharacter:
 # Gauss sums and the four-argument character
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
 def gauss_sum(chi: DirichletCharacter) -> ExactNumber:
     """tau(chi) = sum_h chi(h) zeta_D**h, exactly."""
     level, counts = _gauss_counts(chi)

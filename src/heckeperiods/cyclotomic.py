@@ -616,29 +616,29 @@ def _store(number: ExactNumber, level: int, den: int, nums: Sequence[int]) -> No
 def sqrt_integer(n: int) -> ExactNumber:
     """Exact square root of a squarefree positive integer, living at level 4n.
 
-    Built from quadratic Gauss sums (sqrt2 = zeta8 + zeta8^-1; for odd prime
-    p the Legendre-symbol sum gives sqrt(p) or i*sqrt(p) according to
-    p mod 4).  The positive branch is fixed by floating evaluation rather
-    than by sign theory, then confirmed by squaring.
+    The product of one quadratic Gauss sum per prime p | n: zeta8 + zeta8^7
+    = sqrt2, and for odd p the Legendre-symbol sum sum_a (a/p) zeta_p^a,
+    which by Gauss's theorem on its sign is sqrt(p) when p = 1 (mod 4) and
+    i*sqrt(p) when p = 3 (mod 4).  One zeta4^3 = -i per prime of the latter
+    kind makes the product +sqrt(n), and puts it at level 4n.  The factors
+    are multiplied as _Monomials and folded once; squaring confirms the
+    result.
     """
     if n < 1:
         raise ValueError("need a positive integer")
     if not is_squarefree(n):
         raise ValueError(f"{n} is not squarefree")
-    level = 4 * n
-    result = ExactNumber.one(level)
-    for p in factorize(n):
+    primes = factorize(n)
+    root: _Monomials = (4, ((3 * sum(p % 4 == 3 for p in primes) % 4, 1),), 1)
+    for p in primes:
         if p == 2:
-            factor = _bucket_sum([0, 1, 0, 0, 0, 0, 0, 1], 8)  # zeta8 + zeta8^7
-        else:
-            factor = _bucket_sum([_legendre(a, p) for a in range(p)], p)
-            if p % 4 == 3:
-                # gauss sum is i*sqrt(p); divide out i
-                factor = factor.lift_to(4 * p) * ExactNumber.zeta(4, 3)
-        result = result * factor.lift_to(level)
-    if result.numeric().real < 0:
-        result = -result
-    if result * result != ExactNumber.from_rational(n):
+            factor = (8, ((1, 1), (7, 1)), 1)
+        else:  # (a/p) by Euler's criterion
+            factor = (p, tuple((a, 1 if pow(a, p // 2, p) == 1 else -1) for a in range(1, p)), 1)
+        root = _monomial_product(root, factor)
+    result = _expand(ExactNumber.one(), root)
+    square = result * result
+    if not (square.is_rational() and square.rational_value() == n):
         raise ArithmeticError(f"square root construction failed for {n}")
     return result
 
@@ -654,11 +654,6 @@ def sqrt_positive_integer(n: int) -> ExactNumber:
 def _is_zero(x) -> bool:
     """Zero test for a Fraction or an ExactNumber, without lifting a 0."""
     return x.is_zero() if isinstance(x, ExactNumber) else x == 0
-
-
-def _legendre(a: int, p: int) -> int:
-    r = pow(a % p, (p - 1) // 2, p)
-    return r - p if r > 1 else r
 
 
 # ---------------------------------------------------------------------------

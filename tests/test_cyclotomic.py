@@ -419,14 +419,33 @@ def test_sqrt_small_values():
     assert s6.numeric().real > 0
 
 
-def test_sqrt_all_squarefree_up_to_30():
-    for n in range(1, 31):
+def test_sqrt_all_squarefree_up_to_210():
+    # p = 2, p = 1 and p = 3 (mod 4), up to 2*3*5*7: each root is the
+    # positive one, as Gauss's theorem signs its factors
+    for n in range(1, 211):
         if square_and_squarefree_part(n)[0] != 1:
             continue
         root = sqrt_integer(n)
+        assert root.level == 4 * n
         assert root * root == ExactNumber.from_rational(n)
         value = root.numeric()
         assert abs(value - math.sqrt(n)) < 1e-9
+
+
+def test_sqrt_is_one_fold_with_no_float_or_galois_call(monkeypatch):
+    calls = []
+
+    def counting(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    for name in ("numeric", "lift_to", "galois"):
+        monkeypatch.setattr(ExactNumber, name, counting(name, getattr(ExactNumber, name)))
+    monkeypatch.setattr(cyclotomic, "_kronecker_mul", counting("_kronecker_mul", _kronecker_mul))
+    for n in (2, 3, 5, 6, 30):
+        sqrt_integer.cache_clear()
+        calls.clear()
+        sqrt_integer(n)
+        assert calls == ["_kronecker_mul"], n  # the squaring check
 
 
 def test_sqrt_rejects_non_squarefree():

@@ -24,7 +24,6 @@ MEMOS = {
     "bernoulli._weighted_coordinates",
     "bernoulli._weighted_number_direct",
     "characters._conjugate",
-    "characters.gauss_sum",
     "cyclotomic._power_table",
     "cyclotomic.sqrt_integer",
     "numeric.tau_coefficients",
@@ -78,7 +77,7 @@ def test_the_package_memos_are_pinned():
 def test_memos_are_bounded():
     memos = package_memos()
     assert closed_form_polynomial in memos and bernoulli._weighted_coordinates in memos
-    assert gauss_sum in memos and traces._trace_monomials in memos
+    assert traces._trace_monomials in memos
     assert traces._double_sum_polynomials in memos
     assert characters._conjugate in memos
     assert cyclotomic.sqrt_integer in memos and tau_coefficients in memos
