@@ -18,7 +18,8 @@ numbers, one per coefficient, sharing one constant.  The small-field part
 is kept as the unreduced sums of its exponent classes, one integer per
 power of zeta_R over one denominator: it is reduced mod Phi_R only when it
 is read, and two numbers with one order and one constant compare by
-reducing their cross-multiplied difference in one fold.
+their cross-multiplied difference: with no fold when it is zero entry by
+entry, by reducing it in one fold otherwise.
 
 Everything here is immutable and pure; the reduction tables are built
 only at squarefree levels, whole on first use, and only read afterwards:
@@ -41,6 +42,9 @@ _MEMO_SIZE = 1024
 # a nonzero constant kept apart, as integer monomials over one denominator:
 # (level, ((t, c), ...), den) for sum_t c/den * zeta_level**t
 _Monomials = tuple[int, tuple[tuple[int, int], ...], int]
+
+# the constant 1 as _Monomials: what a polynomial with no constant keeps apart
+_UNIT: _Monomials = (1, ((0, 1),), 1)
 
 # a number of Q(zeta_R) as the unreduced sums of its exponent classes, one
 # integer per power of zeta_R over one denominator:
@@ -520,11 +524,13 @@ class _TimesConstant(ExactNumber):
     this form.  The part is reduced mod Phi_R (one _bucket_sum) on the first
     read that needs it, is_zero of sums not all 0 or the expansion, and the
     coordinates (_den, _nums) on their first read, by expanding the product
-    once (_expand).  Since the constant is nonzero, two such numbers of one
-    order with equal constants compare by folding the cross-multiplied
-    difference of their class sums once, with no number built: the one
-    comparison of class sums, of polynomial coefficients and of traces.  Any
-    other comparison reads the coordinates."""
+    once (_expand; with the unit constant they are the part's own).  Since
+    the constant is nonzero, two such numbers of one order with equal
+    constants compare by the cross-multiplied difference of their class
+    sums, with no number built: a difference that is zero entry by entry
+    decides equality with no fold, and any other is folded once.  This is
+    the one comparison of class sums, of polynomial coefficients and of
+    traces.  Any other comparison reads the coordinates."""
 
     __slots__ = ("_sums", "_constant", "_part")
 
@@ -564,18 +570,20 @@ class _TimesConstant(ExactNumber):
         ):
             return ExactNumber.__eq__(self, other)
         (order, den, nums), (_, other_den, other_nums) = self._sums, other._sums
-        if not (any(nums) or any(other_nums)):
-            return True
         g = math.gcd(den, other_den)
         ka, kb = other_den // g, den // g
-        return not any(_fold([p * ka - q * kb for p, q in zip_longest(nums, other_nums, fillvalue=0)], order))
+        difference = [p * ka - q * kb for p, q in zip_longest(nums, other_nums, fillvalue=0)]
+        return not any(difference) or not any(_fold(difference, order))
 
 
 def _expand(part: ExactNumber, constant: _Monomials) -> ExactNumber:
     """part times a constant given as monomials, at their common level M:
     the _monomial_product of part's nonzero terms and the constant, folded
     once, with no lift of part and no dense product at the constant's
-    level.  The one expansion of a kept-apart constant."""
+    level.  The one expansion of a kept-apart constant; the unit constant
+    leaves part as it is."""
+    if constant == _UNIT:
+        return part
     level, terms, den = _monomial_product(_monomials(part), constant)
     out = [0] * level
     for t, c in terms:
@@ -997,7 +1005,7 @@ def _monomials(x: ExactNumber) -> _Monomials:
 
 
 def _bucket_poly(
-    buckets: Sequence[Sequence[int]], order: int, den: int = 1, constant: _Monomials = (1, ((0, 1),), 1)
+    buckets: Sequence[Sequence[int]], order: int, den: int = 1, constant: _Monomials = _UNIT
 ) -> ExactPolynomial:
     """constant * sum_e buckets[e](x)/den * zeta_order**e, for the
     ascending integer polynomials of the exponent classes and a nonzero

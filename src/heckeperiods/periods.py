@@ -26,7 +26,13 @@ Both routes expand quadruple terms, each with its own walk and its own
 terms, by packed sums: a term is one big integer at X = 2**(8 * width)
 (Kronecker substitution), a class adds its terms, and
 ``cyclotomic._signed_digits`` unpacks each class sum into its w + 1
-coefficients once, at a width sized from a bound the route states.
+coefficients once, at a width sized from a bound the route states.  Each
+walk is memoized, so the quadruples are enumerated once for every n: per
+(N, conj chi) with the character exponents for the closed form
+(``_quadruple_walk``), per (N, D) with the Bezout residues for the oracle
+(``_case_walk``).  The constants of a context (term scalars, ratios,
+alpha, the case-6 values) are integer pairs (num, den), cleared over one
+context denominator with no Fraction built.
 """
 
 from __future__ import annotations
@@ -241,25 +247,25 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     eps = ctx.epsilons()
 
     # (character, index k, scalar, exponent of the chi value in front, alpha,
-    # reversed): scalar * B_{k,psi}(alpha*X), or scalar * X^w * B_{k,psi}(alpha/X)
+    # reversed), scalar and alpha as integer pairs (num, den):
+    # scalar * B_{k,psi}(alpha*X), or scalar * X^w * B_{k,psi}(alpha/X)
     terms = []
     if eps.eps1:
-        terms.append((chibar, nt + 1, Fraction(1, (-d) ** nt * (nt + 1)), 0, d, False))
-    terms.append((chibar, n + 1, Fraction(-1, d**n * (n + 1)), 0, d, False))
+        terms.append((chibar, nt + 1, (1, (-d) ** nt * (nt + 1)), 0, (d, 1), False))
+    terms.append((chibar, n + 1, (-1, d**n * (n + 1)), 0, (d, 1), False))
     if eps.eps2:
-        scalar = Fraction((-1) ** (n - 1) * level**nt * d**n, nt + 1)
-        terms.append((chi, nt + 1, scalar, chi.value_exponent(-level), Fraction(-1, d * level), True))
+        scalar = ((-1) ** (n - 1) * level**nt * d**n, nt + 1)
+        terms.append((chi, nt + 1, scalar, chi.value_exponent(-level), (-1, d * level), True))
     if eps.eps3:
-        terms.append((chi, n + 1, Fraction(d**nt, n + 1), chi.value_exponent(-1), Fraction(-1, d), True))
+        terms.append((chi, n + 1, (d**nt, n + 1), chi.value_exponent(-1), (-1, d), True))
 
     # the coordinates of B_{k,psi} are integers over their own denominator;
     # one context denominator clears those, the scalars, alpha^i and G_n's D^w
     weighted = [_weighted_coordinates(k, psi) for psi, k, *_ in terms]
     den, (quadruple_factor, *factors) = _cleared(
         [[(1, d**w)]]
-        + [[(scalar.numerator * alpha.numerator**i, scalar.denominator * alpha.denominator**i * coord_den)
-            for i in range(k + 1)]
-           for (_, k, scalar, _, alpha, _), (coord_den, _) in zip(terms, weighted)]
+        + [[(num * alpha_num**i, below * alpha_den**i * coord_den) for i in range(k + 1)]
+           for (_, k, (num, below), _, (alpha_num, alpha_den), _), (coord_den, _) in zip(terms, weighted)]
     )
 
     # G_n(X) + gsign*G_n(-X): coefficient i picks up 1 + gsign*(-1)^i
@@ -281,63 +287,85 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
 # the six case contributions (per residue h)
 
 
-def _prime_ratio_product(level: int, s: int, w: int) -> Fraction:
-    out = Fraction(1)
+def _prime_ratio_product(level: int, s: int, w: int) -> tuple[int, int]:
+    """prod_p (1 - p^-s) / (1 - p^-(w+2)) over the primes p | N, as the
+    integer pair prod_p (p^s - 1) p^(w+2-s) over prod_p (p^(w+2) - 1)."""
+    num = den = 1
     for p in factorize(level):
-        out *= (1 - Fraction(1, p**s)) / (1 - Fraction(1, p ** (w + 2)))
-    return out
+        num *= (p**s - 1) * p ** (w + 2 - s)
+        den *= p ** (w + 2) - 1
+    return num, den
 
 
-def _case_specs(ctx: PeriodContext) -> dict[int, tuple[int, Fraction, Fraction, int, bool]]:
+def _case_specs(ctx: PeriodContext) -> dict[int, tuple[int, tuple[int, int], tuple[int, int], int, bool]]:
     """Cases 1-4 that the context admits (1 needs N=1, 3 needs gcd(N,D)=1,
-    4 needs N|D), as case -> (k, scalar, ratio, unit, reversed).  At residue
-    h the case adds scalar * C(k,i) * ratio^i * B_{k-i}(r/D) to the
-    coefficient of X^i with r = unit*h, or, reversed, to that of X^(w-i) with
-    r = unit*conj(h), conj(h) the inverse of h mod D.  All carry the common
-    (2i)^(w+1) factor divided out."""
+    4 needs N|D), as case -> (k, scalar, ratio, unit, reversed), scalar and
+    ratio as integer pairs (num, den).  At residue h the case adds
+    scalar * C(k,i) * ratio^i * B_{k-i}(r/D) to the coefficient of X^i with
+    r = unit*h, or, reversed, to that of X^(w-i) with r = unit*conj(h),
+    conj(h) the inverse of h mod D.  All carry the common (2i)^(w+1) factor
+    divided out."""
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d, level = ctx.modulus, ctx.level
     specs = {}
     if level == 1:
-        specs[1] = (nt + 1, Fraction((-1) ** n, nt + 1), Fraction(1), 1, False)
-    specs[2] = (n + 1, Fraction(-1, n + 1), Fraction(1), 1, False)
+        specs[1] = (nt + 1, ((-1) ** n, nt + 1), (1, 1), 1, False)
+    specs[2] = (n + 1, (-1, n + 1), (1, 1), 1, False)
     if math.gcd(level, d) == 1:
-        scalar = Fraction((-1) ** (n - 1) * level**nt * d**w, nt + 1)
-        specs[3] = (nt + 1, scalar, Fraction(-1, d * d * level), -pow(level, -1, d), True)
+        scalar = ((-1) ** (n - 1) * level**nt * d**w, nt + 1)
+        specs[3] = (nt + 1, scalar, (-1, d * d * level), -pow(level, -1, d), True)
     if d % level == 0:
-        specs[4] = (n + 1, Fraction(d**w, n + 1), Fraction(-1, d * d), -1, True)
+        specs[4] = (n + 1, (d**w, n + 1), (-1, d * d), -1, True)
     return specs
 
 
-def _case_six(ctx: PeriodContext) -> list[Fraction]:
+def _case_six(ctx: PeriodContext) -> list[tuple[int, int]]:
     """The coefficients of X^0 and X^w of case 6, which does not depend on
-    the residue; empty when they vanish."""
+    the residue, as integer pairs (num, den); empty when they vanish.  Both
+    are (-1)^n (w+2) B_(n+1) B_(nt+1) / (B_(w+2) (n+1) (nt+1)) times
+    -N^-(n+1) and D^w / N, each times its prime ratio product."""
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     level = ctx.level
-    scalar = (
-        Fraction((-1) ** n * (w + 2))
-        / bernoulli_number(w + 2)
-        * bernoulli_number(n + 1)
-        / (n + 1)
-        * bernoulli_number(nt + 1)
-        / (nt + 1)
-    )
-    if scalar == 0:
+    top, low, high = bernoulli_number(w + 2), bernoulli_number(n + 1), bernoulli_number(nt + 1)
+    num = (-1) ** n * (w + 2) * top.denominator * low.numerator * high.numerator
+    if num == 0:
         return []
-    return [
-        -scalar * Fraction(1, level ** (n + 1)) * _prime_ratio_product(level, nt + 1, w),
-        scalar * Fraction(ctx.modulus**w, level) * _prime_ratio_product(level, n + 1, w),
-    ]
+    den = top.numerator * low.denominator * (n + 1) * high.denominator * (nt + 1)
+    first_num, first_den = _prime_ratio_product(level, nt + 1, w)
+    last_num, last_den = _prime_ratio_product(level, n + 1, w)
+    values = []
+    # in lowest terms: B_(w+2)'s numerator would swell the context denominator
+    for p, q in ((-num * first_num, den * level ** (n + 1) * first_den),
+                 (num * ctx.modulus**w * last_num, den * level * last_den)):
+        g = math.gcd(p, q)
+        values.append((p // g, q // g))
+    return values
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _case_walk(level: int, modulus: int) -> tuple[tuple[int, int, int, int, int], ...]:
+    """The quadruples (a, c, k, ell) of (N, D), each with its Bezout residue
+    e = k*b + ell*d mod D, where a*d - b*c = 1: the oracle's own walk, read
+    by case 5 at every n and every residue.  It shares nothing with the
+    closed form's walk, which keys the quadruples by conj(chi) instead."""
+    walk = []
+    for a, c, k, ell in enumerate_quadruples(level, modulus):
+        b0, d0 = bezout_pair(a, c)
+        walk.append((a, c, k, ell, (k * b0 + ell * d0) % modulus))
+    return tuple(walk)
 
 
 def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[int]) -> tuple[int, list[list[int]]]:
     """The given cases summed over each class of unit residues: ascending
     integer polynomials over one context denominator, with the (2i)^(w+1)
-    factor divided out.  Cases 1-4 read integer Bernoulli rows: for each
+    factor divided out.  The scalars of cases 1-4 and 6 are integer pairs
+    (_case_specs, _case_six), cleared over that denominator with no
+    Fraction built.  Cases 1-4 read integer Bernoulli rows: for each
     (case, i), one pass over the unit residues adds each residue's row
     entry into its class's sum, which is scaled once by one integer per
-    (case, i); case 6 counts the residues.  Case 5 walks the quadruples
-    once and sums each class over D^w: a quadruple with Bezout residue e
+    (case, i); case 6 counts the residues.  Case 5 reads the oracle's own
+    walk (_case_walk, built once per (N, D) with every Bezout residue) and
+    sums each class over D^w: a quadruple with Bezout residue e
     adds its sign class c < 0 to the class of e and its class a, c > 0 to
     that of -e (each sign class has exactly one matrix at a residue); one
     that reaches no class is skipped before its term is expanded.  A
@@ -353,22 +381,19 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     six = _case_six(ctx) if 6 in cases else []
     # table row k-i states its denominator D^(k-i) * L_(k-i)
     den, (five_factor, six_values, *factors) = _cleared(
-        [[(1, d**w)], [(q.numerator, q.denominator) for q in six]]
-        + [[(scalar.numerator * math.comb(k, i) * ratio.numerator**i,
-             scalar.denominator * ratio.denominator**i * _bernoulli_row(k - i, d)[0])
+        [[(1, d**w)], six]
+        + [[(num * math.comb(k, i) * ratio_num**i, below * ratio_den**i * _bernoulli_row(k - i, d)[0])
             for i in range(k + 1)]
-           for k, scalar, ratio, _, _ in specs]
+           for k, (num, below), (ratio_num, ratio_den), _, _ in specs]
     )
     fives: list[list[int]] = [[] for _ in classes]
     if 5 in cases:
         class_of = {h: i for i, residues in enumerate(classes) for h in residues}
-        quadruples = enumerate_quadruples(ctx.level, d)
-        width = (len(quadruples) * (d * d + d) ** w).bit_length() // 8 + 1
+        walk = _case_walk(ctx.level, d)
+        width = (len(walk) * (d * d + d) ** w).bit_length() // 8 + 1
         dx = d << (8 * width)
         pluses, minuses = [0] * len(classes), [0] * len(classes)
-        for a, c, k, ell in quadruples:
-            b0, d0 = bezout_pair(a, c)
-            e = (k * b0 + ell * d0) % d
+        for a, c, k, ell, e in walk:
             plus, minus = class_of.get(e), class_of.get(-e % d)
             if plus is None and minus is None:
                 continue

@@ -19,11 +19,12 @@ Each route returns its number in Q(zeta_R), with the integer
 form a period polynomial keeps each coefficient in
 (``cyclotomic._TimesConstant``): the unreduced sums of its exponent
 classes, one integer per power of zeta_R over one denominator.  The two
-routes compare in Q(zeta_R), since the constant is nonzero, by reducing
-their cross-multiplied difference in one fold, so a pair that is equal
-builds no number.  A value is reduced mod Phi_R only when it is tested
-for zero or expanded, and expanded to the constant's level, in one fold,
-only when its coordinates are read.
+routes compare in Q(zeta_R), since the constant is nonzero, by their
+cross-multiplied difference: with no fold when it is zero entry by entry,
+in one fold otherwise, so a pair that is equal builds no number.  A value
+is reduced mod Phi_R only when it is tested for zero or expanded, and
+expanded to the constant's level, in one fold, only when its coordinates
+are read.
 
 Degenerate indices are handled by the convention that a term with a
 vanishing binomial factor is exactly 0: whenever one of the four
@@ -193,8 +194,8 @@ def trace_from_periods(query: TraceQuery) -> ExactNumber:
     one is read before that constant, already times its rational, as its
     unreduced class sums (ExactPolynomial.class_sums), and the trace
     constant's tau(chi) monomials are kept apart as in trace_closed_form:
-    the two routes meet in Q(zeta_R), where == reduces their
-    cross-multiplied difference in one fold."""
+    the two routes meet in Q(zeta_R), where == decides their
+    cross-multiplied difference with at most one fold."""
     ctx, m = query.ctx, query.m
     scale, constant = _trace_constant(ctx, m)
     # (-D)^(m+1) / (2 (-1)^m C(w, m)) = -D^(m+1) / (2 C(w, m))

@@ -1,12 +1,13 @@
 """Bernoulli machinery, plain and character-weighted."""
 
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from heckeperiods import bernoulli
+from heckeperiods import bernoulli, cyclotomic
 from heckeperiods.bernoulli import (
     BernoulliSelfCheckError,
     _bernoulli_row,
@@ -246,3 +247,26 @@ def test_self_check_runs_on_every_miss(monkeypatch, chi5):
     monkeypatch.setattr(bernoulli, "_via_binomial", perturbed)
     with pytest.raises(BernoulliSelfCheckError):
         generalized_bernoulli_poly(6, chi5)
+
+
+def test_a_coefficient_with_no_constant_reads_its_part(monkeypatch):
+    # a Bernoulli coefficient keeps the unit constant apart, so its
+    # coordinates are its reduced part: one fold each, with no product by 1
+    # and no second fold at the constant's level
+    chi = next(chi for chi in enumerate_primitive_characters(7) if chi.order == 6)
+    poly = generalized_bernoulli_poly(4, chi)
+    folds = []
+    fold = cyclotomic._fold
+
+    def counting(values, level):
+        folds.append(level)
+        return fold(values, level)
+
+    monkeypatch.setattr(cyclotomic, "_fold", counting)
+    text = json.dumps(poly.to_json())
+    assert text == (
+        '{"degree": 3, "coefficients": [{"level": 6, "coords": ["-8/7", "-16/7"]}, '
+        '{"level": 6, "coords": ["0", "0"]}, {"level": 6, "coords": ["0", "24"]}, '
+        '{"level": 6, "coords": ["0", "0"]}]}'
+    )
+    assert folds == [6] * (poly.degree() + 1)

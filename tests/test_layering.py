@@ -108,6 +108,14 @@ def test_the_trace_double_sum_keeps_its_own_terms():
     assert "traces.py:_double_sum_polynomials" in _loaders("_quadruple_walk")
 
 
+def test_the_oracle_keeps_its_own_walk():
+    # case 5 reads the oracle's own walk of quadruples and Bezout residues:
+    # if it, or that walk, read the closed form's walk, both sides of the
+    # central oracle would rest on the same quadruple code
+    assert not {"periods.py:_case_buckets", "periods.py:_case_walk"} & set(_loaders("_quadruple_walk"))
+    assert sorted(set(_loaders("_case_walk"))) == ["periods.py:_case_buckets"]
+
+
 def test_only_bernoulli_and_the_oracle_read_the_rows():
     # a weighted Bernoulli number carries its own denominator D * L_k, so no
     # closed form rebuilds it from a row; only the oracle's cases 1-4 read rows

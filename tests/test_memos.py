@@ -6,11 +6,11 @@ import sys
 import threading
 
 import heckeperiods
-from heckeperiods import bernoulli, characters, cyclotomic, traces
+from heckeperiods import bernoulli, characters, cyclotomic, periods, traces
 from heckeperiods.bernoulli import generalized_bernoulli_poly
 from heckeperiods.characters import enumerate_primitive_characters, gauss_sum, kronecker_character
 from heckeperiods.numeric import tau_coefficients
-from heckeperiods.periods import PeriodContext, closed_form_polynomial
+from heckeperiods.periods import PeriodContext, case_sum_polynomial, closed_form_polynomial
 from heckeperiods.traces import TraceQuery, trace_closed_form
 
 THREADS = 8
@@ -27,6 +27,7 @@ MEMOS = {
     "cyclotomic._power_table",
     "cyclotomic.sqrt_integer",
     "numeric.tau_coefficients",
+    "periods._case_walk",
     "periods._prefactor",
     "periods._quadruple_walk",
     "periods.closed_form_polynomial",
@@ -53,6 +54,7 @@ def workload():
     chars = (kronecker_character(-3), kronecker_character(-4), quartic)
     out = [closed_form_polynomial(PeriodContext(1, 10, n, chi)) for chi in chars for n in (1, 2)]
     out += [closed_form_polynomial(PeriodContext(2, 10, 3, chi)) for chi in chars]
+    out += [case_sum_polynomial(PeriodContext(level, 10, 3, chi)) for chi in chars for level in (1, 2)]
     out += [generalized_bernoulli_poly(k, chi) for chi in chars for k in range(12)]
     out += [gauss_sum(chi) for chi in chars]
     out += [chi.conjugate() for chi in chars]
@@ -80,6 +82,7 @@ def test_memos_are_bounded():
     assert traces._trace_monomials in memos
     assert traces._double_sum_polynomials in memos
     assert characters._conjugate in memos
+    assert periods._case_walk in memos and periods._quadruple_walk in memos
     assert cyclotomic.sqrt_integer in memos and tau_coefficients in memos
     for memo in memos:
         assert memo.cache_info().maxsize is not None, memo.__qualname__

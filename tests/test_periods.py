@@ -338,6 +338,46 @@ def test_case_six_h_independent(chi5):
         assert case_contribution(6, h, ctx) == reference
 
 
+def _bernoulli_numbers_reference(top):
+    """B_0..B_top from sum_(j<=m) C(m+1, j) B_j = 0 (m >= 1), in Fractions."""
+    numbers = [Fraction(1)]
+    for m in range(1, top + 1):
+        numbers.append(-sum(math.comb(m + 1, j) * numbers[j] for j in range(m)) / (m + 1))
+    return numbers
+
+
+def _prime_ratio_reference(level, s, w):
+    ratio = Fraction(1)
+    for p in range(2, level + 1):
+        if level % p == 0 and all(p % q for q in range(2, p)):
+            ratio *= (1 - Fraction(1, p**s)) / (1 - Fraction(1, p ** (w + 2)))
+    return ratio
+
+
+def test_case_six_and_prime_ratios_match_a_rational_reference(chi3, chi5):
+    # the oracle's integer pairs against the formula in Fractions: case 6
+    # adds -c/N^(n+1) * ratio(nt+1) to X^0 and c*D^w/N * ratio(n+1) to X^w,
+    # c = (-1)^n (w+2) B_(n+1) B_(nt+1) / (B_(w+2) (n+1) (nt+1))
+    numbers = _bernoulli_numbers_reference(24)
+    for level in range(1, 7):
+        for w in (10, 12, 22):
+            for s in range(1, w + 2):
+                num, den = periods._prime_ratio_product(level, s, w)
+                assert Fraction(num, den) == _prime_ratio_reference(level, s, w), (level, s, w)
+            for chi in (chi3, chi5):
+                d = chi.modulus
+                for n in range(1, w):
+                    ctx = PeriodContext(level, w, n, chi)
+                    nt = w - n
+                    c = (-1) ** n * (w + 2) * numbers[n + 1] * numbers[nt + 1] / (numbers[w + 2] * (n + 1) * (nt + 1))
+                    expected = [] if c == 0 else [
+                        -c / level ** (n + 1) * _prime_ratio_reference(level, nt + 1, w),
+                        c * d**w / level * _prime_ratio_reference(level, n + 1, w),
+                    ]
+                    got = [Fraction(num, den) for num, den in periods._case_six(ctx)]
+                    assert got == expected, (level, w, n, d)
+
+
 def test_case_one_explicit_formula(chi3):
     # at level one the first case is the shifted plain Bernoulli polynomial;
     # w = 10 and 12 give (2i)^(w+1) both odd quarter turns, i^3 and i^1
@@ -494,7 +534,9 @@ class CountedEll(int):
 
 def test_per_residue_case_five_multiplies_only_its_quadruples(monkeypatch):
     # a single residue's case-5 row expands only the quadruples whose Bezout
-    # residue is h or -h, not every quadruple of the context
+    # residue is h or -h, not every quadruple of the context; the walk memo
+    # is cleared so that the oracle walks the counting quadruples, and again
+    # after, so that no later test reads them
     chi37 = next(chi for chi in enumerate_primitive_characters(37) if chi.order == 36)
     ctx = PeriodContext(1, 14, 7, chi37)
     h = 2
@@ -512,5 +554,9 @@ def test_per_residue_case_five_multiplies_only_its_quadruples(monkeypatch):
         "enumerate_quadruples",
         lambda level, d: [FareyQuadruple(a, c, k, CountedEll(ell, uses)) for a, c, k, ell in quadruples],
     )
-    assert case_contribution(5, h, ctx) == expected
+    periods._case_walk.cache_clear()
+    try:
+        assert case_contribution(5, h, ctx) == expected
+    finally:
+        periods._case_walk.cache_clear()
     assert len(uses) == reaching

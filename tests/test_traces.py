@@ -281,8 +281,11 @@ def test_routes_compare_their_class_sums_unreduced(monkeypatch):
     # closed form == case sum builds no element of Q(zeta_6) and folds at
     # most w + 1 times.  A trace keeps its class sums too: each route hands
     # them over unreduced (the period route its coefficient times its
-    # rational), so a trace pair builds no element of Q(zeta_6) and folds
-    # once, in ==
+    # rational), so a trace pair builds no element of Q(zeta_6), and since
+    # the cross-multiplied difference of the two routes' sums is zero entry
+    # by entry, == decides it with no fold.  Sums that differ by a multiple
+    # of Phi_6 still fold once, and compare equal; a changed entry compares
+    # unequal
     chi = next(chi for chi in enumerate_primitive_characters(7) if chi.order == 6)
     ctx = PeriodContext(2, 10, 3, chi)
     closed_form_polynomial(ctx)
@@ -309,10 +312,20 @@ def test_routes_compare_their_class_sums_unreduced(monkeypatch):
         closed = trace_closed_form(q)  # fills the trace constant's memo
         del folds[:]
         assert trace_from_periods(q) == closed, q.m
-        assert folds == [6], (q.m, folds)
+        assert folds == [], (q.m, folds)
         del folds[:], stores[:]
         assert trace_closed_form(q) == trace_from_periods(q), q.m
-        assert 6 not in stores and folds == [6], (q.m, stores, folds)
+        assert 6 not in stores and folds == [], (q.m, stores, folds)
+        # x * (1 - x + x^2) = x * Phi_6 vanishes at zeta_6
+        order, den, nums = closed._sums
+        assert order == 6 and len(nums) == 6
+        shifted = [x + 5 * phi for x, phi in zip(nums, (0, 1, -1, 1, 0, 0))]
+        assert shifted != list(nums)
+        assert _TimesConstant((order, den, shifted), closed._constant) == closed, q.m
+        assert folds == [6] and 6 not in stores, (q.m, folds, stores)
+        changed = [nums[0] + den, *nums[1:]]
+        assert _TimesConstant((order, den, changed), closed._constant) != closed, q.m
+        assert folds == [6, 6] and 6 not in stores, (q.m, folds, stores)
 
 
 def _counting_expansions(monkeypatch) -> list:
@@ -355,8 +368,12 @@ def test_trace_routes_compare_in_the_character_field(monkeypatch):
             expansions = _counting_expansions(monkeypatch)
             queries = [TraceQuery(ctx, m) for m in range(11) if ctx.parity_holds(m)]
             for q in queries:
-                assert trace_closed_form(q) == trace_from_periods(q), (order, level, q.m)
-            assert queries and folds and max(folds) <= order, (order, level, sorted(set(folds)))
+                closed, from_periods = trace_closed_form(q), trace_from_periods(q)
+                before = len(folds)
+                assert closed == from_periods, (order, level, q.m)
+                # the routes' class sums agree entry by entry: no fold decides it
+                assert len(folds) == before, (order, level, q.m, folds[before:])
+            assert queries and max(folds, default=0) <= order, (order, level, sorted(set(folds)))
             assert not expansions
             monkeypatch.undo()
             sqrt_two_seen |= any(trace_closed_form(q).level % 8 == 0 for q in queries)
