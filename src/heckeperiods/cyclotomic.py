@@ -570,6 +570,8 @@ class _TimesConstant(ExactNumber):
         ):
             return ExactNumber.__eq__(self, other)
         (order, den, nums), (_, other_den, other_nums) = self._sums, other._sums
+        if not (any(nums) or any(other_nums)):  # half a symmetrized polynomial: no gcd
+            return True
         g = math.gcd(den, other_den)
         ka, kb = other_den // g, den // g
         difference = [p * ka - q * kb for p, q in zip_longest(nums, other_nums, fillvalue=0)]
