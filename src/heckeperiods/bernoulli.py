@@ -24,7 +24,8 @@ per residue, the binomial expansion adds one integer number per index and
 spreads it with binomial coefficients.  The rows themselves are checked
 against a rational reference in the tests.  At x^0 both expressions are the
 weighted number of ``_weighted_number_direct``, over its own denominator
-D * L_k, so the trace, which reads only constant terms, reads that number.
+D * L_k.  The trace reads its Bernoulli terms as coefficients of these
+checked polynomials: C(K - 1, i) / (K - i) * B_{K-i,chi} = [x^i] B_{K,chi}(x) / K.
 """
 
 from __future__ import annotations

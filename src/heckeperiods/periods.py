@@ -57,6 +57,7 @@ from .cyclotomic import (
     _bucket_poly,
     _cleared,
     _Frozen,
+    _half_digits,
     _monomial_product,
     _monomials,
     _Monomials,
@@ -260,17 +261,29 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
         terms.append((chi, n + 1, (d**nt, n + 1), chi.value_exponent(-1), (-1, d), True))
 
     # the coordinates of B_{k,psi} are integers over their own denominator;
-    # one context denominator clears those, the scalars, alpha^i and G_n's D^w
+    # one context denominator clears those, the scalars, alpha^i and G_n's
+    # D^w.  below * alpha_den^i * coord_den divides its entry at i = k, so
+    # the denominator is the lcm of D^w and those, and multiplier i is
+    # num * alpha_num^i * alpha_den^(k-i) times den over the entry at k
     weighted = [_weighted_coordinates(k, psi) for psi, k, *_ in terms]
-    den, (quadruple_factor, *factors) = _cleared(
-        [[(1, d**w)]]
-        + [[(num * alpha_num**i, below * alpha_den**i * coord_den) for i in range(k + 1)]
-           for (_, k, (num, below), _, (alpha_num, alpha_den), _), (coord_den, _) in zip(terms, weighted)]
-    )
+    tops = [below * alpha_den**k * coord_den
+            for (_, k, (_, below), _, (_, alpha_den), _), (coord_den, _) in zip(terms, weighted)]
+    den = math.lcm(d**w, *tops)
+    factors = []
+    for (_, k, (num, _), _, (alpha_num, alpha_den), _), top in zip(terms, tops):
+        downs = [den // top * num]
+        for _ in range(k):
+            downs.append(downs[-1] * alpha_den)
+        multipliers, up = [], 1
+        for down in reversed(downs):
+            multipliers.append(down * up)
+            up *= alpha_num
+        factors.append(multipliers)
 
     # G_n(X) + gsign*G_n(-X): coefficient i picks up 1 + gsign*(-1)^i
     gsign = (-1) ** (n - 1) * chi.sign_at_minus_one()
-    symmetrizer = [quadruple_factor[0] * (1 + gsign * (-1) ** i) for i in range(w + 1)]
+    quadruple_factor = den // d**w
+    symmetrizer = [quadruple_factor * (1 + gsign * (-1) ** i) for i in range(w + 1)]
     buckets = [[c * s for c, s in zip(bucket, symmetrizer)] for bucket in _quadruple_buckets(ctx)]
 
     for (_, _, _, shift, _, reverse), (_, coords), multipliers in zip(terms, weighted, factors):
@@ -371,11 +384,13 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     that reaches no class is skipped before its term is expanded.  A
     quadruple's term is expanded once, as one big integer at
     X = 2**(8 * width); each class adds the terms of its c < 0 matrices
-    into one sum and those of its a, c > 0 matrices into another, and
-    unpacks both once.  The absolute coefficients of a term sum to
-    (aD + ell)^n (cD + k)^(w-n) <= (D^2 + D)^w, and a sum takes at most one
-    term per quadruple, so its coefficients lie below (number of
-    quadruples) * (D^2 + D)^w, which the width keeps below half the base."""
+    into one sum and those of its a, c > 0 matrices into another, still
+    packed, mirrors the second at -X by a digit mask on its offset form,
+    adds it to the first and unpacks the class once.  The absolute
+    coefficients of a term sum to (aD + ell)^n (cD + k)^(w-n) <=
+    (D^2 + D)^w, and each sum takes at most one term per quadruple, so a
+    class's coefficients lie below 2 * (number of quadruples) *
+    (D^2 + D)^w, which the width keeps below half the base."""
     d, w, n, nt = ctx.modulus, ctx.w, ctx.n, ctx.n_tilde
     specs = [spec for j, spec in _case_specs(ctx).items() if j in cases]
     six = _case_six(ctx) if 6 in cases else []
@@ -390,7 +405,7 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     if 5 in cases:
         class_of = {h: i for i, residues in enumerate(classes) for h in residues}
         walk = _case_walk(ctx.level, d)
-        width = (len(walk) * (d * d + d) ** w).bit_length() // 8 + 1
+        width = (2 * len(walk) * (d * d + d) ** w).bit_length() // 8 + 1
         dx = d << (8 * width)
         pluses, minuses = [0] * len(classes), [0] * len(classes)
         for a, c, k, ell, e in walk:
@@ -404,10 +419,16 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
             if minus is not None:
                 minuses[minus] += term
         # class a, c > 0: -(aD*X - ell)^n (cD*X + k)^(w-n), which is
-        # (-1)^(n+1) times the first at -X
-        signs = [(-1) ** (n + i + 1) for i in range(w + 1)]
+        # (-1)^(n+1) times the first at -X.  A packed v at -X is twice its
+        # even digits less v, and its even digits are those of its offset
+        # form v + offset (each digit plus half the base, none negative)
+        # under a mask, less the offset's own
+        offset = _half_digits(width, w + 1)
+        even = int.from_bytes((b"\xff" * width + bytes(width)) * (w // 2) + b"\xff" * width, "little")
+        even_offset = offset & even
+        sign = (-1) ** (n + 1)
         fives = [
-            [p + s * m for p, m, s in zip(_signed_digits(plus, width, w + 1), _signed_digits(minus, width, w + 1), signs)]
+            _signed_digits(plus + sign * (2 * (((minus + offset) & even) - even_offset) - minus), width, w + 1)
             for plus, minus in zip(pluses, minuses)
         ]
     buckets = [[0] * (w + 1) for _ in classes]

@@ -6,7 +6,10 @@ Gamma_0(N), the sum over i of
     Lambda(f_i, chi, m+1) * conj(Lambda(f_i, n+1)) / <f_i, f_i>
 
 has a closed form, evaluated here in exact cyclotomic arithmetic
-(``trace_closed_form``).  The same number also equals
+(``trace_closed_form``), for every admissible m of a context in one
+memoized pass (``_closed_form_traces``) that reads its four Bernoulli terms
+as coefficients of the weighted polynomials the period closed form builds
+and self-checks.  The same number also equals
 (-D)^(m+1) (i sqrt N)^(m+n+2) r_{m,chi}(R_n), which ``trace_from_periods``
 computes through the period-polynomial route; the two must agree exactly.
 
@@ -30,21 +33,24 @@ Degenerate indices are handled by the convention that a term with a
 vanishing binomial factor is exactly 0: whenever one of the four
 Bernoulli-term denominators would vanish, its binomial factor vanishes
 first (e.g. nt - mt + 1 = 0 forces C(nt, mt) = C(nt, nt+1) = 0), and so
-does every term whose weighted-Bernoulli index would be negative, so the
-closed form is total on the parity domain and reads B_{k,psi} at k >= 1 only.
+does every term whose weighted-Bernoulli index would be negative.  Read as
+the coefficient [x^i] B_{K,psi}(x) / K, such a term is the one at i = K,
+which is B_{0,psi} / K = 0 for the nontrivial psi of a primitive chi, or one
+past the degree, so the closed form is total on the parity domain.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from typing import Optional
 
-from .bernoulli import _weighted_number_direct
+from .bernoulli import _weighted_coordinates
 from .characters import DirichletCharacter, _gauss_counts
 from .cyclotomic import (
     _MEMO_SIZE,
     ExactNumber,
-    _cleared,
+    _ClassSums,
     _Frozen,
     _monomial_product,
     _monomials,
@@ -71,58 +77,81 @@ class TraceQuery(_Frozen):
 
 
 def trace_closed_form(query: TraceQuery) -> ExactNumber:
-    """The trace by direct evaluation of the closed form.
-
-    The double sum and the four Bernoulli numbers are added as integers per
-    power of zeta_R (R = ord chi) over one denominator; chi(-N) and chi(-1)
-    rotate the exponent.  Each B_{k,psi} is the weighted number itself, the
-    (den, coords) of bernoulli._weighted_number_direct, not the constant term
-    of a whole polynomial: at x^0 both defining expressions of the polynomial
-    reduce to that number, so their self-check would compare the number with
-    itself.  The scales are integer pairs, so no Fraction is built.  The
-    buckets are handed over unreduced, as the class sums of a
-    cyclotomic._TimesConstant over one denominator, and the trace
-    constant's monomials are kept apart: nothing is reduced mod Phi_R until
-    the trace is compared, tested for zero or expanded.
-    """
+    """The trace by direct evaluation of the closed form: the class sums of
+    _closed_form_traces at m, read once per context for every admissible
+    m, times the integer of this m's trace constant, with the constant's
+    monomials kept apart.  Nothing is reduced mod Phi_R until the trace is
+    compared, tested for zero or expanded."""
     ctx, m = query.ctx, query.m
-    w, n, nt, mt = ctx.w, ctx.n, ctx.n_tilde, query.m_tilde
+    scale, constant = _trace_constant(ctx, m)
+    order, den, nums = _closed_form_traces(ctx)[m]
+    return _TimesConstant((order, den, [x * scale for x in nums]), constant)
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def _closed_form_traces(ctx: PeriodContext) -> tuple[Optional[_ClassSums], ...]:
+    """For each m in 0..w, the closed-form trace at m before its constant,
+    as unreduced class sums (order R = ord chi, one denominator, one integer
+    per power of zeta_R); None where the parity refuses m.  One pass per
+    context, over one context denominator.
+
+    The double sum and the four Bernoulli terms are added as integers per
+    power of zeta_R; chi(-N) and chi(-1) rotate the exponent.  Each term
+    C(K - 1, i) / (K - i) * B_{K-i,psi}, with K = n + 1 or nt + 1 and i = mt
+    or m, is the coefficient [x^i] B_{K,psi}(x) / K (at i = K both are 0,
+    since B_{0,psi} = 0, and past K both vanish): the four weighted
+    polynomials of closed_form_polynomial, under the same epsilon gates,
+    read from bernoulli._weighted_coordinates, where both defining
+    expressions were checked against each other.  The conj(chi) terms read
+    x^mt, the chi terms x^m times alpha^m, alpha = -1/N for eps2 and -1 for
+    eps3, so N^m stands below the line.  The double sum is the trace's own
+    packed polynomials (_double_sum_polynomials), never G_n.  Everything is
+    times D / (2 C(w, m)); the constant is left to the query, so a request
+    for one m builds only its own."""
+    w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d, level = ctx.modulus, ctx.level
     chi = ctx.chi
     chibar = chi.conjugate()
     order = chi.order
     eps = ctx.epsilons()
+    ms = [m for m in range(w + 1) if ctx.parity_holds(m)]
 
-    # (binomial, index k, character, scale as an integer pair (num, den),
-    # exponent of the chi value in front) for binomial * num/den * B_{k,psi} / k
+    # (character, index K, scalar as an integer pair (num, den), exponent of
+    # the chi value in front, alpha as an integer pair or None):
+    # scalar * [x^mt] B_{K,psi}(x), or scalar * alpha^m * [x^m] B_{K,psi}(x)
     terms = []
     if eps.eps1:
-        terms.append((math.comb(nt, mt), nt - mt + 1, chibar, ((-1) ** (n + 1) * d**n, 1), 0))
-    terms.append((math.comb(n, mt), n - mt + 1, chibar, (d**nt, 1), 0))
+        terms.append((chibar, nt + 1, ((-1) ** (n + 1) * d**n, nt + 1), 0, None))
+    terms.append((chibar, n + 1, (d**nt, n + 1), 0, None))
     if eps.eps2:
-        # level^(nt - m), above or below the line
-        power = level ** abs(nt - m)
-        num, below = (power, 1) if nt >= m else (1, power)
-        scale = ((-1) ** (n + m) * num * d**n, below)
-        terms.append((math.comb(nt, m), nt - m + 1, chi, scale, chi.value_exponent(-level)))
+        scalar = ((-1) ** n * level**nt * d**n, nt + 1)
+        terms.append((chi, nt + 1, scalar, chi.value_exponent(-level), (-1, level)))
     if eps.eps3:
-        terms.append((math.comb(n, m), n - m + 1, chi, ((-1) ** (m + 1) * d**nt, 1), chi.value_exponent(-1)))
+        terms.append((chi, n + 1, (-(d**nt), n + 1), chi.value_exponent(-1), (-1, 1)))
 
-    # the vanishing-binomial convention: such a term is 0, B_{k,psi} unread
-    terms = [term for term in terms if term[0]]
-    numbers = [_weighted_number_direct(k, psi) for _, k, psi, _, _ in terms]
-    den, factors = _cleared(
-        [[(binomial * num, below * k * number_den)]
-         for (binomial, k, _, (num, below), _), (number_den, _) in zip(terms, numbers)]
-    )
-
-    buckets = [b * den for b in _double_sum(ctx, m)]
-    for (*_, shift), (_, coords), (factor,) in zip(terms, numbers, factors):
-        for j, c in enumerate(coords):
-            buckets[(j + shift) % order] += c * factor
-    # everything times D / (2 C(w, m)) and the constant's integer, unreduced
-    scale, constant = _trace_constant(ctx, m)
-    return _TimesConstant((order, den * 2 * math.comb(w, m), [b * d * scale for b in buckets]), constant)
+    weighted = [_weighted_coordinates(k, psi) for psi, k, *_ in terms]
+    # the coordinates' own denominator times the scalar's, and alpha^m's at
+    # the largest m, divide the context denominator
+    top = ms[-1]
+    den = math.lcm(*(below * coord_den * (alpha[1] ** top if alpha else 1)
+                     for (_, _, (_, below), _, alpha), (coord_den, _) in zip(terms, weighted)))
+    sums = _double_sum_polynomials(ctx)
+    out: list[Optional[_ClassSums]] = [None] * (w + 1)
+    for m in ms:
+        mt = w - m
+        sign = 2 * (-1) ** (m + 1) * den
+        buckets = [sign * coeffs[mt] for coeffs in sums]
+        for (_, _, (num, below), shift, alpha), (coord_den, coords) in zip(terms, weighted):
+            if alpha:
+                i, factor = m, den // (below * coord_den * alpha[1] ** m) * num * alpha[0] ** m
+            else:
+                i, factor = mt, den // (below * coord_den) * num
+            for j, coeffs in enumerate(coords):
+                if i < len(coeffs):
+                    buckets[(j + shift) % order] += coeffs[i] * factor
+        # everything times D / (2 C(w, m))
+        out[m] = (order, den * 2 * math.comb(w, m), tuple(b * d for b in buckets))
+    return tuple(out)
 
 
 def _trace_constant(ctx: PeriodContext, m: int) -> tuple[int, _Monomials]:
@@ -153,24 +182,16 @@ def _trace_monomials(chi: DirichletCharacter, level: int, quarter: int, odd: int
     return _monomial_product(_monomial_product(turn, tau), _monomials(root))
 
 
-def _double_sum(ctx: PeriodContext, m: int) -> list[int]:
-    """2(-1)^(m+1) times the sum over quadruples of the finite
-    binomial-weighted power sum, as one integer per conj(chi)(a,c,k,ell)
-    value exponent: the X^(w-m) coefficient of that class's polynomial in
-    _double_sum_polynomials."""
-    sign = 2 * (-1) ** (m + 1)
-    return [sign * coeffs[ctx.w - m] for coeffs in _double_sum_polynomials(ctx)]
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
 def _double_sum_polynomials(ctx: PeriodContext) -> tuple[tuple[int, ...], ...]:
     """For each conj(chi) value exponent, the ascending coefficients of the
     sum over its quadruples of (ell - aX)^n (k + cX)^(w-n), whose X^(w-m)
     coefficient is the double sum's r-sum at m:
     sum_r (-1)^r C(n, r) C(w-n, w-m-r) a^r c^(w-m-r) ell^(n-r) k^(m-n+r).
-    Each term is evaluated at X = 2**(8 * width) (Kronecker substitution),
-    so a class adds one big integer per quadruple and is unpacked into its
-    w + 1 signed coefficients once, for every m.  Since a, c, k, ell < D,
+    The trace's own walk of the quadruples, read once per context by
+    _closed_form_traces; it never reads G_n.  Each term is evaluated at
+    X = 2**(8 * width) (Kronecker substitution), so a class adds one big
+    integer per quadruple and is unpacked into its w + 1 signed
+    coefficients once, for every m.  Since a, c, k, ell < D,
     the absolute coefficients of a term sum to (ell + a)^n (k + c)^(w-n) <
     (2D)^w, so a class's coefficients lie below (number of quadruples) *
     (2D)^w; the width keeps that below half the base, and no digit carries

@@ -31,7 +31,7 @@ MEMOS = {
     "periods._prefactor",
     "periods._quadruple_walk",
     "periods.closed_form_polynomial",
-    "traces._double_sum_polynomials",
+    "traces._closed_form_traces",
     "traces._trace_monomials",
 }
 
@@ -80,7 +80,7 @@ def test_memos_are_bounded():
     memos = package_memos()
     assert closed_form_polynomial in memos and bernoulli._weighted_coordinates in memos
     assert traces._trace_monomials in memos
-    assert traces._double_sum_polynomials in memos
+    assert traces._closed_form_traces in memos
     assert characters._conjugate in memos
     assert periods._case_walk in memos and periods._quadruple_walk in memos
     assert cyclotomic.sqrt_integer in memos and tau_coefficients in memos

@@ -560,3 +560,53 @@ def test_per_residue_case_five_multiplies_only_its_quadruples(monkeypatch):
     finally:
         periods._case_walk.cache_clear()
     assert len(uses) == reaching
+
+
+def case_five_unpacked_apart(ctx, classes):
+    """D^w times case 5 summed over each class of unit residues, as the
+    oracle summed it before it mirrored its a, c > 0 sum packed: each class
+    adds the packed terms of its c < 0 matrices into one sum and those of
+    its a, c > 0 matrices into another, unpacks both, and adds the second
+    at -X, times (-1)^(n+1), coefficient by coefficient."""
+    d, w, n, nt = ctx.modulus, ctx.w, ctx.n, ctx.n_tilde
+    class_of = {h: i for i, residues in enumerate(classes) for h in residues}
+    walk = periods._case_walk(ctx.level, d)
+    width = (len(walk) * (d * d + d) ** w).bit_length() // 8 + 1
+    dx = d << (8 * width)
+    pluses, minuses = [0] * len(classes), [0] * len(classes)
+    for a, c, k, ell, e in walk:
+        plus, minus = class_of.get(e), class_of.get(-e % d)
+        term = (a * dx + ell) ** n * (k - c * dx) ** nt
+        if plus is not None:
+            pluses[plus] += term
+        if minus is not None:
+            minuses[minus] += term
+    signs = [(-1) ** (n + i + 1) for i in range(w + 1)]
+    return [
+        [p + s * m for p, m, s in zip(cyclotomic._signed_digits(plus, width, w + 1),
+                                      cyclotomic._signed_digits(minus, width, w + 1), signs)]
+        for plus, minus in zip(pluses, minuses)
+    ]
+
+
+def test_case_five_mirrored_packed_equals_the_sign_classes_unpacked_apart():
+    # at D = 67, order 66, N = 1, w = 22 the class coefficients come nearest
+    # the digit width: case 5 summed per class of conj(chi), and the whole
+    # residue sum at each residue, against the two sign classes unpacked
+    # apart, at every n
+    chi67 = next(chi for chi in enumerate_primitive_characters(67) if chi.order == 66)
+    chibar = chi67.conjugate()
+    classes = [[] for _ in range(chibar.order)]
+    for h in range(1, 67):
+        classes[chibar.value_exponent(h)].append(h)
+    for n in range(1, 22):
+        ctx = PeriodContext(1, 22, n, chi67)
+        reference = case_five_unpacked_apart(ctx, classes)
+        assert periods._case_buckets(ctx, classes, (5,)) == (67**22, reference), n
+        rest_den, rest = periods._case_buckets(ctx, classes, (1, 2, 3, 4, 6))
+        den = math.lcm(rest_den, 67**22)
+        turn = (4, (((ctx.w + 1) % 4, 2 ** (ctx.w + 1)),), 1)
+        for residues, five, others in zip(classes, reference, rest):
+            (h,) = residues
+            total = [x * (den // 67**22) + y * (den // rest_den) for x, y in zip(five, others)]
+            assert residue_case_sum(ctx, h) == cyclotomic._bucket_poly([total], 1, den, turn), (n, h)

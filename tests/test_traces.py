@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from heckeperiods import cli, cyclotomic, periods, traces
-from heckeperiods.bernoulli import _weighted_coordinates
+from heckeperiods.bernoulli import _weighted_coordinates, _weighted_number_direct
 from heckeperiods.characters import enumerate_primitive_characters, gauss_sum, kronecker_character
 from heckeperiods.cyclotomic import (
     ExactNumber,
@@ -354,7 +354,7 @@ def test_trace_routes_compare_in_the_character_field(monkeypatch):
         for level in (1, 2):
             closed_form_polynomial.cache_clear()
             traces._trace_monomials.cache_clear()
-            traces._double_sum_polynomials.cache_clear()
+            traces._closed_form_traces.cache_clear()
             ctx = PeriodContext(level, 10, 3, chi)
             closed_form_polynomial(ctx)
             folds = []
@@ -423,16 +423,77 @@ def test_a_trace_request_expands_once(monkeypatch, capsys, form):
     assert len(expansions) == 1
 
 
-def test_trace_closed_form_builds_no_weighted_polynomial():
-    # the closed form reads weighted Bernoulli numbers, not the constant
-    # terms of whole polynomials: with the polynomial memo emptied, a trace
-    # on a context whose closed form is built leaves it empty
+def test_trace_closed_form_reads_the_checked_polynomials():
+    # the pass reads its Bernoulli terms as coefficients of the weighted
+    # polynomials the closed form built and self-checked: once a context's
+    # closed form is built, a trace (its pass made afresh) adds no miss to
+    # their memo and reads no weighted number, at N = 1 (all four terms) and
+    # N = 2 (the eps2 term and the one no gate drops)
     chi = next(chi for chi in enumerate_primitive_characters(7) if chi.order == 6)
-    ctx = PeriodContext(1, 10, 3, chi)
-    closed_form_polynomial(ctx)
-    _weighted_coordinates.cache_clear()
-    trace_closed_form(TraceQuery(ctx, 5))
-    assert _weighted_coordinates.cache_info().currsize == 0
+    for level in (1, 2):
+        ctx = PeriodContext(level, 10, 3, chi)
+        closed_form_polynomial(ctx)
+        traces._closed_form_traces.cache_clear()
+        misses = _weighted_coordinates.cache_info().misses
+        numbers = _weighted_number_direct.cache_info()
+        trace_closed_form(TraceQuery(ctx, 5))
+        assert _weighted_coordinates.cache_info().misses == misses
+        assert _weighted_number_direct.cache_info() == numbers
+
+
+def _per_query_trace(ctx, m):
+    """The closed-form trace at m before its constant, assembled for this m
+    alone from the weighted Bernoulli numbers: each of the four terms is
+    binomial * scale * B_{k,psi} / k with B_{k,psi} read as a number, a term
+    with a vanishing binomial is 0, and the double sum is the packed
+    coefficient at w - m.  Returns (order, den, integers)."""
+    w, n, nt, mt = ctx.w, ctx.n, ctx.n_tilde, ctx.w - m
+    d, level = ctx.modulus, ctx.level
+    chi = ctx.chi
+    chibar = chi.conjugate()
+    eps = ctx.epsilons()
+    terms = []
+    if eps.eps1:
+        terms.append((math.comb(nt, mt), nt - mt + 1, chibar, Fraction((-1) ** (n + 1) * d**n), 0))
+    terms.append((math.comb(n, mt), n - mt + 1, chibar, Fraction(d**nt), 0))
+    if eps.eps2:
+        scale = Fraction((-1) ** (n + m) * d**n) * Fraction(level) ** (nt - m)
+        terms.append((math.comb(nt, m), nt - m + 1, chi, scale, chi.value_exponent(-level)))
+    if eps.eps3:
+        terms.append((math.comb(n, m), n - m + 1, chi, Fraction((-1) ** (m + 1) * d**nt), chi.value_exponent(-1)))
+    buckets = [Fraction(2 * (-1) ** (m + 1) * coeffs[mt]) for coeffs in traces._double_sum_polynomials(ctx)]
+    for binomial, k, psi, scale, shift in terms:
+        if binomial:
+            den, coords = _weighted_number_direct(k, psi)
+            for j, c in enumerate(coords):
+                buckets[(j + shift) % chi.order] += binomial * scale * Fraction(c, k * den)
+    return [b * Fraction(d, 2 * math.comb(w, m)) for b in buckets]
+
+
+def test_closed_form_traces_equal_the_per_query_assembly():
+    # every admissible m of the one pass per context, entry by entry in the
+    # class sums, against the trace assembled for its m alone, for the real
+    # and the highest-order characters and at D = 67, order 66, w = 22
+    contexts = []
+    for d in (3, 4, 5, 7, 8, 12):
+        chars = enumerate_primitive_characters(d)
+        for chi in dict.fromkeys((chars[0], chars[-1])):
+            contexts += [PeriodContext(level, w, n, chi) for level in range(1, 5) for w in (10, 14) for n in range(1, w)]
+    order_66 = next(chi for chi in enumerate_primitive_characters(67) if chi.order == 66)
+    contexts += [PeriodContext(1, 22, n, order_66) for n in range(1, 22)]
+    checked = 0
+    for ctx in contexts:
+        sums = traces._closed_form_traces(ctx)
+        assert len(sums) == ctx.w + 1
+        for m in range(ctx.w + 1):
+            if not ctx.parity_holds(m):
+                assert sums[m] is None, (ctx, m)
+                continue
+            order, den, nums = sums[m]
+            assert order == ctx.chi.order and len(nums) == order
+            assert [Fraction(x, den) for x in nums] == _per_query_trace(ctx, m), (ctx, m)
+            checked += 1
+    assert checked == 5521
 
 
 def _term_by_term_double_sum(ctx, m):
@@ -469,6 +530,7 @@ def test_packed_double_sum_equals_the_term_by_term_sum():
     for ctx in contexts:
         for m in range(ctx.w + 1):
             if ctx.parity_holds(m):
-                assert traces._double_sum(ctx, m) == _term_by_term_double_sum(ctx, m), (ctx, m)
+                packed = [2 * (-1) ** (m + 1) * coeffs[ctx.w - m] for coeffs in traces._double_sum_polynomials(ctx)]
+                assert packed == _term_by_term_double_sum(ctx, m), (ctx, m)
                 checked += 1
     assert checked == 1031
