@@ -17,12 +17,15 @@ routes read the rows, add integers and divide once at the end.
 The character-weighted polynomials are computed from both defining
 expressions (the level-power residue sum and the binomial expansion in the
 weighted Bernoulli numbers) and the two must agree exactly; a mismatch is a
-hard internal error, not a recoverable condition.  Both are integer
-coordinates over D * L_k.  They share the rows and the fold to power-basis
-coordinates and nothing else: the residue sum adds one integer polynomial
-per residue, the binomial expansion adds one integer number per index and
-spreads it with binomial coefficients.  The rows themselves are checked
-against a rational reference in the tests.  At x^0 both expressions are the
+hard internal error, not a recoverable condition.  Both are unreduced
+exponent-class sums over D * L_k, one integer polynomial per power of
+zeta_R (R = ord chi), compared entry by entry with no reduction mod Phi_R:
+the layer folds nothing, and the routes that read it add entry j into
+class j + shift.  The two share the rows and nothing else: the residue
+sum adds one integer polynomial per residue, the binomial expansion adds
+one integer number per index and spreads it with binomial coefficients.
+The rows themselves are checked against a rational reference in the
+tests.  At x^0 both expressions are the
 weighted number of ``_weighted_number_direct``, over its own denominator
 D * L_k.  The trace reads its Bernoulli terms as coefficients of these
 checked polynomials: C(K - 1, i) / (K - i) * B_{K-i,chi} = [x^i] B_{K,chi}(x) / K.
@@ -36,7 +39,7 @@ from functools import lru_cache
 from typing import Iterable
 
 from .characters import DirichletCharacter
-from .cyclotomic import _MEMO_SIZE, ExactNumber, ExactPolynomial, _bucket_poly, _fold, euler_phi
+from .cyclotomic import _MEMO_SIZE, ExactNumber, ExactPolynomial, _bucket_poly
 
 _ZERO = Fraction(0)
 # Bernoulli numbers are memoized in rows of this length: a short row wastes
@@ -116,9 +119,9 @@ class BernoulliSelfCheckError(ArithmeticError):
 
 def generalized_bernoulli_poly(k: int, chi: DirichletCharacter) -> ExactPolynomial:
     """The chi-weighted Bernoulli polynomial of degree index k, built once
-    from its checked coordinates (the zero polynomial for k < 0)."""
-    den, coords = _weighted_coordinates(k, chi)
-    return _bucket_poly(coords, chi.order, den)
+    from its checked class sums (the zero polynomial for k < 0)."""
+    den, sums = _weighted_coordinates(k, chi)
+    return _bucket_poly(sums, chi.order, den)
 
 
 def generalized_bernoulli_number(k: int, chi: DirichletCharacter) -> ExactNumber:
@@ -128,20 +131,21 @@ def generalized_bernoulli_number(k: int, chi: DirichletCharacter) -> ExactNumber
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _weighted_coordinates(k: int, chi: DirichletCharacter) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Power-basis coordinates of the chi-weighted Bernoulli polynomial at
-    level R = ord chi, as a common denominator and integer numerators over
-    it: entry j is the ascending integer polynomial that multiplies
-    zeta_R**j.
+    """The unreduced exponent-class sums of the chi-weighted Bernoulli
+    polynomial at level R = ord chi, as a common denominator and integer
+    numerators over it: entry j, for j in 0..R-1, is the ascending integer
+    polynomial that multiplies zeta_R**j, with no reduction mod Phi_R.
 
     Both defining expressions are evaluated:
       (a) D^(k-1) * sum_h chi(h) B_k((h+x)/D)
       (b) sum_j C(k,j) * (weighted Bernoulli number)_j * x^(k-j)
-    and must agree exactly.  For k < 0 every polynomial is empty, matching
-    the plain-Bernoulli convention (needed so that out-of-range trace terms
-    vanish).
+    and must agree exactly, entry by entry before any reduction, which also
+    catches a difference that a reduction would fold to zero.  For k < 0
+    every polynomial is empty, matching the plain-Bernoulli convention
+    (needed so that out-of-range trace terms vanish).
     """
     if k < 0:
-        return 1, ((),) * euler_phi(chi.order)
+        return 1, ((),) * chi.order
     via_sum = _via_residue_sum(k, chi)
     if via_sum != _via_binomial(k, chi):
         raise BernoulliSelfCheckError(f"defining expressions disagree at k={k}, chi mod {chi.modulus}")
@@ -150,7 +154,7 @@ def _weighted_coordinates(k: int, chi: DirichletCharacter) -> tuple[int, tuple[t
 
 def _via_residue_sum(k: int, chi: DirichletCharacter) -> tuple[tuple[int, ...], ...]:
     """D * L_k * D^(k-1) * sum_h chi(h) B_k((h+x)/D), one integer polynomial
-    per value-exponent class, folded to coordinates at level ord chi."""
+    per value-exponent class, unreduced."""
     d = chi.modulus
     top = _bernoulli_row(k, d)[0] // d**k
     # B_k((h+x)/D) = sum_i C(k,i) B_(k-i)(h/D) (x/D)^i, and row k-i states
@@ -168,8 +172,7 @@ def _via_residue_sum(k: int, chi: DirichletCharacter) -> tuple[tuple[int, ...], 
         bucket = buckets[e]
         for i, (weight, row) in enumerate(zip(weights, rows)):
             bucket[i] += weight * row[h]
-    columns = [_fold([b[i] for b in buckets], chi.order) for i in range(k + 1)]
-    return tuple(zip(*columns))
+    return tuple(map(tuple, buckets))
 
 
 def _via_binomial(k: int, chi: DirichletCharacter) -> tuple[tuple[int, ...], ...]:
@@ -178,16 +181,16 @@ def _via_binomial(k: int, chi: DirichletCharacter) -> tuple[tuple[int, ...], ...
     top = _weighted_number_direct(k, chi)[0]
     columns = []
     for j in range(k, -1, -1):
-        den, coords = _weighted_number_direct(j, chi)
-        columns.append([math.comb(k, j) * (top // den) * c for c in coords])
+        den, sums = _weighted_number_direct(j, chi)
+        columns.append([math.comb(k, j) * (top // den) * c for c in sums])
     return tuple(zip(*columns))
 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _weighted_number_direct(j: int, chi: DirichletCharacter) -> tuple[int, tuple[int, ...]]:
     """The weighted Bernoulli number D^(j-1) * sum_h chi(h) B_j(h/D) as its
-    denominator D * L_j (row j's D^j * L_j over D^(j-1)) and its integer
-    coordinates over it at level ord chi."""
+    denominator D * L_j (row j's D^j * L_j over D^(j-1)) and its unreduced
+    integer class sums over it, one per power of zeta_R, R = ord chi."""
     d = chi.modulus
     buckets = [0] * chi.order
     den, row = _bernoulli_row(j, d)
@@ -195,4 +198,4 @@ def _weighted_number_direct(j: int, chi: DirichletCharacter) -> tuple[int, tuple
         e = chi.exponents[h]
         if e is not None:
             buckets[e] += row[h]
-    return den * d // d**j, tuple(_fold(buckets, chi.order))
+    return den * d // d**j, tuple(buckets)

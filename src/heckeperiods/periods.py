@@ -26,7 +26,8 @@ Both routes expand quadruple terms, each with its own walk and its own
 terms, by packed sums: a term is one big integer at X = 2**(8 * width)
 (Kronecker substitution), a class adds its terms, and
 ``cyclotomic._signed_digits`` unpacks each class sum into its w + 1
-coefficients once, at a width sized from a bound the route states.  Each
+coefficients once, at a width sized from a bound the route states; a class
+that no term reached is not unpacked.  Each
 walk is memoized, so the quadruples are enumerated once for every n: per
 (N, conj chi) with the character exponents for the closed form
 (``_quadruple_walk``), per (N, D) with the Bezout residues for the oracle
@@ -55,7 +56,6 @@ from .cyclotomic import (
     ExactPolynomial,
     _add_into,
     _bucket_poly,
-    _cleared,
     _Frozen,
     _half_digits,
     _monomial_product,
@@ -194,7 +194,8 @@ def _quadruple_buckets(ctx: PeriodContext) -> list[list[int]]:
 
     Each term is evaluated at X = 2**(8 * width) (Kronecker substitution),
     so a class adds one big integer per quadruple and is unpacked into its
-    w + 1 signed coefficients once.  Since a, c, k, ell < D, the absolute
+    w + 1 signed coefficients once; a class that no quadruple reached is
+    left empty, not unpacked.  Since a, c, k, ell < D, the absolute
     coefficients of a term sum to (aD + ell)^n (cD + k)^(w-n) <= (D^2 + D)^w,
     so a class's coefficients lie below (number of quadruples) * (D^2 + D)^w;
     the width keeps that below half the base, and no digit carries into the
@@ -206,7 +207,7 @@ def _quadruple_buckets(ctx: PeriodContext) -> list[list[int]]:
     sums = [0] * ctx.chi.order
     for a, c, k, ell, e in walk:
         sums[e] += (a * dx + ell) ** n * (k - c * dx) ** nt
-    return [_signed_digits(total, width, ctx.w + 1) for total in sums]
+    return [_signed_digits(total, width, ctx.w + 1) if total else [] for total in sums]
 
 
 def quadruple_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
@@ -236,9 +237,13 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
 
     Everything is added as integers per power of zeta_R (R = ord chi) over
     one context denominator and divided once per bucket coefficient: chi(-N)
-    and chi(-1) rotate the exponent of a Bernoulli term's coordinates.  The
-    prefactor stays the polynomial's constant, so the coefficients live in
-    Q(zeta_R) until they are read.
+    and chi(-1) rotate the exponent of a Bernoulli term's unreduced class
+    sums, and chi(-1) that of G_n(-X), as the case sum sends a mirrored
+    term to the class of -h.  So the route's class sums agree with the
+    case sum's entry by entry, and == folds no coefficient but X^0 and X^w,
+    where case 6 adds the same value to every class (zero in Q(zeta_R), not
+    entry by entry).  The prefactor stays the polynomial's constant, so the
+    coefficients live in Q(zeta_R) until they are read.
     """
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d, level = ctx.modulus, ctx.level
@@ -260,7 +265,7 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     if eps.eps3:
         terms.append((chi, n + 1, (d**nt, n + 1), chi.value_exponent(-1), (-1, d), True))
 
-    # the coordinates of B_{k,psi} are integers over their own denominator;
+    # the class sums of B_{k,psi} are integers over their own denominator;
     # one context denominator clears those, the scalars, alpha^i and G_n's
     # D^w.  below * alpha_den^i * coord_den divides its entry at i = k, so
     # the denominator is the lcm of D^w and those, and multiplier i is
@@ -280,18 +285,32 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
             up *= alpha_num
         factors.append(multipliers)
 
-    # G_n(X) + gsign*G_n(-X): coefficient i picks up 1 + gsign*(-1)^i
-    gsign = (-1) ** (n - 1) * chi.sign_at_minus_one()
+    # G_n(X) + (-1)^(n-1) chi(-1) G_n(-X), with chi(-1) = zeta_R^turn a
+    # rotation, as case 5 sends a mirrored term to the class of -h: class e
+    # of G_n adds its coefficient i to class e and (-1)^(n-1+i) times it to
+    # class e + turn, so class e is G_n's class e plus or minus its class
+    # e - turn, by the parity of n - 1 + i.  A class no quadruple reached
+    # adds nothing
+    turn = chi.value_exponent(-1)
     quadruple_factor = den // d**w
-    symmetrizer = [quadruple_factor * (1 + gsign * (-1) ** i) for i in range(w + 1)]
-    buckets = [[c * s for c, s in zip(bucket, symmetrizer)] for bucket in _quadruple_buckets(ctx)]
+    quads, nothing = _quadruple_buckets(ctx), [0] * (w + 1)
+    plus, minus = (n - 1) % 2, n % 2
+    buckets = [[0] * (w + 1) for _ in range(order)]
+    for e, bucket in enumerate(buckets):
+        own, mirrored = quads[e], quads[(e - turn) % order]
+        if own or mirrored:
+            own, mirrored = own or nothing, mirrored or nothing
+            bucket[plus::2] = [(a + b) * quadruple_factor for a, b in zip(own[plus::2], mirrored[plus::2])]
+            bucket[minus::2] = [(a - b) * quadruple_factor for a, b in zip(own[minus::2], mirrored[minus::2])]
 
-    for (_, _, _, shift, _, reverse), (_, coords), multipliers in zip(terms, weighted, factors):
-        for j, coeffs in enumerate(coords):
-            scaled = [c * m for c, m in zip(coeffs, multipliers)]
+    # term k adds coefficient i to X^i, or, reversed, to X^(w-i)
+    for (_, k, _, shift, _, reverse), (_, sums), multipliers in zip(terms, weighted, factors):
+        for j, coeffs in enumerate(sums):
+            bucket = buckets[(j + shift) % order]
             if reverse:
-                scaled = [0] * (w + 1 - len(scaled)) + scaled[::-1]
-            _add_into(buckets[(j + shift) % order], scaled)
+                bucket[w - k :] = [a + c * m for a, c, m in zip(bucket[w - k :], coeffs[::-1], multipliers[::-1])]
+            else:
+                bucket[: k + 1] = [a + c * m for a, c, m in zip(bucket, coeffs, multipliers)]
 
     return _bucket_poly(buckets, order, den, _prefactor(chibar, w))
 
@@ -373,7 +392,9 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     integer polynomials over one context denominator, with the (2i)^(w+1)
     factor divided out.  The scalars of cases 1-4 and 6 are integer pairs
     (_case_specs, _case_six), cleared over that denominator with no
-    Fraction built.  Cases 1-4 read integer Bernoulli rows: for each
+    Fraction built: each case's entries share one dominating denominator,
+    below * L_k * lcm(D, ratio_den)^k, and its multipliers are running
+    powers.  Cases 1-4 read integer Bernoulli rows: for each
     (case, i), one pass over the unit residues adds each residue's row
     entry into its class's sum, which is scaled once by one integer per
     (case, i); case 6 counts the residues.  Case 5 reads the oracle's own
@@ -386,7 +407,8 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     X = 2**(8 * width); each class adds the terms of its c < 0 matrices
     into one sum and those of its a, c > 0 matrices into another, still
     packed, mirrors the second at -X by a digit mask on its offset form,
-    adds it to the first and unpacks the class once.  The absolute
+    adds it to the first and unpacks the class once; a class that no
+    quadruple reached is not unpacked, scaled or added.  The absolute
     coefficients of a term sum to (aD + ell)^n (cD + k)^(w-n) <=
     (D^2 + D)^w, and each sum takes at most one term per quadruple, so a
     class's coefficients lie below 2 * (number of quadruples) *
@@ -394,13 +416,24 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     d, w, n, nt = ctx.modulus, ctx.w, ctx.n, ctx.n_tilde
     specs = [spec for j, spec in _case_specs(ctx).items() if j in cases]
     six = _case_six(ctx) if 6 in cases else []
-    # table row k-i states its denominator D^(k-i) * L_(k-i)
-    den, (five_factor, six_values, *factors) = _cleared(
-        [[(1, d**w)], six]
-        + [[(num * math.comb(k, i) * ratio_num**i, below * ratio_den**i * _bernoulli_row(k - i, d)[0])
-            for i in range(k + 1)]
-           for k, (num, below), (ratio_num, ratio_den), _, _ in specs]
-    )
+    # entry i of a case is num * C(k,i) * ratio_num^i over below *
+    # ratio_den^i * D^(k-i) * L_(k-i), row k-i's denominator, which divides
+    # below * L_k * g^k, g = lcm(D, ratio_den): one dominating denominator
+    # per case, and multiplier i is num * C(k,i) * (ratio_num * g/ratio_den)^i
+    # * (g/D)^(k-i) * L_k/L_(k-i) times den over it, by running powers
+    lows = [[_bernoulli_row(k - i, d)[0] // d ** (k - i) for i in range(k + 1)] for k, *_ in specs]
+    steps = [math.lcm(d, ratio_den) for _, _, (_, ratio_den), _, _ in specs]
+    tops = [below * low[0] * g**k for (k, (_, below), *_), low, g in zip(specs, lows, steps)]
+    den = math.lcm(d**w, *(q for _, q in six), *tops)
+    five_factor = den // d**w
+    six_values = [p * (den // q) for p, q in six]
+    factors = []
+    for (k, (num, _), (ratio_num, ratio_den), _, _), low, g, top in zip(specs, lows, steps, tops):
+        ups, downs = [den // top * num], [1]
+        for _ in range(k):
+            ups.append(ups[-1] * ratio_num * (g // ratio_den))
+            downs.append(downs[-1] * (g // d))
+        factors.append([math.comb(k, i) * ups[i] * downs[k - i] * (low[0] // low[i]) for i in range(k + 1)])
     fives: list[list[int]] = [[] for _ in classes]
     if 5 in cases:
         class_of = {h: i for i, residues in enumerate(classes) for h in residues}
@@ -429,6 +462,7 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
         sign = (-1) ** (n + 1)
         fives = [
             _signed_digits(plus + sign * (2 * (((minus + offset) & even) - even_offset) - minus), width, w + 1)
+            if plus or minus else []
             for plus, minus in zip(pluses, minuses)
         ]
     buckets = [[0] * (w + 1) for _ in classes]
@@ -445,7 +479,7 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
             for bucket, total in zip(buckets, sums):
                 bucket[power] += multiplier * total
     for bucket, residues, five in zip(buckets, classes, fives):
-        _add_into(bucket, [x * five_factor[0] for x in five])
+        _add_into(bucket, [x * five_factor for x in five])
         if six_values:
             bucket[0] += len(residues) * six_values[0]
             bucket[w] += len(residues) * six_values[1]

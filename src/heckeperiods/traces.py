@@ -96,8 +96,11 @@ def _closed_form_traces(ctx: PeriodContext) -> tuple[Optional[_ClassSums], ...]:
     context, over one context denominator.
 
     The double sum and the four Bernoulli terms are added as integers per
-    power of zeta_R; chi(-N) and chi(-1) rotate the exponent.  Each term
-    C(K - 1, i) / (K - i) * B_{K-i,psi}, with K = n + 1 or nt + 1 and i = mt
+    power of zeta_R; chi(-N) and chi(-1) rotate the exponent, and the double
+    sum's factor 2 is split as the period polynomial splits G_n and its
+    mirror: half in its class, chi(-1) times half in the class rotated by
+    chi(-1), so the class sums equal trace_from_periods' entry by entry.
+    Each term C(K - 1, i) / (K - i) * B_{K-i,psi}, with K = n + 1 or nt + 1 and i = mt
     or m, is the coefficient [x^i] B_{K,psi}(x) / K (at i = K both are 0,
     since B_{0,psi} = 0, and past K both vanish): the four weighted
     polynomials of closed_form_polynomial, under the same epsilon gates,
@@ -136,11 +139,22 @@ def _closed_form_traces(ctx: PeriodContext) -> tuple[Optional[_ClassSums], ...]:
     den = math.lcm(*(below * coord_den * (alpha[1] ** top if alpha else 1)
                      for (_, _, (_, below), _, alpha), (coord_den, _) in zip(terms, weighted)))
     sums = _double_sum_polynomials(ctx)
+    # the double sum's factor 2 is the period polynomial's G_n(X) and its
+    # mirror chi(-1) (-1)^(n-1) G_n(-X) at X^(w-m), where (-1)^(n-1+w-m) =
+    # chi(-1) by the parity: half stays in class e, and chi(-1) times half
+    # goes to class e + turn, chi(-1) = zeta_R^turn, as the polynomial
+    # rotates it, so the two trace routes agree entry by entry
+    turn, mirror = chi.value_exponent(-1), chi.sign_at_minus_one()
     out: list[Optional[_ClassSums]] = [None] * (w + 1)
     for m in ms:
         mt = w - m
-        sign = 2 * (-1) ** (m + 1) * den
-        buckets = [sign * coeffs[mt] for coeffs in sums]
+        sign = (-1) ** (m + 1) * den
+        buckets = [0] * order
+        for e, coeffs in enumerate(sums):
+            half = sign * coeffs[mt]
+            if half:
+                buckets[e] += half
+                buckets[(e + turn) % order] += mirror * half
         for (_, _, (num, below), shift, alpha), (coord_den, coords) in zip(terms, weighted):
             if alpha:
                 i, factor = m, den // (below * coord_den * alpha[1] ** m) * num * alpha[0] ** m
@@ -191,7 +205,8 @@ def _double_sum_polynomials(ctx: PeriodContext) -> tuple[tuple[int, ...], ...]:
     _closed_form_traces; it never reads G_n.  Each term is evaluated at
     X = 2**(8 * width) (Kronecker substitution), so a class adds one big
     integer per quadruple and is unpacked into its w + 1 signed
-    coefficients once, for every m.  Since a, c, k, ell < D,
+    coefficients once, for every m; a class that no quadruple reached is
+    not unpacked and reads as zeros.  Since a, c, k, ell < D,
     the absolute coefficients of a term sum to (ell + a)^n (k + c)^(w-n) <
     (2D)^w, so a class's coefficients lie below (number of quadruples) *
     (2D)^w; the width keeps that below half the base, and no digit carries
@@ -203,7 +218,8 @@ def _double_sum_polynomials(ctx: PeriodContext) -> tuple[tuple[int, ...], ...]:
     sums = [0] * ctx.chi.order
     for a, c, k, ell, e in walk:
         sums[e] += (ell - a * x) ** n * (k + c * x) ** nt
-    return tuple(tuple(_signed_digits(total, width, w + 1)) for total in sums)
+    zero = (0,) * (w + 1)
+    return tuple(tuple(_signed_digits(total, width, w + 1)) if total else zero for total in sums)
 
 
 def trace_from_periods(query: TraceQuery) -> ExactNumber:

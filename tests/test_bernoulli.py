@@ -19,7 +19,7 @@ from heckeperiods.bernoulli import (
     generalized_bernoulli_poly,
 )
 from heckeperiods.characters import enumerate_primitive_characters
-from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, euler_phi, factorize
+from heckeperiods.cyclotomic import ExactNumber, ExactPolynomial, factorize
 
 TABLE_MODULI = (1, 2, 3, 12, 65)
 TABLE_INDICES = range(41)
@@ -195,16 +195,21 @@ def test_bernoulli_row_denominator_is_the_lcm_of_the_number_denominators():
 
 
 def test_weighted_coordinates_at_the_lowest_indices():
+    # R unreduced class sums, one per power of zeta_R: B_(0,chi) counts the
+    # residues of each class, which reduces to 0
     for d in (3, 4, 5, 7, 12):
         for chi in enumerate_primitive_characters(d):
-            phi = euler_phi(chi.order)
-            assert _weighted_coordinates(-1, chi) == (1, ((),) * phi)
-            den, coords = _weighted_coordinates(0, chi)
-            assert len(coords) == phi and all(c == (0,) for c in coords)
+            order = chi.order
+            assert _weighted_coordinates(-1, chi) == (1, ((),) * order)
+            den, sums = _weighted_coordinates(0, chi)
+            sizes = [sum(1 for e in chi.exponents if e == j) for j in range(order)]
+            assert den == d and sums == tuple((size,) for size in sizes)
+            assert not any(cyclotomic._fold([c for (c,) in sums], order))
             assert generalized_bernoulli_poly(0, chi).is_zero()
-            # B_(1,chi)(x) = sum_h chi(h) ((h + x)/D - 1/2) = sum_h chi(h) h/D
-            den, coords = _weighted_coordinates(1, chi)
-            assert den == 2 * d and len(coords) == phi and all(len(c) == 2 for c in coords)
+            # B_(1,chi)(x) = sum_h chi(h) ((h + x)/D - 1/2) = sum_h chi(h) h/D,
+            # compared after reduction
+            den, sums = _weighted_coordinates(1, chi)
+            assert den == 2 * d and len(sums) == order and all(len(c) == 2 for c in sums)
             expected = ExactNumber.zero()
             for h in range(1, d):
                 if math.gcd(h, d) == 1:
@@ -249,6 +254,68 @@ def test_self_check_runs_on_every_miss(monkeypatch, chi5):
         generalized_bernoulli_poly(6, chi5)
 
 
+def test_self_check_compares_the_class_sums_before_any_reduction(monkeypatch):
+    # a multiple of Phi_R's coefficient vector added to the x^0 class sums of
+    # the residue sum leaves its reduced value unchanged; the self-check
+    # compares the class sums entry by entry, so it must still refuse it.
+    # The binomial expansion reads the memoized weighted numbers, so only
+    # the residue sum reads the altered row k
+    k = 6
+    for chi in enumerate_primitive_characters(7) + enumerate_primitive_characters(5):
+        order, d = chi.order, chi.modulus
+        for j in range(k + 1):
+            _weighted_number_direct(j, chi)
+        phi_coeffs = cyclotomic.cyclotomic_polynomial(order)
+        injected = [3 * c for c in phi_coeffs] + [0] * (order - len(phi_coeffs))
+        assert not any(cyclotomic._fold(injected, order))
+        # one residue per class carries its class's share
+        first = {}
+        for h, e in enumerate(chi.exponents):
+            if e is not None:
+                first.setdefault(e, h)
+        den, row = _bernoulli_row(k, d)
+        altered = list(row)
+        for e, h in first.items():
+            altered[h] += injected[e]
+        rows = bernoulli._bernoulli_row
+
+        def altered_row(j, modulus, chi=chi, altered=tuple(altered), den=den, rows=rows):
+            return (den, altered) if (j, modulus) == (k, chi.modulus) else rows(j, modulus)
+
+        monkeypatch.setattr(bernoulli, "_bernoulli_row", altered_row)
+        _weighted_coordinates.cache_clear()
+        try:
+            with pytest.raises(BernoulliSelfCheckError):
+                _weighted_coordinates(k, chi)
+        finally:
+            monkeypatch.setattr(bernoulli, "_bernoulli_row", rows)
+            _weighted_coordinates.cache_clear()
+
+
+def test_weighted_coordinates_call_no_fold(monkeypatch):
+    # both defining expressions and their comparison stay in class sums: the
+    # layer reduces nothing mod Phi_R
+    folds = []
+    fold = cyclotomic._fold
+
+    def counting(values, level):
+        folds.append(level)
+        return fold(values, level)
+
+    monkeypatch.setattr(cyclotomic, "_fold", counting)
+    monkeypatch.setattr(bernoulli, "_fold", counting, raising=False)
+    _weighted_coordinates.cache_clear()
+    _weighted_number_direct.cache_clear()
+    built = 0
+    for d in (3, 4, 5, 7, 8, 12, 13):
+        for chi in enumerate_primitive_characters(d):
+            for k in range(-1, 16):
+                _weighted_coordinates(k, chi)
+                built += 1
+    assert built == 17 * sum(len(enumerate_primitive_characters(d)) for d in (3, 4, 5, 7, 8, 12, 13))
+    assert folds == []
+
+
 def test_a_coefficient_with_no_constant_reads_its_part(monkeypatch):
     # a Bernoulli coefficient keeps the unit constant apart, so its
     # coordinates are its reduced part: one fold each, with no product by 1
@@ -269,4 +336,6 @@ def test_a_coefficient_with_no_constant_reads_its_part(monkeypatch):
         '{"level": 6, "coords": ["0", "0"]}, {"level": 6, "coords": ["0", "24"]}, '
         '{"level": 6, "coords": ["0", "0"]}]}'
     )
-    assert folds == [6] * (poly.degree() + 1)
+    # degree() folds the x^4 class sums once: they are B_(0,chi)'s class
+    # counts, not zero entry by entry, and reduce to 0
+    assert folds == [6] * (poly.degree() + 2)

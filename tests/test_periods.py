@@ -610,3 +610,38 @@ def test_case_five_mirrored_packed_equals_the_sign_classes_unpacked_apart():
             (h,) = residues
             total = [x * (den // 67**22) + y * (den // rest_den) for x, y in zip(five, others)]
             assert residue_case_sum(ctx, h) == cyclotomic._bucket_poly([total], 1, den, turn), (n, h)
+
+
+def test_closed_form_and_case_sum_agree_entry_by_entry_but_case_six(monkeypatch):
+    # the closed form keeps the Bernoulli class sums unreduced and rotates
+    # G_n(-X) by chi(-1), as case 5 does, so each coefficient pair of the two
+    # routes agrees entry by entry and == folds nothing, but at X^0 and X^w
+    # where case 6 adds the same value to every class: zero in Q(zeta_R), not
+    # entry by entry.  For the real and the highest-order characters
+    folds = []
+    fold = cyclotomic._fold
+
+    def counting(values, level):
+        folds.append(level)
+        return fold(values, level)
+
+    compared = folded = 0
+    for d in (3, 4, 5, 7, 8, 12):
+        chars = enumerate_primitive_characters(d)
+        for chi in dict.fromkeys((chars[0], chars[-1])):
+            for level in range(1, 5):
+                for w in (10, 14):
+                    for n in range(1, w):
+                        ctx = PeriodContext(level, w, n, chi)
+                        closed, oracle = closed_form_polynomial(ctx), case_sum_polynomial(ctx)
+                        six = periods._case_six(ctx)
+                        monkeypatch.setattr(cyclotomic, "_fold", counting)
+                        for i, (a, b) in enumerate(zip(closed._coeffs, oracle._coeffs, strict=True)):
+                            del folds[:]
+                            assert a == b, (ctx, i)
+                            if folds:
+                                assert i in (0, w) and six, (ctx, i)
+                                folded += 1
+                            compared += 1
+                        monkeypatch.setattr(cyclotomic, "_fold", fold)
+    assert compared == 10584 and 0 < folded
