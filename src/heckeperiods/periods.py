@@ -8,9 +8,11 @@ Two independent routes are implemented for the polynomial
   (2i)^(w+1)/tau(conj chi) prefactor, four epsilon-gated weighted-Bernoulli
   terms, and the finite quadruple sum G_n(X) + (-1)^(n-1)chi(-1)G_n(-X).
 
-* ``case_sum_polynomial`` assembles the same polynomial from the six
+* ``case_sum_polynomial`` assembles the same polynomial from the
   per-residue case contributions (cosets of Gamma_0(N) split by the signs
-  of a, c and the translated row entries), weighted by conj(chi)(h)/tau.
+  of a, c and the translated row entries), weighted by conj(chi)(h)/tau:
+  cases 1-5, since case 6's total over the classes is zero; a single
+  residue's sum (``residue_case_sum``) keeps all six.
 
 The two must agree exactly on every valid context; that equality is the
 module's central oracle.  Both keep the common prefactor apart, as the
@@ -23,17 +25,19 @@ polynomial coefficients when the parity (-1)^(m+n+1)chi(-1) = 1 admits
 them.
 
 Both routes expand quadruple terms, each with its own walk and its own
-terms, by packed sums: a term is one big integer at X = 2**(8 * width)
-(Kronecker substitution), a class adds its terms, and
-``cyclotomic._signed_digits`` unpacks each class sum into its w + 1
-coefficients once, at a width sized from a bound the route states; a class
-that no term reached is not unpacked.  Each
-walk is memoized, so the quadruples are enumerated once for every n: per
-(N, conj chi) with the character exponents for the closed form
-(``_quadruple_walk``), per (N, D) with the Bezout residues for the oracle
-(``_case_walk``).  The constants of a context (term scalars, ratios,
-alpha, the case-6 values) are integer pairs (num, den), cleared over one
-context denominator with no Fraction built.
+terms, by packed sums: a term (aX + ell)^n (k - cX)^(w-n), with no factor
+D, is one big integer at X = 2**(8 * width) (Kronecker substitution), a
+class adds its terms, and ``cyclotomic._signed_digits`` unpacks each class
+sum into its w + 1 coefficients once, at a width sized from a bound the
+route states; a class that no term reached is not unpacked.  Coefficient
+i then stands over D^(w-i).  Each walk is memoized, so the quadruples are
+enumerated once for every n: per (N, conj chi) with the character
+exponents for the closed form (``_quadruple_walk``), per (N, D) with the
+Bezout residues for the oracle (``_case_walk``).  The closed form's packed
+class sums are memoized per context (``_quadruple_buckets``): G_n reads
+them at X, and the trace's double sum at -X.  The constants of a context
+(term scalars, ratios, alpha, the case-6 values) are integer pairs
+(num, den), cleared over one context denominator with no Fraction built.
 """
 
 from __future__ import annotations
@@ -179,7 +183,7 @@ def enumerate_quadruples(level: int, modulus: int) -> list[FareyQuadruple]:
 def _quadruple_walk(level: int, chibar: DirichletCharacter) -> tuple[tuple[int, int, int, int, int], ...]:
     """The quadruples (a, c, k, ell) of (N, D) on which conj(chi)(a,c,k,ell)
     is nonzero, each with that value's exponent: the closed form's walk, read
-    by G_n at every n and by the trace's double sum at every (n, m)."""
+    by _quadruple_buckets at every n."""
     walk = []
     for a, c, k, ell in enumerate_quadruples(level, chibar.modulus):
         e = chi_four_tuple_exponent(chibar, a, c, k, ell)
@@ -188,32 +192,40 @@ def _quadruple_walk(level: int, chibar: DirichletCharacter) -> tuple[tuple[int, 
     return tuple(walk)
 
 
-def _quadruple_buckets(ctx: PeriodContext) -> list[list[int]]:
-    """D^w times the polynomial attached to each conj(chi) value exponent in
-    G_n, in integers: D^w * term = (aD*X + ell)^n (k - cD*X)^(w-n).
+@lru_cache(maxsize=_MEMO_SIZE)
+def _quadruple_buckets(ctx: PeriodContext) -> tuple[tuple[int, ...], ...]:
+    """The ascending coefficients of G~_n, the sum over the quadruples of
+    each conj(chi) value exponent of (aX + ell)^n (k - cX)^(w-n), in
+    integers: D^w times G_n's coefficient i is D^i times G~_n's, and the
+    trace's double sum is G~_n at -X.  One packed walk per context, read by
+    both closed forms (closed_form_polynomial, traces._closed_form_traces)
+    and by quadruple_sum_polynomial.
 
     Each term is evaluated at X = 2**(8 * width) (Kronecker substitution),
     so a class adds one big integer per quadruple and is unpacked into its
     w + 1 signed coefficients once; a class that no quadruple reached is
     left empty, not unpacked.  Since a, c, k, ell < D, the absolute
-    coefficients of a term sum to (aD + ell)^n (cD + k)^(w-n) <= (D^2 + D)^w,
-    so a class's coefficients lie below (number of quadruples) * (D^2 + D)^w;
-    the width keeps that below half the base, and no digit carries into the
+    coefficients of a term sum to (a + ell)^n (c + k)^(w-n) < (2D)^w, so a
+    class's coefficients lie below (number of quadruples) * (2D)^w; the
+    width keeps that below half the base, and no digit carries into the
     next."""
-    d, n, nt = ctx.modulus, ctx.n, ctx.n_tilde
+    w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     walk = _quadruple_walk(ctx.level, ctx.chi.conjugate())
-    width = (len(walk) * (d * d + d) ** ctx.w).bit_length() // 8 + 1
-    dx = d << (8 * width)
+    width = (len(walk) * (2 * ctx.modulus) ** w).bit_length() // 8 + 1
+    x = 1 << (8 * width)
     sums = [0] * ctx.chi.order
     for a, c, k, ell, e in walk:
-        sums[e] += (a * dx + ell) ** n * (k - c * dx) ** nt
-    return [_signed_digits(total, width, ctx.w + 1) if total else [] for total in sums]
+        sums[e] += (a * x + ell) ** n * (k - c * x) ** nt
+    return tuple(tuple(_signed_digits(total, width, w + 1)) if total else () for total in sums)
 
 
 def quadruple_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     """G_n(X): the finite sum over quadruples of
-    conj(chi)(a,c,k,ell) * (a*X + ell/D)^n * (-c*X + k/D)^(w-n)."""
-    return _bucket_poly(_quadruple_buckets(ctx), ctx.chi.order, ctx.modulus**ctx.w)
+    conj(chi)(a,c,k,ell) * (a*X + ell/D)^n * (-c*X + k/D)^(w-n), over D^w:
+    G~_n's coefficient i times D^i."""
+    d = ctx.modulus
+    buckets = [[x * d**i for i, x in enumerate(coeffs)] for coeffs in _quadruple_buckets(ctx)]
+    return _bucket_poly(buckets, ctx.chi.order, d**ctx.w)
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +252,10 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     and chi(-1) rotate the exponent of a Bernoulli term's unreduced class
     sums, and chi(-1) that of G_n(-X), as the case sum sends a mirrored
     term to the class of -h.  So the route's class sums agree with the
-    case sum's entry by entry, and == folds no coefficient but X^0 and X^w,
-    where case 6 adds the same value to every class (zero in Q(zeta_R), not
-    entry by entry).  The prefactor stays the polynomial's constant, so the
-    coefficients live in Q(zeta_R) until they are read.
+    case sum's entry by entry, and == folds no coefficient.  G_n is read
+    from the context's one packed walk (_quadruple_buckets), which the
+    trace's closed form reads too.  The prefactor stays the polynomial's
+    constant, so the coefficients live in Q(zeta_R) until they are read.
     """
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d, level = ctx.modulus, ctx.level
@@ -289,19 +301,20 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     # rotation, as case 5 sends a mirrored term to the class of -h: class e
     # of G_n adds its coefficient i to class e and (-1)^(n-1+i) times it to
     # class e + turn, so class e is G_n's class e plus or minus its class
-    # e - turn, by the parity of n - 1 + i.  A class no quadruple reached
-    # adds nothing
+    # e - turn, by the parity of n - 1 + i.  G_n's coefficient i is
+    # G~_n's over D^(w-i), so it is times den // D^(w-i).  A class no
+    # quadruple reached adds nothing
     turn = chi.value_exponent(-1)
-    quadruple_factor = den // d**w
-    quads, nothing = _quadruple_buckets(ctx), [0] * (w + 1)
+    scales = [den // d ** (w - i) for i in range(w + 1)]
+    quads, nothing = _quadruple_buckets(ctx), (0,) * (w + 1)
     plus, minus = (n - 1) % 2, n % 2
     buckets = [[0] * (w + 1) for _ in range(order)]
     for e, bucket in enumerate(buckets):
         own, mirrored = quads[e], quads[(e - turn) % order]
         if own or mirrored:
             own, mirrored = own or nothing, mirrored or nothing
-            bucket[plus::2] = [(a + b) * quadruple_factor for a, b in zip(own[plus::2], mirrored[plus::2])]
-            bucket[minus::2] = [(a - b) * quadruple_factor for a, b in zip(own[minus::2], mirrored[minus::2])]
+            bucket[plus::2] = [(a + b) * s for a, b, s in zip(own[plus::2], mirrored[plus::2], scales[plus::2])]
+            bucket[minus::2] = [(a - b) * s for a, b, s in zip(own[minus::2], mirrored[minus::2], scales[minus::2])]
 
     # term k adds coefficient i to X^i, or, reversed, to X^(w-i)
     for (_, k, _, shift, _, reverse), (_, sums), multipliers in zip(terms, weighted, factors):
@@ -399,7 +412,9 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     entry into its class's sum, which is scaled once by one integer per
     (case, i); case 6 counts the residues.  Case 5 reads the oracle's own
     walk (_case_walk, built once per (N, D) with every Bezout residue) and
-    sums each class over D^w: a quadruple with Bezout residue e
+    sums each class of its terms (aX + ell)^n (k - cX)^(w-n), whose
+    coefficient i is times D^i over D^w, so times den // D^(w-i): a
+    quadruple with Bezout residue e
     adds its sign class c < 0 to the class of e and its class a, c > 0 to
     that of -e (each sign class has exactly one matrix at a residue); one
     that reaches no class is skipped before its term is expanded.  A
@@ -409,10 +424,10 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     packed, mirrors the second at -X by a digit mask on its offset form,
     adds it to the first and unpacks the class once; a class that no
     quadruple reached is not unpacked, scaled or added.  The absolute
-    coefficients of a term sum to (aD + ell)^n (cD + k)^(w-n) <=
-    (D^2 + D)^w, and each sum takes at most one term per quadruple, so a
-    class's coefficients lie below 2 * (number of quadruples) *
-    (D^2 + D)^w, which the width keeps below half the base."""
+    coefficients of a term sum to (a + ell)^n (c + k)^(w-n) < (2D)^w, and
+    each sum takes at most one term per quadruple, so a class's
+    coefficients lie below 2 * (number of quadruples) * (2D)^w, which the
+    width keeps below half the base."""
     d, w, n, nt = ctx.modulus, ctx.w, ctx.n, ctx.n_tilde
     specs = [spec for j, spec in _case_specs(ctx).items() if j in cases]
     six = _case_six(ctx) if 6 in cases else []
@@ -425,7 +440,7 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     steps = [math.lcm(d, ratio_den) for _, _, (_, ratio_den), _, _ in specs]
     tops = [below * low[0] * g**k for (k, (_, below), *_), low, g in zip(specs, lows, steps)]
     den = math.lcm(d**w, *(q for _, q in six), *tops)
-    five_factor = den // d**w
+    five_scales = [den // d ** (w - i) for i in range(w + 1)]
     six_values = [p * (den // q) for p, q in six]
     factors = []
     for (k, (num, _), (ratio_num, ratio_den), _, _), low, g, top in zip(specs, lows, steps, tops):
@@ -438,20 +453,20 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
     if 5 in cases:
         class_of = {h: i for i, residues in enumerate(classes) for h in residues}
         walk = _case_walk(ctx.level, d)
-        width = (2 * len(walk) * (d * d + d) ** w).bit_length() // 8 + 1
-        dx = d << (8 * width)
+        width = (2 * len(walk) * (2 * d) ** w).bit_length() // 8 + 1
+        x = 1 << (8 * width)
         pluses, minuses = [0] * len(classes), [0] * len(classes)
         for a, c, k, ell, e in walk:
             plus, minus = class_of.get(e), class_of.get(-e % d)
             if plus is None and minus is None:
                 continue
-            # class c < 0: (aD*X + ell)^n (k - cD*X)^(w-n)
-            term = (a * dx + ell) ** n * (k - c * dx) ** nt
+            # class c < 0: (aX + ell)^n (k - cX)^(w-n)
+            term = (a * x + ell) ** n * (k - c * x) ** nt
             if plus is not None:
                 pluses[plus] += term
             if minus is not None:
                 minuses[minus] += term
-        # class a, c > 0: -(aD*X - ell)^n (cD*X + k)^(w-n), which is
+        # class a, c > 0: -(aX - ell)^n (cX + k)^(w-n), which is
         # (-1)^(n+1) times the first at -X.  A packed v at -X is twice its
         # even digits less v, and its even digits are those of its offset
         # form v + offset (each digit plus half the base, none negative)
@@ -479,7 +494,7 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
             for bucket, total in zip(buckets, sums):
                 bucket[power] += multiplier * total
     for bucket, residues, five in zip(buckets, classes, fives):
-        _add_into(bucket, [x * five_factor for x in five])
+        _add_into(bucket, [value * scale for value, scale in zip(five, five_scales)])
         if six_values:
             bucket[0] += len(residues) * six_values[0]
             bucket[w] += len(residues) * six_values[1]
@@ -509,11 +524,16 @@ def _residue_polynomial(ctx: PeriodContext, h: int, cases: Iterable[int]) -> Exa
 
 
 def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
-    """P_n(X) assembled from the six case contributions over all residues.
+    """P_n(X) assembled from the case contributions over all residues.
 
     This is the independent oracle: it must equal closed_form_polynomial
     exactly on every valid context.  Both keep the same prefactor apart, so
-    that equality is decided in Q(zeta_R).
+    that equality is decided in Q(zeta_R).  Case 6 is left out: it adds the
+    same value times |class e| to every class e, and the classes of
+    conj(chi) all hold phi(D)/R residues, so its total is that value times
+    phi(D)/R times the sum of the R-th roots of unity, zero (character
+    orthogonality).  It stays in the per-residue sums (residue_case_sum,
+    case_contribution), where it is observed.
     """
     chibar = ctx.chi.conjugate()
     classes: list[list[int]] = [[] for _ in range(chibar.order)]
@@ -521,7 +541,7 @@ def case_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
         e = chibar.value_exponent(h)
         if e is not None:
             classes[e].append(h)
-    den, buckets = _case_buckets(ctx, classes, range(1, 7))
+    den, buckets = _case_buckets(ctx, classes, range(1, 6))
     return _bucket_poly(buckets, chibar.order, den, _prefactor(chibar, ctx.w))
 
 

@@ -9,7 +9,9 @@ has a closed form, evaluated here in exact cyclotomic arithmetic
 (``trace_closed_form``), for every admissible m of a context in one
 memoized pass (``_closed_form_traces``) that reads its four Bernoulli terms
 as coefficients of the weighted polynomials the period closed form builds
-and self-checks.  The same number also equals
+and self-checks, and its double sum from the packed quadruple sums the
+period closed form reads (G_n at X -> -X/D), which the case-sum oracle
+checks.  The same number also equals
 (-D)^(m+1) (i sqrt N)^(m+n+2) r_{m,chi}(R_n), which ``trace_from_periods``
 computes through the period-polynomial route; the two must agree exactly.
 
@@ -55,11 +57,10 @@ from .cyclotomic import (
     _monomial_product,
     _monomials,
     _Monomials,
-    _signed_digits,
     _TimesConstant,
     sqrt_positive_integer,
 )
-from .periods import PeriodContext, _admit, _quadruple_walk, closed_form_polynomial
+from .periods import PeriodContext, _admit, _quadruple_buckets, closed_form_polynomial
 
 
 class TraceQuery(_Frozen):
@@ -107,10 +108,14 @@ def _closed_form_traces(ctx: PeriodContext) -> tuple[Optional[_ClassSums], ...]:
     read from bernoulli._weighted_coordinates, where both defining
     expressions were checked against each other.  The conj(chi) terms read
     x^mt, the chi terms x^m times alpha^m, alpha = -1/N for eps2 and -1 for
-    eps3, so N^m stands below the line.  The double sum is the trace's own
-    packed polynomials (_double_sum_polynomials), never G_n.  Everything is
-    times D / (2 C(w, m)); the constant is left to the query, so a request
-    for one m builds only its own."""
+    eps3, so N^m stands below the line.  The double sum,
+    sum_r (-1)^r C(n, r) C(w-n, w-m-r) a^r c^(w-m-r) ell^(n-r) k^(m-n+r)
+    over the quadruples of each conj(chi) class, is the X^(w-m) coefficient
+    of sum (ell - aX)^n (k + cX)^(w-n): G_n at X -> -X/D, read from the
+    context's one packed walk (periods._quadruple_buckets), which the period
+    closed form reads too; closed form == case sum checks it.  Everything
+    is times D / (2 C(w, m)); the constant is left to the query, so a
+    request for one m builds only its own."""
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d, level = ctx.modulus, ctx.level
     chi = ctx.chi
@@ -138,8 +143,9 @@ def _closed_form_traces(ctx: PeriodContext) -> tuple[Optional[_ClassSums], ...]:
     top = ms[-1]
     den = math.lcm(*(below * coord_den * (alpha[1] ** top if alpha else 1)
                      for (_, _, (_, below), _, alpha), (coord_den, _) in zip(terms, weighted)))
-    sums = _double_sum_polynomials(ctx)
-    # the double sum's factor 2 is the period polynomial's G_n(X) and its
+    sums = _quadruple_buckets(ctx)
+    # the double sum at m is the X^mt coefficient of G~_n(-X), (-1)^mt times
+    # G~_n's, and its factor 2 is the period polynomial's G_n(X) and its
     # mirror chi(-1) (-1)^(n-1) G_n(-X) at X^(w-m), where (-1)^(n-1+w-m) =
     # chi(-1) by the parity: half stays in class e, and chi(-1) times half
     # goes to class e + turn, chi(-1) = zeta_R^turn, as the polynomial
@@ -148,10 +154,10 @@ def _closed_form_traces(ctx: PeriodContext) -> tuple[Optional[_ClassSums], ...]:
     out: list[Optional[_ClassSums]] = [None] * (w + 1)
     for m in ms:
         mt = w - m
-        sign = (-1) ** (m + 1) * den
+        sign = (-1) ** (m + 1) * (-1) ** mt * den
         buckets = [0] * order
         for e, coeffs in enumerate(sums):
-            half = sign * coeffs[mt]
+            half = sign * coeffs[mt] if coeffs else 0
             if half:
                 buckets[e] += half
                 buckets[(e + turn) % order] += mirror * half
@@ -194,32 +200,6 @@ def _trace_monomials(chi: DirichletCharacter, level: int, quarter: int, odd: int
     turn = (4, ((quarter, chi.sign_at_minus_one()),), 1)
     root = sqrt_positive_integer(level) if odd else ExactNumber.one()
     return _monomial_product(_monomial_product(turn, tau), _monomials(root))
-
-
-def _double_sum_polynomials(ctx: PeriodContext) -> tuple[tuple[int, ...], ...]:
-    """For each conj(chi) value exponent, the ascending coefficients of the
-    sum over its quadruples of (ell - aX)^n (k + cX)^(w-n), whose X^(w-m)
-    coefficient is the double sum's r-sum at m:
-    sum_r (-1)^r C(n, r) C(w-n, w-m-r) a^r c^(w-m-r) ell^(n-r) k^(m-n+r).
-    The trace's own walk of the quadruples, read once per context by
-    _closed_form_traces; it never reads G_n.  Each term is evaluated at
-    X = 2**(8 * width) (Kronecker substitution), so a class adds one big
-    integer per quadruple and is unpacked into its w + 1 signed
-    coefficients once, for every m; a class that no quadruple reached is
-    not unpacked and reads as zeros.  Since a, c, k, ell < D,
-    the absolute coefficients of a term sum to (ell + a)^n (k + c)^(w-n) <
-    (2D)^w, so a class's coefficients lie below (number of quadruples) *
-    (2D)^w; the width keeps that below half the base, and no digit carries
-    into the next."""
-    w, n, nt = ctx.w, ctx.n, ctx.n_tilde
-    walk = _quadruple_walk(ctx.level, ctx.chi.conjugate())
-    width = (len(walk) * (2 * ctx.modulus) ** w).bit_length() // 8 + 1
-    x = 1 << (8 * width)
-    sums = [0] * ctx.chi.order
-    for a, c, k, ell, e in walk:
-        sums[e] += (ell - a * x) ** n * (k + c * x) ** nt
-    zero = (0,) * (w + 1)
-    return tuple(tuple(_signed_digits(total, width, w + 1)) if total else zero for total in sums)
 
 
 def trace_from_periods(query: TraceQuery) -> ExactNumber:

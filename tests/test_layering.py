@@ -98,21 +98,25 @@ def test_only_fold_reads_the_reduction_table():
     assert sorted(set(_loaders("_power_table"))) == ["cyclotomic.py:_fold", "cyclotomic.py:_power_table"]
 
 
-def test_the_trace_double_sum_keeps_its_own_terms():
-    # the trace's closed form walks the quadruples itself: if it read G_n's
-    # classes, both trace routes would rest on the same G_n code
+def test_both_closed_forms_read_one_packed_walk():
+    # G~_n is packed once per context and read by the period closed form,
+    # the trace's closed form (its double sum is G~_n at -X) and G_n; the
+    # closed form's walk of the quadruples has no other reader, so the
+    # trace keeps no second walk of its own
     assert sorted(set(_loaders("_quadruple_buckets"))) == [
         "periods.py:closed_form_polynomial",
         "periods.py:quadruple_sum_polynomial",
+        "traces.py:_closed_form_traces",
     ]
-    assert "traces.py:_double_sum_polynomials" in _loaders("_quadruple_walk")
+    assert sorted(set(_loaders("_quadruple_walk"))) == ["periods.py:_quadruple_buckets"]
 
 
 def test_the_oracle_keeps_its_own_walk():
     # case 5 reads the oracle's own walk of quadruples and Bezout residues:
-    # if it, or that walk, read the closed form's walk, both sides of the
-    # central oracle would rest on the same quadruple code
-    assert not {"periods.py:_case_buckets", "periods.py:_case_walk"} & set(_loaders("_quadruple_walk"))
+    # if it, or that walk, read the closed form's walk or its packed G~_n,
+    # both sides of the central oracle would rest on the same quadruple code
+    shared = set(_loaders("_quadruple_walk")) | set(_loaders("_quadruple_buckets"))
+    assert not {"periods.py:_case_buckets", "periods.py:_case_walk"} & shared
     assert sorted(set(_loaders("_case_walk"))) == ["periods.py:_case_buckets"]
 
 

@@ -29,6 +29,7 @@ MEMOS = {
     "numeric.tau_coefficients",
     "periods._case_walk",
     "periods._prefactor",
+    "periods._quadruple_buckets",
     "periods._quadruple_walk",
     "periods.closed_form_polynomial",
     "traces._closed_form_traces",
@@ -83,6 +84,7 @@ def test_memos_are_bounded():
     assert traces._closed_form_traces in memos
     assert characters._conjugate in memos
     assert periods._case_walk in memos and periods._quadruple_walk in memos
+    assert periods._quadruple_buckets in memos
     assert cyclotomic.sqrt_integer in memos and tau_coefficients in memos
     for memo in memos:
         assert memo.cache_info().maxsize is not None, memo.__qualname__

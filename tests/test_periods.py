@@ -612,12 +612,12 @@ def test_case_five_mirrored_packed_equals_the_sign_classes_unpacked_apart():
             assert residue_case_sum(ctx, h) == cyclotomic._bucket_poly([total], 1, den, turn), (n, h)
 
 
-def test_closed_form_and_case_sum_agree_entry_by_entry_but_case_six(monkeypatch):
+def test_closed_form_and_case_sum_agree_entry_by_entry(monkeypatch):
     # the closed form keeps the Bernoulli class sums unreduced and rotates
-    # G_n(-X) by chi(-1), as case 5 does, so each coefficient pair of the two
-    # routes agrees entry by entry and == folds nothing, but at X^0 and X^w
-    # where case 6 adds the same value to every class: zero in Q(zeta_R), not
-    # entry by entry.  For the real and the highest-order characters
+    # G_n(-X) by chi(-1), as case 5 does, and the case sum leaves out case 6,
+    # whose class total is zero: so each coefficient pair of the two routes
+    # agrees entry by entry and == folds nothing.  For the real and the
+    # highest-order characters
     folds = []
     fold = cyclotomic._fold
 
@@ -625,7 +625,7 @@ def test_closed_form_and_case_sum_agree_entry_by_entry_but_case_six(monkeypatch)
         folds.append(level)
         return fold(values, level)
 
-    compared = folded = 0
+    compared = 0
     for d in (3, 4, 5, 7, 8, 12):
         chars = enumerate_primitive_characters(d)
         for chi in dict.fromkeys((chars[0], chars[-1])):
@@ -634,14 +634,64 @@ def test_closed_form_and_case_sum_agree_entry_by_entry_but_case_six(monkeypatch)
                     for n in range(1, w):
                         ctx = PeriodContext(level, w, n, chi)
                         closed, oracle = closed_form_polynomial(ctx), case_sum_polynomial(ctx)
-                        six = periods._case_six(ctx)
                         monkeypatch.setattr(cyclotomic, "_fold", counting)
                         for i, (a, b) in enumerate(zip(closed._coeffs, oracle._coeffs, strict=True)):
-                            del folds[:]
                             assert a == b, (ctx, i)
-                            if folds:
-                                assert i in (0, w) and six, (ctx, i)
-                                folded += 1
+                            assert folds == [], (ctx, i, folds)
                             compared += 1
                         monkeypatch.setattr(cyclotomic, "_fold", fold)
-    assert compared == 10584 and 0 < folded
+    assert compared == 10584
+
+
+def _exponent_classes(chi):
+    """The unit residues mod D by the exponent of their conj(chi) value."""
+    chibar = chi.conjugate()
+    classes = [[] for _ in range(chibar.order)]
+    for h in range(1, chi.modulus):
+        e = chibar.value_exponent(h)
+        if e is not None:
+            classes[e].append(h)
+    return classes
+
+
+def test_case_six_totals_zero_over_the_exponent_classes():
+    # case 6 adds one value times |class e| to every class e, and the classes
+    # all hold phi(D)/R residues, so its total is zero in Q(zeta_R) by
+    # character orthogonality: the case sum leaves it out.  For every
+    # primitive character of the small grid's moduli, at every n
+    checked = nonzero = 0
+    for d in (3, 4, 5, 7, 8, 12):
+        for chi in enumerate_primitive_characters(d):
+            classes = _exponent_classes(chi)
+            assert {len(residues) for residues in classes} == {euler_phi(d) // chi.order}
+            for level in range(1, 5):
+                for w in (10, 14):
+                    for n in range(1, w):
+                        ctx = PeriodContext(level, w, n, chi)
+                        den, buckets = periods._case_buckets(ctx, classes, (6,))
+                        assert cyclotomic._bucket_poly(buckets, chi.order, den).is_zero(), ctx
+                        nonzero += any(any(bucket) for bucket in buckets)
+                        checked += 1
+    assert checked == 1144 and nonzero > 0
+
+
+def test_residue_case_sum_keeps_case_six(chi5):
+    # a single residue observes case 6: residue_case_sum is cases 1-5 plus
+    # case 6 (all three keep (2i)^(w+1) apart, so their one class sums add),
+    # and differs from cases 1-5 alone wherever case 6 is nonzero
+    def rational(poly, k):
+        _, den, (num,) = poly.class_sums(k)
+        return Fraction(num, den)
+
+    seen = 0
+    for level in (1, 2):
+        for n in range(1, 10):
+            ctx = PeriodContext(level, 10, n, chi5)
+            for h in range(1, 5):
+                total, six = residue_case_sum(ctx, h), case_contribution(6, h, ctx)
+                without = periods._residue_polynomial(ctx, h, range(1, 6))
+                for k in range(11):
+                    assert rational(total, k) == rational(without, k) + rational(six, k), (ctx, h, k)
+                assert (total == without) == (periods._case_six(ctx) == []), (ctx, h)
+                seen += bool(periods._case_six(ctx))
+    assert seen > 0

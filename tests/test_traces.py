@@ -278,8 +278,9 @@ def test_routes_compare_their_class_sums_unreduced(monkeypatch):
     # a polynomial keeps its exponent-class sums until a coefficient is
     # read: on a fresh context (order-6 chi mod 7, N = 2, w = 10, n = 3;
     # the Bernoulli and constant memos filled, the polynomial memo cleared),
-    # closed form == case sum builds no element of Q(zeta_6) and folds at
-    # most w + 1 times.  A trace keeps its class sums too: each route hands
+    # closed form == case sum builds no element of Q(zeta_6) and, since the
+    # two routes' class sums agree entry by entry, folds nothing.  A trace
+    # keeps its class sums too: each route hands
     # them over unreduced (the period route its coefficient times its
     # rational), so a trace pair builds no element of Q(zeta_6), and since
     # the cross-multiplied difference of the two routes' sums is zero entry
@@ -305,7 +306,7 @@ def test_routes_compare_their_class_sums_unreduced(monkeypatch):
     monkeypatch.setattr(cyclotomic, "_store", counting_store)
     assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx)
     assert 6 not in stores, stores
-    assert 0 < len(folds) <= 11, folds
+    assert folds == [], folds
     queries = [TraceQuery(ctx, m) for m in range(11) if ctx.parity_holds(m)]
     assert len(queries) == 5
     for q in queries:
@@ -446,7 +447,7 @@ def _per_query_trace(ctx, m):
     alone from the weighted Bernoulli numbers: each of the four terms is
     binomial * scale * B_{k,psi} / k with B_{k,psi} read as a number, a term
     with a vanishing binomial is 0, and the double sum is the packed
-    coefficient at w - m.  Returns (order, den, integers)."""
+    coefficient at w - m of G~_n(-X).  Returns (order, den, integers)."""
     w, n, nt, mt = ctx.w, ctx.n, ctx.n_tilde, ctx.w - m
     d, level = ctx.modulus, ctx.level
     chi = ctx.chi
@@ -461,7 +462,7 @@ def _per_query_trace(ctx, m):
         terms.append((math.comb(nt, m), nt - m + 1, chi, scale, chi.value_exponent(-level)))
     if eps.eps3:
         terms.append((math.comb(n, m), n - m + 1, chi, Fraction((-1) ** (m + 1) * d**nt), chi.value_exponent(-1)))
-    buckets = [Fraction(2 * (-1) ** (m + 1) * coeffs[mt]) for coeffs in traces._double_sum_polynomials(ctx)]
+    buckets = [Fraction(2 * (-1) ** (m + 1) * coeffs[mt]) for coeffs in _double_sum_polynomials(ctx)]
     for binomial, k, psi, scale, shift in terms:
         if binomial:
             den, coords = _weighted_number_direct(k, psi)
@@ -516,6 +517,17 @@ def test_closed_form_traces_equal_the_per_query_assembly():
     assert checked == 5521
 
 
+def _double_sum_polynomials(ctx):
+    """For each conj(chi) value exponent, the ascending coefficients of the
+    double sum's polynomial sum (ell - aX)^n (k + cX)^(w-n): the context's
+    packed G~_n read at -X, coefficient i times (-1)^i, and zeros for a
+    class that no quadruple reached."""
+    return [
+        [(-1) ** i * x for i, x in enumerate(coeffs)] if coeffs else [0] * (ctx.w + 1)
+        for coeffs in periods._quadruple_buckets(ctx)
+    ]
+
+
 def _term_by_term_double_sum(ctx, m):
     """2(-1)^(m+1) times sum over quadruples of
     sum_r (-1)^r C(n, r) C(w-n, w-m-r) a^r c^(w-m-r) ell^(n-r) k^(m-n+r),
@@ -535,10 +547,10 @@ def _term_by_term_double_sum(ctx, m):
 
 
 def test_packed_double_sum_equals_the_term_by_term_sum():
-    # one packed polynomial per context gives the r-sum at every m; against
-    # the sum term by term, for the real and the highest-order characters,
-    # and at D = 67, order 66, w = 22, where the class coefficients come
-    # nearest the width's bound
+    # the context's one packed G~_n, read at -X, gives the r-sum at every m;
+    # against the sum term by term, for the real and the highest-order
+    # characters, and at D = 67, order 66, w = 22, where the class
+    # coefficients come nearest the width's bound
     contexts = []
     for d in (5, 7, 13, 41):
         chars = enumerate_primitive_characters(d)  # ascending order: real first
@@ -550,7 +562,24 @@ def test_packed_double_sum_equals_the_term_by_term_sum():
     for ctx in contexts:
         for m in range(ctx.w + 1):
             if ctx.parity_holds(m):
-                packed = [2 * (-1) ** (m + 1) * coeffs[ctx.w - m] for coeffs in traces._double_sum_polynomials(ctx)]
+                packed = [2 * (-1) ** (m + 1) * coeffs[ctx.w - m] for coeffs in _double_sum_polynomials(ctx)]
                 assert packed == _term_by_term_double_sum(ctx, m), (ctx, m)
                 checked += 1
     assert checked == 1031
+
+
+def test_routes_agree_at_weight_48_for_every_n():
+    # far past w <= 22, where the packed width grows with w: every n of the
+    # order-12 character mod 13 at N = 1, w = 46, closed form == case sum,
+    # then both trace routes at every admissible m
+    chi13 = next(chi for chi in enumerate_primitive_characters(13) if chi.order == 12)
+    pairs = 0
+    for n in range(1, 46):
+        ctx = PeriodContext(1, 46, n, chi13)
+        assert closed_form_polynomial(ctx) == case_sum_polynomial(ctx), n
+        for m in range(47):
+            if ctx.parity_holds(m):
+                query = TraceQuery(ctx, m)
+                assert trace_closed_form(query) == trace_from_periods(query), (n, m)
+                pairs += 1
+    assert pairs == 1057
