@@ -57,7 +57,6 @@ from .periods import (
     case_sum_polynomial,
     closed_form_polynomial,
     enumerate_quadruples,
-    quadruple_sum_polynomial,
     residue_period,
     twisted_period,
 )
@@ -100,7 +99,6 @@ __all__ = [
     "numeric_twisted_period",
     "parse_quad_surd",
     "petersson_delta_inverse",
-    "quadruple_sum_polynomial",
     "recognize_surd",
     "residue_period",
     "sqrt_integer",

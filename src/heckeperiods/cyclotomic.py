@@ -285,8 +285,8 @@ class ExactNumber(_Frozen):
             raise ValueError(
                 f"need {euler_phi(level)} coordinates at level {level}, got {len(coords)}"
             )
-        den, (nums,) = _cleared([[(q.numerator, q.denominator) for q in coords]])
-        _store(self, level, den, nums)
+        den = math.lcm(*(q.denominator for q in coords))
+        _store(self, level, den, [q.numerator * (den // q.denominator) for q in coords])
 
     @classmethod
     def _make(cls, level: int, den: int, nums: Sequence[int]) -> "ExactNumber":
@@ -1018,23 +1018,6 @@ def _bucket_poly(
     columns = zip_longest(*buckets, fillvalue=0)
     object.__setattr__(poly, "_coeffs", tuple(_TimesConstant((order, den, column), constant) for column in columns))
     return poly
-
-
-def _cleared(rows: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, list[list[int]]]:
-    """One common denominator of rows of rationals, each an integer pair
-    (numerator, nonzero denominator) in any terms, and their integer
-    numerators over it, row by row."""
-    den = math.lcm(*(q for row in rows for _, q in row))
-    return den, [[p * (den // q) for p, q in row] for row in rows]
-
-
-def _add_into(bucket: list, coeffs: Sequence) -> None:
-    """bucket += coeffs in place, extending the bucket with zeros as needed.
-    Integer buckets stay integers: the padding is int 0."""
-    if len(bucket) < len(coeffs):
-        bucket.extend([0] * (len(coeffs) - len(bucket)))
-    for i, c in enumerate(coeffs):
-        bucket[i] += c
 
 
 def _fmt_rational(q: Fraction) -> str:

@@ -33,10 +33,10 @@ route states; a class that no term reached is not unpacked.  Coefficient
 i then stands over D^(w-i).  Each walk is memoized, so the quadruples are
 enumerated once for every n: per (N, conj chi) with the character
 exponents for the closed form (``_quadruple_walk``), per (N, D) with the
-Bezout residues for the oracle (``_case_walk``).  The closed form's packed
-class sums are memoized per context (``_quadruple_buckets``): G_n reads
-them at X, and the trace's double sum at -X.  The constants of a context
-(term scalars, ratios, alpha, the case-6 values) are integer pairs
+Bezout residues for the oracle (``_case_walk``).  The closed form's
+symmetrized quadruple sum is memoized per context (``_quadruple_buckets``),
+and the trace's double sum is one of its columns.  The constants of a
+context (term scalars, ratios, alpha, the case-6 values) are integer pairs
 (num, den), cleared over one context denominator with no Fraction built.
 """
 
@@ -58,7 +58,6 @@ from .cyclotomic import (
     _MEMO_SIZE,
     ExactNumber,
     ExactPolynomial,
-    _add_into,
     _bucket_poly,
     _Frozen,
     _half_digits,
@@ -194,38 +193,43 @@ def _quadruple_walk(level: int, chibar: DirichletCharacter) -> tuple[tuple[int, 
 
 @lru_cache(maxsize=_MEMO_SIZE)
 def _quadruple_buckets(ctx: PeriodContext) -> tuple[tuple[int, ...], ...]:
-    """The ascending coefficients of G~_n, the sum over the quadruples of
-    each conj(chi) value exponent of (aX + ell)^n (k - cX)^(w-n), in
-    integers: D^w times G_n's coefficient i is D^i times G~_n's, and the
-    trace's double sum is G~_n at -X.  One packed walk per context, read by
-    both closed forms (closed_form_polynomial, traces._closed_form_traces)
-    and by quadruple_sum_polynomial.
+    """The symmetrized quadruple sum G_n(X) + (-1)^(n-1) chi(-1) G_n(-X) in
+    integers, by conj(chi) value exponent: the one place its chi(-1) mirror
+    is written, read by both closed forms (closed_form_polynomial, and
+    traces._closed_form_traces, whose double sum is one of its columns).
+
+    G~_n, the sum over the quadruples of each exponent class of
+    (aX + ell)^n (k - cX)^(w-n), has no factor D: D^w times G_n's
+    coefficient i is D^i times G~_n's.  chi(-1) = zeta_R^turn is a rotation,
+    as case 5 sends a mirrored term to the class of -h, so class e,
+    coefficient i is G~_n's class e plus (-1)^(n-1+i) times its class
+    e - turn, and the class sums agree with the case sum's entry by entry.
+    A class that neither reached stays empty.
 
     Each term is evaluated at X = 2**(8 * width) (Kronecker substitution),
-    so a class adds one big integer per quadruple and is unpacked into its
-    w + 1 signed coefficients once; a class that no quadruple reached is
-    left empty, not unpacked.  Since a, c, k, ell < D, the absolute
+    so a class of G~_n adds one big integer per quadruple and is unpacked
+    into its w + 1 signed coefficients once; a class that no quadruple
+    reached is not unpacked.  Since a, c, k, ell < D, the absolute
     coefficients of a term sum to (a + ell)^n (c + k)^(w-n) < (2D)^w, so a
     class's coefficients lie below (number of quadruples) * (2D)^w; the
     width keeps that below half the base, and no digit carries into the
     next."""
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
+    order = ctx.chi.order
     walk = _quadruple_walk(ctx.level, ctx.chi.conjugate())
     width = (len(walk) * (2 * ctx.modulus) ** w).bit_length() // 8 + 1
     x = 1 << (8 * width)
-    sums = [0] * ctx.chi.order
+    sums = [0] * order
     for a, c, k, ell, e in walk:
         sums[e] += (a * x + ell) ** n * (k - c * x) ** nt
-    return tuple(tuple(_signed_digits(total, width, w + 1)) if total else () for total in sums)
-
-
-def quadruple_sum_polynomial(ctx: PeriodContext) -> ExactPolynomial:
-    """G_n(X): the finite sum over quadruples of
-    conj(chi)(a,c,k,ell) * (a*X + ell/D)^n * (-c*X + k/D)^(w-n), over D^w:
-    G~_n's coefficient i times D^i."""
-    d = ctx.modulus
-    buckets = [[x * d**i for i, x in enumerate(coeffs)] for coeffs in _quadruple_buckets(ctx)]
-    return _bucket_poly(buckets, ctx.chi.order, d**ctx.w)
+    classes = [tuple(_signed_digits(total, width, w + 1)) if total else () for total in sums]
+    turn, nothing = ctx.chi.value_exponent(-1), (0,) * (w + 1)
+    mirrors = [classes[(e - turn) % order] for e in range(order)]
+    signs = [(-1) ** (n - 1 + i) for i in range(w + 1)]
+    return tuple(
+        tuple(a + s * b for a, b, s in zip(own or nothing, mirrored or nothing, signs)) if own or mirrored else ()
+        for own, mirrored in zip(classes, mirrors)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +254,11 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
     Everything is added as integers per power of zeta_R (R = ord chi) over
     one context denominator and divided once per bucket coefficient: chi(-N)
     and chi(-1) rotate the exponent of a Bernoulli term's unreduced class
-    sums, and chi(-1) that of G_n(-X), as the case sum sends a mirrored
-    term to the class of -h.  So the route's class sums agree with the
-    case sum's entry by entry, and == folds no coefficient.  G_n is read
-    from the context's one packed walk (_quadruple_buckets), which the
-    trace's closed form reads too.  The prefactor stays the polynomial's
-    constant, so the coefficients live in Q(zeta_R) until they are read.
+    sums, and the symmetrized quadruple sum is read, already rotated, from
+    _quadruple_buckets.  So the route's class sums agree with the case
+    sum's entry by entry, and == folds no coefficient.  The prefactor stays
+    the polynomial's constant, so the coefficients live in Q(zeta_R) until
+    they are read.
     """
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d, level = ctx.modulus, ctx.level
@@ -297,24 +300,11 @@ def closed_form_polynomial(ctx: PeriodContext) -> ExactPolynomial:
             up *= alpha_num
         factors.append(multipliers)
 
-    # G_n(X) + (-1)^(n-1) chi(-1) G_n(-X), with chi(-1) = zeta_R^turn a
-    # rotation, as case 5 sends a mirrored term to the class of -h: class e
-    # of G_n adds its coefficient i to class e and (-1)^(n-1+i) times it to
-    # class e + turn, so class e is G_n's class e plus or minus its class
-    # e - turn, by the parity of n - 1 + i.  G_n's coefficient i is
-    # G~_n's over D^(w-i), so it is times den // D^(w-i).  A class no
-    # quadruple reached adds nothing
-    turn = chi.value_exponent(-1)
+    # the symmetrized G_n's coefficient i is G~_n's over D^(w-i), so it is
+    # times den // D^(w-i); a class no quadruple reached adds nothing
     scales = [den // d ** (w - i) for i in range(w + 1)]
-    quads, nothing = _quadruple_buckets(ctx), (0,) * (w + 1)
-    plus, minus = (n - 1) % 2, n % 2
-    buckets = [[0] * (w + 1) for _ in range(order)]
-    for e, bucket in enumerate(buckets):
-        own, mirrored = quads[e], quads[(e - turn) % order]
-        if own or mirrored:
-            own, mirrored = own or nothing, mirrored or nothing
-            bucket[plus::2] = [(a + b) * s for a, b, s in zip(own[plus::2], mirrored[plus::2], scales[plus::2])]
-            bucket[minus::2] = [(a - b) * s for a, b, s in zip(own[minus::2], mirrored[minus::2], scales[minus::2])]
+    buckets = [[x * s for x, s in zip(coeffs, scales)] if coeffs else [0] * (w + 1)
+               for coeffs in _quadruple_buckets(ctx)]
 
     # term k adds coefficient i to X^i, or, reversed, to X^(w-i)
     for (_, k, _, shift, _, reverse), (_, sums), multipliers in zip(terms, weighted, factors):
@@ -494,7 +484,8 @@ def _case_buckets(ctx: PeriodContext, classes: list[list[int]], cases: Iterable[
             for bucket, total in zip(buckets, sums):
                 bucket[power] += multiplier * total
     for bucket, residues, five in zip(buckets, classes, fives):
-        _add_into(bucket, [value * scale for value, scale in zip(five, five_scales)])
+        for i, (value, scale) in enumerate(zip(five, five_scales)):
+            bucket[i] += value * scale
         if six_values:
             bucket[0] += len(residues) * six_values[0]
             bucket[w] += len(residues) * six_values[1]

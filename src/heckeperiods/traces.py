@@ -9,8 +9,8 @@ has a closed form, evaluated here in exact cyclotomic arithmetic
 (``trace_closed_form``), for every admissible m of a context in one
 memoized pass (``_closed_form_traces``) that reads its four Bernoulli terms
 as coefficients of the weighted polynomials the period closed form builds
-and self-checks, and its double sum from the packed quadruple sums the
-period closed form reads (G_n at X -> -X/D), which the case-sum oracle
+and self-checks, and its double sum from the symmetrized quadruple sum
+the period closed form reads (G_n at X -> -X/D), which the case-sum oracle
 checks.  The same number also equals
 (-D)^(m+1) (i sqrt N)^(m+n+2) r_{m,chi}(R_n), which ``trace_from_periods``
 computes through the period-polynomial route; the two must agree exactly.
@@ -72,10 +72,6 @@ class TraceQuery(_Frozen):
         _admit(ctx, m)
         super().__init__(ctx, m)
 
-    @property
-    def m_tilde(self) -> int:
-        return self.ctx.w - self.m
-
 
 def trace_closed_form(query: TraceQuery) -> ExactNumber:
     """The trace by direct evaluation of the closed form: the class sums of
@@ -97,11 +93,11 @@ def _closed_form_traces(ctx: PeriodContext) -> tuple[Optional[_ClassSums], ...]:
     context, over one context denominator.
 
     The double sum and the four Bernoulli terms are added as integers per
-    power of zeta_R; chi(-N) and chi(-1) rotate the exponent, and the double
-    sum's factor 2 is split as the period polynomial splits G_n and its
-    mirror: half in its class, chi(-1) times half in the class rotated by
-    chi(-1), so the class sums equal trace_from_periods' entry by entry.
-    Each term C(K - 1, i) / (K - i) * B_{K-i,psi}, with K = n + 1 or nt + 1 and i = mt
+    power of zeta_R: chi(-N) and chi(-1) rotate the exponent of a Bernoulli
+    term, and twice the double sum is a column of the symmetrized quadruple
+    sum the period closed form reads (periods._quadruple_buckets), so the
+    class sums equal trace_from_periods' entry by entry.  Each term
+    C(K - 1, i) / (K - i) * B_{K-i,psi}, with K = n + 1 or nt + 1 and i = mt
     or m, is the coefficient [x^i] B_{K,psi}(x) / K (at i = K both are 0,
     since B_{0,psi} = 0, and past K both vanish): the four weighted
     polynomials of closed_form_polynomial, under the same epsilon gates,
@@ -111,11 +107,10 @@ def _closed_form_traces(ctx: PeriodContext) -> tuple[Optional[_ClassSums], ...]:
     eps3, so N^m stands below the line.  The double sum,
     sum_r (-1)^r C(n, r) C(w-n, w-m-r) a^r c^(w-m-r) ell^(n-r) k^(m-n+r)
     over the quadruples of each conj(chi) class, is the X^(w-m) coefficient
-    of sum (ell - aX)^n (k + cX)^(w-n): G_n at X -> -X/D, read from the
-    context's one packed walk (periods._quadruple_buckets), which the period
-    closed form reads too; closed form == case sum checks it.  Everything
-    is times D / (2 C(w, m)); the constant is left to the query, so a
-    request for one m builds only its own."""
+    of sum (ell - aX)^n (k + cX)^(w-n): G_n at X -> -X/D, which closed
+    form == case sum checks.  Everything is times D / (2 C(w, m)); the
+    constant is left to the query, so a request for one m builds only its
+    own."""
     w, n, nt = ctx.w, ctx.n, ctx.n_tilde
     d, level = ctx.modulus, ctx.level
     chi = ctx.chi
@@ -144,23 +139,14 @@ def _closed_form_traces(ctx: PeriodContext) -> tuple[Optional[_ClassSums], ...]:
     den = math.lcm(*(below * coord_den * (alpha[1] ** top if alpha else 1)
                      for (_, _, (_, below), _, alpha), (coord_den, _) in zip(terms, weighted)))
     sums = _quadruple_buckets(ctx)
-    # the double sum at m is the X^mt coefficient of G~_n(-X), (-1)^mt times
-    # G~_n's, and its factor 2 is the period polynomial's G_n(X) and its
-    # mirror chi(-1) (-1)^(n-1) G_n(-X) at X^(w-m), where (-1)^(n-1+w-m) =
-    # chi(-1) by the parity: half stays in class e, and chi(-1) times half
-    # goes to class e + turn, chi(-1) = zeta_R^turn, as the polynomial
-    # rotates it, so the two trace routes agree entry by entry
-    turn, mirror = chi.value_exponent(-1), chi.sign_at_minus_one()
     out: list[Optional[_ClassSums]] = [None] * (w + 1)
     for m in ms:
         mt = w - m
+        # twice the X^mt coefficient of G~_n(-X), (-1)^mt times G~_n's, is
+        # column mt of the symmetrized sum, since (-1)^(n-1+mt) = chi(-1)
+        # at an admissible m
         sign = (-1) ** (m + 1) * (-1) ** mt * den
-        buckets = [0] * order
-        for e, coeffs in enumerate(sums):
-            half = sign * coeffs[mt] if coeffs else 0
-            if half:
-                buckets[e] += half
-                buckets[(e + turn) % order] += mirror * half
+        buckets = [sign * coeffs[mt] if coeffs else 0 for coeffs in sums]
         for (_, _, (num, below), shift, alpha), (coord_den, coords) in zip(terms, weighted):
             if alpha:
                 i, factor = m, den // (below * coord_den * alpha[1] ** m) * num * alpha[0] ** m

@@ -13,7 +13,6 @@ from heckeperiods.cyclotomic import (
     ExactNumber,
     ExactPolynomial,
     QuadSurd,
-    _add_into,
     _bucket_poly,
     _bucket_sum,
     _TimesConstant,
@@ -668,16 +667,6 @@ def test_squarefree_divisors():
 
 # ---------------------------------------------------------------------------
 # polynomials
-
-
-def test_list_helpers_keep_integer_coefficients():
-    # the quadruple sums rely on this: a Fraction zero in the padding would
-    # turn every integer bucket back into Fraction arithmetic
-    bucket = []
-    _add_into(bucket, [3, 6, 4, 8])
-    _add_into(bucket, [1])
-    assert bucket == [4, 6, 4, 8]
-    assert all(type(x) is int for x in bucket)
 
 
 def test_polynomial_basics():

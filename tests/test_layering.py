@@ -99,13 +99,12 @@ def test_only_fold_reads_the_reduction_table():
 
 
 def test_both_closed_forms_read_one_packed_walk():
-    # G~_n is packed once per context and read by the period closed form,
-    # the trace's closed form (its double sum is G~_n at -X) and G_n; the
-    # closed form's walk of the quadruples has no other reader, so the
-    # trace keeps no second walk of its own
+    # the symmetrized quadruple sum is packed once per context and read by
+    # the period closed form and the trace's closed form (twice its double
+    # sum is one column); the closed form's walk of the quadruples has no
+    # other reader, so the trace keeps no second walk of its own
     assert sorted(set(_loaders("_quadruple_buckets"))) == [
         "periods.py:closed_form_polynomial",
-        "periods.py:quadruple_sum_polynomial",
         "traces.py:_closed_form_traces",
     ]
     assert sorted(set(_loaders("_quadruple_walk"))) == ["periods.py:_quadruple_buckets"]

@@ -32,7 +32,6 @@ from heckeperiods.periods import (
     case_sum_polynomial,
     closed_form_polynomial,
     enumerate_quadruples,
-    quadruple_sum_polynomial,
     residue_case_sum,
     residue_period,
     twisted_period,
@@ -114,15 +113,18 @@ def test_epsilon_flags(chi3, chi5):
 
 
 def test_quadruple_sum_degree_and_empty(chi3):
+    # a class that a quadruple reached holds w + 1 coefficients, and at
+    # N = 7 > D = 3 no quadruple exists, so every class is empty
     for n in (1, 4, 9):
-        ctx = PeriodContext(1, 10, n, chi3)
-        assert quadruple_sum_polynomial(ctx).degree() <= 10
-    ctx = PeriodContext(7, 10, 1, chi3)
-    assert quadruple_sum_polynomial(ctx).is_zero()
+        sums = periods._quadruple_buckets(PeriodContext(1, 10, n, chi3))
+        assert len(sums) == chi3.order and any(sums)
+        assert all(len(coeffs) in (0, 11) for coeffs in sums)
+    assert periods._quadruple_buckets(PeriodContext(7, 10, 1, chi3)) == ((), ())
 
 
 def fraction_quadruple_sum(ctx):
-    """G_n term by term in Fractions: the sum over quadruples of
+    """G_n term by term in Fractions, as ascending coefficients per conj(chi)
+    value exponent: the sum over quadruples of
     conj(chi)(a,c,k,ell) * (a*X + ell/D)^n * (-c*X + k/D)^(w-n)."""
     chibar = ctx.chi.conjugate()
     d, n, nt = ctx.modulus, ctx.n, ctx.n_tilde
@@ -136,11 +138,18 @@ def fraction_quadruple_sum(ctx):
         for i, x in enumerate(left):
             for j, y in enumerate(right):
                 buckets[e][i + j] += x * y
-    zetas = [ExactNumber.zeta(chibar.order, e) for e in range(chibar.order)]
-    return ExactPolynomial(
-        sum((zetas[e] * bucket[i] for e, bucket in enumerate(buckets)), ExactNumber.zero())
-        for i in range(ctx.w + 1)
-    )
+    return buckets
+
+
+def symmetrized(ctx, buckets):
+    """G_n(X) + (-1)^(n-1) chi(-1) G_n(-X) on class buckets: chi(-1) =
+    zeta_R^turn moves class e - turn to class e, and (-1)^(n-1) times X -> -X
+    signs its coefficient i by (-1)^(n-1+i)."""
+    order, turn = len(buckets), ctx.chi.value_exponent(-1)
+    return [
+        [x + (-1) ** (ctx.n - 1 + i) * y for i, (x, y) in enumerate(zip(bucket, buckets[(e - turn) % order]))]
+        for e, bucket in enumerate(buckets)
+    ]
 
 
 def widest_contexts():
@@ -151,15 +160,21 @@ def widest_contexts():
 
 
 def test_quadruple_sum_matches_the_fraction_expansion():
-    # G_n is summed in integers scaled by D^w; at D = 37, w = 14 that scale is 37^14
+    # the symmetrized G_n is summed in integers scaled by D^w, at D = 37,
+    # w = 14 by 37^14, and equals the sum term by term, symmetrized here,
+    # entry by entry
     chi37 = next(chi for chi in enumerate_primitive_characters(37) if chi.order == 36)
     contexts = [PeriodContext(level, 14, n, chi37) for level in (1, 2) for n in (1, 7, 13)]
     contexts.append(PeriodContext(1, 10, 3, kronecker_character(-4)))
     contexts += widest_contexts()
     for ctx in contexts:
-        g = quadruple_sum_polynomial(ctx)
-        assert not g.is_zero()
-        assert g == fraction_quadruple_sum(ctx), (ctx.level, ctx.modulus, ctx.n)
+        d, w = ctx.modulus, ctx.w
+        got = [
+            [Fraction(x, d ** (w - i)) for i, x in enumerate(coeffs)] if coeffs else [0] * (w + 1)
+            for coeffs in periods._quadruple_buckets(ctx)
+        ]
+        assert any(any(bucket) for bucket in got)
+        assert got == symmetrized(ctx, fraction_quadruple_sum(ctx)), (ctx.level, ctx.modulus, ctx.n)
 
 
 def expected_g1(chi3):

@@ -1,5 +1,6 @@
 """The exact L-value trace: closed form against the period route."""
 
+import functools
 import math
 import random
 import time
@@ -446,8 +447,9 @@ def _per_query_trace(ctx, m):
     """The closed-form trace at m before its constant, assembled for this m
     alone from the weighted Bernoulli numbers: each of the four terms is
     binomial * scale * B_{k,psi} / k with B_{k,psi} read as a number, a term
-    with a vanishing binomial is 0, and the double sum is the packed
-    coefficient at w - m of G~_n(-X).  Returns (order, den, integers)."""
+    with a vanishing binomial is 0, and the double sum is summed term by
+    term, its factor 2 rotated as the pass writes it.  Returns rationals,
+    one per power of zeta_R."""
     w, n, nt, mt = ctx.w, ctx.n, ctx.n_tilde, ctx.w - m
     d, level = ctx.modulus, ctx.level
     chi = ctx.chi
@@ -462,7 +464,7 @@ def _per_query_trace(ctx, m):
         terms.append((math.comb(nt, m), nt - m + 1, chi, scale, chi.value_exponent(-level)))
     if eps.eps3:
         terms.append((math.comb(n, m), n - m + 1, chi, Fraction((-1) ** (m + 1) * d**nt), chi.value_exponent(-1)))
-    buckets = [Fraction(2 * (-1) ** (m + 1) * coeffs[mt]) for coeffs in _double_sum_polynomials(ctx)]
+    buckets = [Fraction(x) for x in _rotated_double_sum(ctx, m)]
     for binomial, k, psi, scale, shift in terms:
         if binomial:
             den, coords = _weighted_number_direct(k, psi)
@@ -486,9 +488,10 @@ def _reduced(values, order):
 
 def test_closed_form_traces_equal_the_per_query_assembly():
     # every admissible m of the one pass per context against the trace
-    # assembled for its m alone, reduced mod Phi_R here, since the pass
-    # rotates the double sum's chi(-1) where the assembly signs it; and
-    # entry by entry in the class sums against trace_from_periods.  For the
+    # assembled for its m alone, reduced mod Phi_R here, since the class
+    # sums of a weighted number need not equal those of the weighted
+    # polynomial's coefficient entry by entry; and entry by entry in the
+    # class sums against trace_from_periods.  For the
     # real and the highest-order characters and at D = 67, order 66, w = 22
     contexts = []
     for d in (3, 4, 5, 7, 8, 12):
@@ -517,19 +520,9 @@ def test_closed_form_traces_equal_the_per_query_assembly():
     assert checked == 5521
 
 
-def _double_sum_polynomials(ctx):
-    """For each conj(chi) value exponent, the ascending coefficients of the
-    double sum's polynomial sum (ell - aX)^n (k + cX)^(w-n): the context's
-    packed G~_n read at -X, coefficient i times (-1)^i, and zeros for a
-    class that no quadruple reached."""
-    return [
-        [(-1) ** i * x for i, x in enumerate(coeffs)] if coeffs else [0] * (ctx.w + 1)
-        for coeffs in periods._quadruple_buckets(ctx)
-    ]
-
-
+@functools.lru_cache(maxsize=None)
 def _term_by_term_double_sum(ctx, m):
-    """2(-1)^(m+1) times sum over quadruples of
+    """The sum over quadruples of
     sum_r (-1)^r C(n, r) C(w-n, w-m-r) a^r c^(w-m-r) ell^(n-r) k^(m-n+r),
     one integer per conj(chi) value exponent: a Python term per quadruple
     and r."""
@@ -543,14 +536,30 @@ def _term_by_term_double_sum(ctx, m):
     buckets = [0] * chibar.order
     for a, c, k, ell, e in periods._quadruple_walk(ctx.level, chibar):
         buckets[e] += sum(x * a**i * c**j * ell**s * k**t for x, i, j, s, t in weights)
-    return [2 * (-1) ** (m + 1) * b for b in buckets]
+    return tuple(buckets)
+
+
+def _rotated_double_sum(ctx, m):
+    """2(-1)^(m+1) times the double sum, with its factor 2 written as
+    1 + chi(-1)^2: class e keeps its own sum and takes chi(-1) = +-1 times
+    that of class e - turn, where chi(-1) = zeta_R^turn."""
+    sums = _term_by_term_double_sum(ctx, m)
+    turn, sign = ctx.chi.value_exponent(-1), ctx.chi.sign_at_minus_one()
+    return [(-1) ** (m + 1) * (x + sign * sums[(e - turn) % len(sums)]) for e, x in enumerate(sums)]
+
+
+def _symmetrized_column(ctx, i):
+    """Column i of the context's symmetrized quadruple sum, one integer per
+    conj(chi) value exponent, 0 for a class that no quadruple reached."""
+    return [coeffs[i] if coeffs else 0 for coeffs in periods._quadruple_buckets(ctx)]
 
 
 def test_packed_double_sum_equals_the_term_by_term_sum():
-    # the context's one packed G~_n, read at -X, gives the r-sum at every m;
-    # against the sum term by term, for the real and the highest-order
-    # characters, and at D = 67, order 66, w = 22, where the class
-    # coefficients come nearest the width's bound
+    # column w - m of the symmetrized quadruple sum, times -1 = (-1)^(m+1)
+    # (-1)^(w-m) for X -> -X, is twice the r-sum at every admissible m,
+    # rotated as the pass reads it; against the sum term by term, for the
+    # real and the highest-order characters, and at D = 67, order 66,
+    # w = 22, where the class coefficients come nearest the width's bound
     contexts = []
     for d in (5, 7, 13, 41):
         chars = enumerate_primitive_characters(d)  # ascending order: real first
@@ -562,10 +571,31 @@ def test_packed_double_sum_equals_the_term_by_term_sum():
     for ctx in contexts:
         for m in range(ctx.w + 1):
             if ctx.parity_holds(m):
-                packed = [2 * (-1) ** (m + 1) * coeffs[ctx.w - m] for coeffs in _double_sum_polynomials(ctx)]
-                assert packed == _term_by_term_double_sum(ctx, m), (ctx, m)
+                mt = ctx.w - m
+                packed = [(-1) ** (m + 1) * (-1) ** mt * x for x in _symmetrized_column(ctx, mt)]
+                assert packed == _rotated_double_sum(ctx, m), (ctx, m)
                 checked += 1
     assert checked == 1031
+
+
+def test_inadmissible_columns_of_the_symmetrized_sum_vanish():
+    # at an m the parity refuses, (-1)^(n-1+mt) = -chi(-1), so column mt of
+    # G_n(X) + (-1)^(n-1) chi(-1) G_n(-X) is G_n's times 1 - chi(-1)^2 = 0:
+    # its class sums reduce to 0 mod Phi_R, for every primitive character
+    # with D <= 13
+    checked = 0
+    for d in range(3, 14):
+        for chi in enumerate_primitive_characters(d):
+            for level in range(1, 5):
+                for w in (10, 14):
+                    for n in range(1, w):
+                        ctx = PeriodContext(level, w, n, chi)
+                        for m in range(w + 1):
+                            if not ctx.parity_holds(m):
+                                column = _symmetrized_column(ctx, w - m)
+                                assert not any(_reduced(column, chi.order)), (ctx, m)
+                                checked += 1
+    assert checked == 21776
 
 
 def test_routes_agree_at_weight_48_for_every_n():
